@@ -13,7 +13,14 @@ satisfying it is pinned down on all of Z by d consecutive values.  This is
 what lets the prover check finitely many initial cases and conclude for
 every integer index, negative ones included.
 
-Closure operations:
+The prover builds its annihilators from roots.  Every family shares
+x^2 - p*x + q, with roots alpha and beta (alpha*beta = q), so every term it
+meets is a combination of the exponentials alpha^i beta^j along an index.
+from_root_classes turns a set of such roots, grouped into conjugate
+classes, into their exact product of factors (see root_class).
+
+Closure operations, the independent cross-check route (the prover does
+not call them):
   * product(f, g)        products of solutions; Kronecker of companions
   * sum_annihilators     sums of solutions; polynomial product (with dedupe)
   * symmetric_square     products of two solutions of one order-2 recurrence;
@@ -28,7 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
-from .ring import LaurentPoly, one, symbol, zero
+from .ring import LaurentPoly, one, q_power, symbol, zero
 
 
 class OrderMismatchError(ValueError):
@@ -151,6 +158,54 @@ def symmetric_square(f: Annihilator) -> Annihilator:
             one(),
         )
     )
+
+
+def root_class(i: int, j: int) -> tuple:
+    """Conjugate class (k, e) of the root alpha^i beta^j.
+
+    alpha^i beta^j and alpha^j beta^i are the two roots
+    q^k alpha^e and q^k beta^e, with k = min(i, j) and e = |i - j|.
+    """
+    return min(i, j), abs(i - j)
+
+
+def class_order(root_classes: Iterable[tuple]) -> int:
+    """Order of from_root_classes(root_classes), without building it."""
+    return sum(1 if e == 0 else 2 for _k, e in set(root_classes))
+
+
+def from_root_classes(root_classes: Iterable[tuple]) -> Annihilator:
+    """Annihilator whose roots are exactly the given conjugate classes.
+
+    Class (k, 0) is the root q^k and contributes x - q^k; class (k, e) with
+    e > 0 is the pair q^k alpha^e, q^k beta^e and contributes
+    x^2 - q^k L(e) x + q^(2k+e), L the Lucas companion.  Every constant term
+    is a unit, and factors multiply in sorted class order, so the result is
+    deterministic.
+    """
+    coeffs = (one(),)
+    for k, e in sorted(set(root_classes)):
+        if e == 0:
+            factor = (-q_power(k), one())
+        else:
+            factor = (q_power(2 * k + e), -(q_power(k) * lucas(e)), one())
+        coeffs = _poly_mul(coeffs, factor)
+    return Annihilator(coeffs)
+
+
+def lucas(e: int) -> LaurentPoly:
+    """L(e) = alpha^e + beta^e: L0 = 2, L1 = p, L(e) = p L(e-1) - q L(e-2)."""
+    if e < 0:
+        raise ValueError(f"Lucas index must be nonnegative, got {e}")
+    p, q = symbol("p"), symbol("q")
+    if not _lucas:
+        _lucas.extend((LaurentPoly.from_int(2), p))
+    while len(_lucas) <= e:
+        _lucas.append(p * _lucas[-1] - q * _lucas[-2])
+    return _lucas[e]
+
+
+_lucas: list = []  # filled on first use
 
 
 Term = Union[LaurentPoly, int, Fraction]

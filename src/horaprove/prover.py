@@ -3,12 +3,13 @@
 An identity `forall n1..nk: lhs == rhs` is decided by eliminating one index
 at a time from the normal form of lhs - rhs:
 
-  1. Compute an annihilator of the goal along the chosen index: for each
-     monomial, every atom is a sequence sampled along an arithmetic
-     progression in that index, so it has a slope annihilator; their product
-     annihilates the monomial (a pair of atoms sharing one order-2
-     annihilator tightens to the symmetric square), and the sum across the
-     distinct monomial annihilators annihilates the whole goal.
+  1. Compute an annihilator of the goal along the chosen index.  Every
+     family shares x^2 - p*x + q, with roots alpha and beta (alpha*beta =
+     q), so an atom of slope m in that index is a combination of
+     alpha^(m*n) and beta^(m*n), and q^(t*n) is (alpha*beta)^(t*n).  A
+     monomial's roots alpha^i beta^j are the sums of its atoms' roots; the
+     annihilator is the product of one exact factor per conjugate class of
+     roots found anywhere in the goal (cfinite.from_root_classes).
   2. A sequence annihilated by an order-d recurrence whose constant term is
      a unit is determined on all of Z by d consecutive values, so the goal
      is zero everywhere iff it is zero at the index values 0..d-1.  Each of
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .cfinite import Annihilator, product, sum_annihilators, symmetric_square
+from .cfinite import Annihilator, class_order, from_root_classes, root_class
 from .lang import (
     Add,
     Expr,
@@ -52,7 +53,7 @@ from .lang import (
     identity_goal,
 )
 from .ring import SYMBOLS, LaurentPoly, one, zero
-from .sequences import SequenceKind, numeric_term, slope_annihilator, symbolic_term
+from .sequences import SequenceKind, numeric_term, symbolic_term
 
 DEFAULT_MAX_ORDER = 64
 
@@ -77,51 +78,38 @@ class ProverConfig:
 def annihilator_for(nf: NormalForm, index: str, max_order: int = DEFAULT_MAX_ORDER) -> Annihilator:
     """An annihilator of the goal viewed as a sequence in one index.
 
-    Every monomial contributes the product of its atoms' slope annihilators
-    (slope 0 and pure-scalar monomials contribute x - 1; two atoms sharing
-    one order-2 annihilator contribute its symmetric square).  Distinct
-    monomial annihilators are then folded with the sum rule, deduplicating
-    on exact equality.
+    Its roots are exactly the exponentials alpha^i beta^j of the goal's
+    monomials, each once, so no smaller product of factors annihilates
+    every monomial.
+
+    An atom of slope m != 0 in the index has the roots alpha^m and beta^m,
+    lattice points (m, 0) and (0, m); a slope-0 atom has (0, 0) and
+    q^(t*n) has (t, t).  A monomial's roots are the Minkowski sum of its
+    atoms' root sets ((0, 0) alone for a pure scalar), and the goal's roots
+    are their union.  Each conjugate class of roots contributes one factor,
+    so the order is known, and checked against the cap, before any
+    polynomial is built.
     """
-    monomial_anns: dict = {}
+    classes = set()
     for atoms, _scalar in nf.monomials():
-        ann = _monomial_annihilator(atoms, index, max_order)
-        monomial_anns.setdefault(ann.sort_key(), ann)
-    if not monomial_anns:
+        classes.update(root_class(i, j) for i, j in _monomial_roots(atoms, index))
+    if not classes:
         raise ValueError("the zero goal needs no annihilator")
-    result = None
-    for _key, ann in sorted(monomial_anns.items()):
-        result = ann if result is None else sum_annihilators(result, ann)
-        _check_order(result.order, max_order, index)
-    return result
+    _check_order(class_order(classes), max_order, index)
+    return from_root_classes(classes)
 
 
-def _monomial_annihilator(atoms: tuple, index: str, max_order: int) -> Annihilator:
-    groups: dict = {}
+def _monomial_roots(atoms: tuple, index: str) -> set:
+    roots = {(0, 0)}
     for atom in atoms:
         if isinstance(atom, SeqTerm):
-            slope = atom.index.coefficient(index)
-            ann = slope_annihilator(atom.kind, slope)
+            m = atom.index.coefficient(index)
+            atom_roots = ((m, 0), (0, m)) if m else ((0, 0),)
         else:
-            slope = atom.exponent.coefficient(index)
-            ann = slope_annihilator(SequenceKind.GEOQ, slope)
-        key = ann.sort_key()
-        groups.setdefault(key, [ann, 0])
-        groups[key][1] += 1
-    result = None
-    for _key, (ann, count) in sorted(groups.items()):
-        if count == 2 and ann.order == 2:
-            part = symmetric_square(ann)
-        else:
-            part = ann
-            for _ in range(count - 1):
-                part = product(part, ann)
-                _check_order(part.order, max_order, index)
-        result = part if result is None else product(result, part)
-        _check_order(result.order, max_order, index)
-    if result is None:  # all-scalar monomial: constant in the index
-        result = slope_annihilator(SequenceKind.GEOQ, 0)
-    return result
+            t = atom.exponent.coefficient(index)
+            atom_roots = ((t, t),)
+        roots = {(i + di, j + dj) for i, j in roots for di, dj in atom_roots}
+    return roots
 
 
 def _check_order(order: int, max_order: int, index: str):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from . import linalg
-from .cfinite import X_MINUS_ONE, Annihilator
+from .cfinite import ORDER_TWO_BASE, X_MINUS_ONE, Annihilator
 from .ring import LaurentPoly, ZeroQError, from_int, one, q_power, symbol
 
 Rational = Union[int, Fraction]
@@ -45,7 +45,8 @@ class SequenceDef:
     charpoly: tuple  # ascending, monic; constant term a power of q
 
 
-_CHAR_ORDER2 = (symbol("q"), -symbol("p"), one())
+# the lattice of roots in the prover assumes every order-2 family shares it
+_CHAR_ORDER2 = ORDER_TWO_BASE.coeffs
 
 SEQUENCE_DEFS = {
     SequenceKind.W: SequenceDef(

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from horaprove import corpus_path, parse_file
 from horaprove.lang import QPowTerm
+from horaprove.prover import EliminationNode
+from horaprove.ring import SYMBOLS
 from horaprove.sequences import SequenceKind, numeric_term
 
 
@@ -22,6 +25,21 @@ def by_fragment(identities, fragment: str):
     hits = [it for it in identities if fragment in it.source]
     assert len(hits) == 1, f"{fragment!r} matched {len(hits)} identities"
     return hits[0]
+
+
+def walk(node):
+    """Every node of a proof tree, parents first."""
+    yield node
+    if isinstance(node, EliminationNode):
+        for _value, child in node.subgoals:
+            yield from walk(child)
+
+
+def rational_assignments():
+    """Exact rational values for every scalar symbol, q nonzero."""
+    base = {s: st.fractions(min_value=-6, max_value=6, max_denominator=4) for s in SYMBOLS}
+    base["q"] = base["q"].filter(lambda v: v != 0)
+    return st.fixed_dictionaries(base)
 
 
 def eval_normal_form(nf, scalars, indices) -> Fraction:

@@ -50,7 +50,7 @@ class TestVerify:
         assert f"{bad}:1:" in err
 
     def test_order_cap_aborts_with_exit_two(self, capsys):
-        assert main(["verify", PAPER, "--max-order", "4"]) == 2
+        assert main(["verify", PAPER, "--max-order", "3"]) == 2
         out = capsys.readouterr().out
         assert "ABORTED" in out
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import by_fragment
+from conftest import by_fragment, walk
 from horaprove.cfinite import Annihilator
 from horaprove.lang import identity_goal, normalize, parse_file, parse_identity
 from horaprove.prover import (
@@ -30,13 +30,6 @@ BASE = Annihilator((q, -p, one()))
 CUBIC = Annihilator((-(q ** 3), p * p * q - q * q, q - p * p, one()))
 
 ADDITION_LAW = "forall m, n: W(m+n+1) == W(m+1)*u(n+1) - q*W(m)*u(n)"
-
-
-def walk(node):
-    yield node
-    if isinstance(node, EliminationNode):
-        for _value, child in node.subgoals:
-            yield from walk(child)
 
 
 class TestAnnihilatorSynthesis:
@@ -71,21 +64,22 @@ class TestAnnihilatorSynthesis:
                    BASE.coeffs[1] - BASE.coeffs[2], one()))
         )
 
-    def test_triple_product_gets_kronecker_order_eight(self):
+    def test_triple_product_gets_lattice_order_four(self):
         nf = normalize(parse_identity("forall n: W(n+1)*W(n+2)*W(n+6) == 0").lhs, {})
-        assert annihilator_for(nf, "n").order == 8
+        # roots alpha^3, alpha^2 beta, alpha beta^2, beta^3
+        assert annihilator_for(nf, "n").order == 4
 
     def test_duplicate_monomial_annihilators_dedupe(self, corpus_identities):
         triple_product = by_fragment(corpus_identities, "W(n+1)*W(n+2)*W(n+6)")
         goal = identity_goal(triple_product)
-        # cube terms dedupe to one order-8 annihilator, the geometric-times-W
-        # right side dedupes to one order-2 annihilator: 8 + 2
-        assert annihilator_for(goal, "n").order == 10
+        # the cube terms have the classes (0, 3) and (1, 1); the
+        # geometric-times-W side has (1, 1) only, counted once: 2 + 2
+        assert annihilator_for(goal, "n").order == 4
 
     def test_order_cap_enforced(self):
         nf = normalize(parse_identity("forall n: W(n+1)*W(n+2)*W(n+6) == 0").lhs, {})
         with pytest.raises(OrderCapExceededError):
-            annihilator_for(nf, "n", max_order=4)
+            annihilator_for(nf, "n", max_order=3)
 
     def test_zero_goal_rejected(self):
         with pytest.raises(ValueError):
@@ -175,7 +169,7 @@ class TestProve:
 
     def test_aborted_on_order_cap(self, corpus_identities):
         triple_product = by_fragment(corpus_identities, "W(n+1)*W(n+2)*W(n+6)")
-        cert = prove(triple_product, config=ProverConfig(max_order=4))
+        cert = prove(triple_product, config=ProverConfig(max_order=3))
         assert cert.verdict == ABORTED
         assert cert.root is None and cert.leaves == []
         assert "cap" in cert.reason and cert.witness is None
@@ -215,7 +209,7 @@ class TestCertificateJson:
 
     def test_aborted_carries_reason(self, corpus_identities):
         triple_product = by_fragment(corpus_identities, "W(n+1)*W(n+2)*W(n+6)")
-        doc = prove(triple_product, config=ProverConfig(max_order=4)).to_json_dict()
+        doc = prove(triple_product, config=ProverConfig(max_order=3)).to_json_dict()
         assert list(doc.keys()) == [
             "identity", "elimination", "proof", "leaves", "verdict", "reason", "ms",
         ]

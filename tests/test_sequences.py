@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horaprove.cfinite import annihilates
+from conftest import rational_assignments
+from horaprove.cfinite import ORDER_TWO_BASE, annihilates
 from horaprove.ring import SYMBOLS, ZeroQError, from_int, one, q_power, symbol
 from horaprove.sequences import (
+    SEQUENCE_DEFS,
     SequenceKind,
     numeric_term,
     slope_annihilator,
@@ -25,10 +27,13 @@ W, V, U, GEOQ = (
 )
 
 
-def rational_assignments():
-    base = {s: st.fractions(min_value=-6, max_value=6, max_denominator=4) for s in SYMBOLS}
-    base["q"] = base["q"].filter(lambda v: v != 0)
-    return st.fixed_dictionaries(base)
+class TestFamilies:
+    def test_order_two_families_share_one_charpoly(self):
+        # the prover's root lattice assumes every order-2 atom has the roots
+        # alpha, beta of x^2 - p*x + q
+        order_two = [d for d in SEQUENCE_DEFS.values() if d.order == 2]
+        assert {d.kind for d in order_two} == {W, V, U}
+        assert all(d.charpoly == ORDER_TWO_BASE.coeffs for d in order_two)
 
 
 class TestSymbolicTerms:
