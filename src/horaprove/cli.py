@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every identity is PROVED (or every fuzz trial passes),
 1 when any identity is REFUTED (or any counterexample is found), 2 on
-errors: unreadable files, parse failures, bad flags, or an order-cap abort.
+errors: unreadable files, parse failures, bad flags, an order-cap abort, or
+an unexpected error in one identity (reported, and the run goes on).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .lang import ParseError, parse_file
+from .lang import Identity, ParseError, parse_file
 from .prover import (
     ABORTED,
     PROVED,
@@ -86,6 +87,19 @@ def _load(path: str):
         return None
 
 
+def _report_crash(path: str, identity: Identity, exc: Exception):
+    print(f"error: {path}:{identity.line}: {type(exc).__name__}: {exc}", file=sys.stderr)
+
+
+def _fuzz_or_report(path: str, identity: Identity, args):
+    """The oracle's result for one identity, or None after reporting its crash."""
+    try:
+        return fuzz(identity, args.trials, args.seed, args.range)
+    except Exception as exc:  # one identity's crash must not end the run
+        _report_crash(path, identity, exc)
+        return None
+
+
 def _cert_stem(path: str, used: set) -> str:
     stem = Path(path).stem or "certs"
     candidate, k = stem, 1
@@ -124,6 +138,10 @@ def cmd_verify(args) -> int:
                 print(f"error: {path}:{identity.line}: {exc}", file=sys.stderr)
                 errors = True
                 continue
+            except Exception as exc:  # one identity's crash must not end the run
+                _report_crash(path, identity, exc)
+                errors = True
+                continue
             entry = ReportEntry(path, identity.line, cert.verdict, cert.ms)
             if cert.verdict == ABORTED:
                 entry.note = f"({cert.reason})"
@@ -139,8 +157,10 @@ def cmd_verify(args) -> int:
                     return EXIT_ERROR
                 entry.cert_file = str(cert_path)
             if args.fuzz_after and cert.verdict == PROVED:
-                result = fuzz(identity, args.trials, args.seed, args.range)
-                if result.ok:
+                result = _fuzz_or_report(path, identity, args)
+                if result is None:
+                    errors = True
+                elif result.ok:
                     entry.note = (entry.note + f" fuzz=PASS({args.trials})").strip()
                 else:
                     print(
@@ -168,8 +188,10 @@ def cmd_fuzz(args) -> int:
             continue
         for identity in source.identities:
             total += 1
-            result = fuzz(identity, args.trials, args.seed, args.range)
-            if result.ok:
+            result = _fuzz_or_report(path, identity, args)
+            if result is None:
+                errors = True
+            elif result.ok:
                 lines.append(f"{path}:{identity.line}: PASS ({args.trials} trials)")
             else:
                 falsified = True

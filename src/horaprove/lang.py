@@ -21,7 +21,9 @@ Grammar (whitespace-insensitive; '#' starts a comment to end of line):
 Let-bindings are file-scoped, scalar-only (no sequence terms), and must
 precede use.  Power exponents are non-negative integer literals; negative
 q powers are written q^(-1).  The 'with' clause pins scalars for one
-identity; a pinned q must be nonzero.
+identity; a pinned q must be nonzero.  Parentheses nest at most
+MAX_NESTING deep; a sum or a product of any length is one flat Sum or
+Product node.
 
 A NormalForm is the sum-of-monomials view of an expression: a map from a
 multiset of atoms (sequence terms and at most one q^(linear form) with no
@@ -39,10 +41,13 @@ from typing import Iterator, Mapping, Union
 from .ring import SYMBOLS, LaurentPoly, from_int, one, q_power, symbol
 from .sequences import SequenceKind
 
-SCALARS = ("p", "q", "a", "b", "c", "d")
 SEQ_NAMES = {"W": SequenceKind.W, "V": SequenceKind.V, "u": SequenceKind.U}
 KEYWORDS = {"forall", "let", "with"}
 DEFAULT_SLOPE_CAP = 8
+# Each open parenthesis costs the parser four stack frames and every tree
+# walker one or two, so a fixed bound keeps all of them far from the
+# interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -177,26 +182,13 @@ class QPowTerm:
 
 
 @dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Sum:
+    terms: tuple  # ((sign, Expr), ...) with sign +1 or -1, at least one term
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Product:
+    factors: tuple  # (Expr, ...), at least two factors
 
 
 @dataclass(frozen=True)
@@ -205,7 +197,7 @@ class Pow:
     exponent: int
 
 
-Expr = Union[IntLit, ScalarRef, NameRef, SeqTerm, QPowTerm, Neg, Add, Sub, Mul, Pow]
+Expr = Union[IntLit, ScalarRef, NameRef, SeqTerm, QPowTerm, Sum, Product, Pow]
 Atom = Union[SeqTerm, QPowTerm]
 
 
@@ -325,6 +317,7 @@ class _Parser:
         self.slope_cap = slope_cap
         self.lets: dict = {}
         self.items: list = []
+        self.nesting = 0  # open expression parentheses
 
     # token helpers
 
@@ -378,7 +371,7 @@ class _Parser:
         kw = self.expect("let")
         name_tok = self.expect_name("a name to bind")
         name = name_tok.text
-        if name in SCALARS or name in SEQ_NAMES or name in KEYWORDS:
+        if name in SYMBOLS or name in SEQ_NAMES or name in KEYWORDS:
             raise ParseError(
                 f"cannot bind reserved name {name!r}", name_tok.line, name_tok.col
             )
@@ -421,7 +414,7 @@ class _Parser:
     def parse_index_var(self, taken: tuple) -> str:
         tok = self.expect_name("an index variable")
         name = tok.text
-        if name in SCALARS or name in SEQ_NAMES or name in KEYWORDS:
+        if name in SYMBOLS or name in SEQ_NAMES or name in KEYWORDS:
             raise ParseError(
                 f"index variable cannot shadow reserved name {name!r}", tok.line, tok.col
             )
@@ -439,7 +432,7 @@ class _Parser:
         seen = set()
         while True:
             tok = self.expect_name("a scalar symbol to pin")
-            if tok.text not in SCALARS:
+            if tok.text not in SYMBOLS:
                 raise ParseError(
                     f"only scalar symbols can be pinned, not {tok.text!r}",
                     tok.line,
@@ -476,23 +469,26 @@ class _Parser:
     # expressions
 
     def parse_expr(self, index_vars: tuple, scalar_only: bool = False) -> Expr:
-        node = self.parse_term(index_vars, scalar_only)
+        terms = [self.parse_term(index_vars, scalar_only)]
         while self.peek().text in ("+", "-"):
-            op = self.next().text
-            rhs = self.parse_term(index_vars, scalar_only)
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            op_sign = 1 if self.next().text == "+" else -1
+            sign, node = self.parse_term(index_vars, scalar_only)
+            terms.append((op_sign * sign, node))
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1]
+        return Sum(tuple(terms))
 
-    def parse_term(self, index_vars: tuple, scalar_only: bool) -> Expr:
-        negated = False
+    def parse_term(self, index_vars: tuple, scalar_only: bool) -> tuple:
+        """One signed term as (sign, node); a leading '-' folds into the sign."""
+        sign = 1
         if self.peek().text == "-":
             self.next()
-            negated = True
-        node = self.parse_factor(index_vars, scalar_only)
+            sign = -1
+        factors = [self.parse_factor(index_vars, scalar_only)]
         while self.peek().text == "*":
             self.next()
-            node = Mul(node, self.parse_factor(index_vars, scalar_only))
-        return Neg(node) if negated else node
+            factors.append(self.parse_factor(index_vars, scalar_only))
+        return sign, factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def parse_factor(self, index_vars: tuple, scalar_only: bool) -> Expr:
         node = self.parse_base(index_vars, scalar_only)
@@ -516,9 +512,15 @@ class _Parser:
             self.next()
             return IntLit(int(tok.text))
         if tok.text == "(":
+            if self.nesting == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col
+                )
             self.next()
+            self.nesting += 1
             node = self.parse_expr(index_vars, scalar_only)
             self.expect(")")
+            self.nesting -= 1
             return node
         if tok.kind == "NAME":
             name = tok.text
@@ -553,7 +555,7 @@ class _Parser:
                 lin = self.parse_linform(index_vars)
                 self.expect(")")
                 return QPowTerm(lin)
-            if name in SCALARS:
+            if name in SYMBOLS:
                 self.next()
                 return ScalarRef(name)
             if name in self.lets:
@@ -773,12 +775,9 @@ class NormalForm:
                 if isinstance(atom, SeqTerm):
                     new_atoms.append(SeqTerm(atom.kind, atom.index.substitute(var, value)))
                 else:
-                    lin = atom.exponent.substitute(var, value)
-                    if lin.const:
-                        extra = extra * q_power(lin.const)
-                        lin = lin.drop_const()
-                    if not lin.is_constant:
-                        new_atoms.append(QPowTerm(lin))
+                    q_atoms, q_scalar = _q_power(atom.exponent.substitute(var, value))
+                    new_atoms.extend(q_atoms)
+                    extra = extra * q_scalar
             key = tuple(sorted(new_atoms, key=_atom_order))
             s = scalar * extra
             got = out.get(key)
@@ -820,12 +819,21 @@ def _merge_atoms(atoms: tuple):
             qlin = atom.exponent if qlin is None else qlin.plus(atom.exponent)
     extra = one()
     if qlin is not None:
-        if qlin.const:
-            extra = q_power(qlin.const)
-            qlin = qlin.drop_const()
-        if not qlin.is_constant:
-            seq_atoms.append(QPowTerm(qlin))
+        q_atoms, extra = _q_power(qlin)
+        seq_atoms.extend(q_atoms)
     return tuple(sorted(seq_atoms, key=_atom_order)), extra
+
+
+def _q_power(lin: LinForm) -> tuple:
+    """Split q^(lin) into (atoms, scalar q^const).
+
+    The atoms are q^(lin without its constant), or none when lin is constant.
+    """
+    scalar = one()
+    if lin.const:
+        scalar = q_power(lin.const)
+        lin = lin.drop_const()
+    return (() if lin.is_constant else (QPowTerm(lin),)), scalar
 
 
 def _render_atom(atom: Atom) -> str:
@@ -911,22 +919,23 @@ def _normalize(expr: Expr, bindings: Mapping[str, Expr]) -> NormalForm:
     if isinstance(expr, SeqTerm):
         return NormalForm({(expr,): one()})
     if isinstance(expr, QPowTerm):
-        lin = expr.exponent
-        extra = one()
-        if lin.const:
-            extra = q_power(lin.const)
-            lin = lin.drop_const()
-        if lin.is_constant:
-            return NormalForm.from_scalar(extra)
-        return NormalForm({(QPowTerm(lin),): extra})
-    if isinstance(expr, Neg):
-        return -_normalize(expr.operand, bindings)
-    if isinstance(expr, Add):
-        return _normalize(expr.left, bindings) + _normalize(expr.right, bindings)
-    if isinstance(expr, Sub):
-        return _normalize(expr.left, bindings) - _normalize(expr.right, bindings)
-    if isinstance(expr, Mul):
-        return _normalize(expr.left, bindings) * _normalize(expr.right, bindings)
+        atoms, scalar = _q_power(expr.exponent)
+        return NormalForm._raw({atoms: scalar})
+    if isinstance(expr, Sum):
+        (sign, first), *rest = expr.terms
+        total = _normalize(first, bindings)
+        if sign < 0:
+            total = -total
+        for sign, term in rest:
+            nf = _normalize(term, bindings)
+            total = total + nf if sign > 0 else total - nf
+        return total
+    if isinstance(expr, Product):
+        first, *rest = expr.factors
+        total = _normalize(first, bindings)
+        for factor in rest:
+            total = total * _normalize(factor, bindings)
+        return total
     if isinstance(expr, Pow):
         result = NormalForm.from_scalar(one())
         base = _normalize(expr.base, bindings)
@@ -946,7 +955,7 @@ def identity_goal(identity: Identity) -> NormalForm:
 # rendering parsed items back to source text
 
 
-_PREC_ADD, _PREC_NEG, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
 
 
 def render_expr(expr: Expr) -> str:
@@ -960,16 +969,19 @@ def _render_expr(expr: Expr, min_prec: int) -> str:
         return expr.name
     if isinstance(expr, (SeqTerm, QPowTerm)):
         return _render_atom(expr)
-    if isinstance(expr, Neg):
-        text = "-" + _render_expr(expr.operand, _PREC_MUL)
-        return text if min_prec <= _PREC_NEG else f"({text})"
-    if isinstance(expr, (Add, Sub)):
-        op = " + " if isinstance(expr, Add) else " - "
-        # right side one level tighter so a - (b - c) keeps its parens
-        text = _render_expr(expr.left, _PREC_ADD) + op + _render_expr(expr.right, _PREC_NEG)
+    if isinstance(expr, Sum):
+        # a term that is itself a Sum came from parentheses and keeps them
+        parts = []
+        for sign, term in expr.terms:
+            body = _render_expr(term, _PREC_MUL)
+            if not parts:
+                parts.append("-" + body if sign < 0 else body)
+            else:
+                parts.append((" - " if sign < 0 else " + ") + body)
+        text = "".join(parts)
         return text if min_prec <= _PREC_ADD else f"({text})"
-    if isinstance(expr, Mul):
-        text = _render_expr(expr.left, _PREC_MUL) + "*" + _render_expr(expr.right, _PREC_POW)
+    if isinstance(expr, Product):
+        text = "*".join(_render_expr(factor, _PREC_POW) for factor in expr.factors)
         return text if min_prec <= _PREC_MUL else f"({text})"
     if isinstance(expr, Pow):
         text = _render_expr(expr.base, _PREC_ATOM) + f"^{expr.exponent}"

@@ -37,19 +37,17 @@ from typing import Mapping, Sequence, Union
 
 from .cfinite import Annihilator, class_order, from_root_classes, root_class
 from .lang import (
-    Add,
     Expr,
     Identity,
     IntLit,
-    Mul,
-    Neg,
     NameRef,
     NormalForm,
     Pow,
+    Product,
     QPowTerm,
     ScalarRef,
     SeqTerm,
-    Sub,
+    Sum,
     identity_goal,
 )
 from .ring import SYMBOLS, LaurentPoly, one, zero
@@ -393,20 +391,21 @@ def evaluate_expr(
         return numeric_term(expr.kind, expr.index.value(indices), scalars)
     if isinstance(expr, QPowTerm):
         return numeric_term(SequenceKind.GEOQ, expr.exponent.value(indices), scalars)
-    if isinstance(expr, Neg):
-        return -evaluate_expr(expr.operand, scalars, indices, bindings)
-    if isinstance(expr, Add):
-        return evaluate_expr(expr.left, scalars, indices, bindings) + evaluate_expr(
-            expr.right, scalars, indices, bindings
-        )
-    if isinstance(expr, Sub):
-        return evaluate_expr(expr.left, scalars, indices, bindings) - evaluate_expr(
-            expr.right, scalars, indices, bindings
-        )
-    if isinstance(expr, Mul):
-        return evaluate_expr(expr.left, scalars, indices, bindings) * evaluate_expr(
-            expr.right, scalars, indices, bindings
-        )
+    if isinstance(expr, Sum):
+        (sign, first), *rest = expr.terms
+        total = evaluate_expr(first, scalars, indices, bindings)
+        if sign < 0:
+            total = -total
+        for sign, term in rest:
+            value = evaluate_expr(term, scalars, indices, bindings)
+            total = total + value if sign > 0 else total - value
+        return total
+    if isinstance(expr, Product):
+        first, *rest = expr.factors
+        total = evaluate_expr(first, scalars, indices, bindings)
+        for factor in rest:
+            total = total * evaluate_expr(factor, scalars, indices, bindings)
+        return total
     if isinstance(expr, Pow):
         return evaluate_expr(expr.base, scalars, indices, bindings) ** expr.exponent
     raise TypeError(f"unexpected node {expr!r}")

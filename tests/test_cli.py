@@ -1,8 +1,12 @@
 """Command-line behavior: reports, exit codes, certificate files."""
 
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +149,56 @@ class TestFuzzCommand:
         assert "--range" in capsys.readouterr().err
 
 
+N_LONG = 1200
+LONG_INPUTS = {
+    "sum": "forall n: " + " + ".join(["u(n)"] * N_LONG) + f" == {N_LONG}*u(n)\n",
+    "product": "forall n: " + "*".join(["p"] * N_LONG) + f"*u(n) == p^{N_LONG}*u(n)\n",
+    "let": (
+        "let e = " + " + ".join(["p"] * N_LONG) + "\n"
+        f"forall n: e*u(n) == {N_LONG}*p*u(n)\n"
+    ),
+}
+
+
+class TestLargeInputs:
+    """Long sums, products and nesting end in a verdict or a positioned error."""
+
+    @pytest.mark.parametrize("kind", sorted(LONG_INPUTS))
+    def test_long_flat_input_is_proved_and_passes_the_oracle(self, kind, tmp_path, capsys):
+        path = tmp_path / f"{kind}.fib"
+        path.write_text(LONG_INPUTS[kind], encoding="utf-8")
+        assert main(["verify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"{path}:" in out and "PROVED" in out
+        assert main(["fuzz", str(path), "--trials", "20"]) == 0
+        out = capsys.readouterr().out
+        assert f"{path}:" in out and "PASS (20 trials)" in out
+
+    def test_nesting_past_the_limit_is_a_positioned_error(self, tmp_path, capsys):
+        path = tmp_path / "nested.fib"
+        text = "forall n: " + "(" * 101 + "u(n)" + ")" * 101 + " == u(n)\n"
+        path.write_text(text, encoding="utf-8")
+        for command in ("verify", "fuzz"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"{path}:1:" in err and "nested deeper than 100" in err
+
+    def test_crash_in_one_identity_is_reported_and_the_run_goes_on(self, tmp_path, capsys):
+        # resolving this let chain recurses deeper than the interpreter allows
+        lets = ["let e0 = p"] + [f"let e{k} = e{k - 1}*1" for k in range(1, 601)]
+        path = tmp_path / "chain.fib"
+        path.write_text(
+            "\n".join(lets) + "\nforall n: e600*u(n) == p*u(n)\nforall n: u(n) == u(n)\n",
+            encoding="utf-8",
+        )
+        for command in ("verify", "fuzz"):
+            assert main([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert f"error: {path}:602: RecursionError:" in captured.err
+            assert "Traceback" not in captured.err
+            assert f"{path}:603: P" in captured.out  # PROVED or PASS
+
+
 class TestInvocation:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -153,6 +207,14 @@ class TestInvocation:
     def test_help_exits_clean(self, capsys):
         assert main(["--help"]) == 0
         assert "verify" in capsys.readouterr().out
+
+    def test_readme_library_snippet_runs(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        (snippet,) = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(snippet, {})
+        assert out.getvalue().splitlines() == ["PROVED 2", "True"]
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -9,15 +9,19 @@ from hypothesis import strategies as st
 from conftest import eval_normal_form
 from horaprove.lang import (
     DEFAULT_SLOPE_CAP,
+    MAX_NESTING,
     Identity,
     LetDecl,
     LinForm,
     NonIntegerExponentError,
     NormalForm,
     ParseError,
+    Product,
     QPowTerm,
+    ScalarRef,
     SeqTerm,
     SlopeCapExceededError,
+    Sum,
     UndeclaredIndexError,
     UnknownNameError,
     identity_goal,
@@ -90,6 +94,17 @@ class TestParsing:
         goal = identity_goal(idn)
         assert not goal.is_zero
 
+    def test_sums_and_products_are_flat(self):
+        p, q, a, b = (ScalarRef(s) for s in "pqab")
+        assert parse_identity("forall n: a + b - p*q*a == 0").lhs == Sum(
+            ((1, a), (1, b), (-1, Product((p, q, a))))
+        )
+        # a term's unary minus folds into its sign
+        assert parse_identity("forall n: a - -b == 0").lhs == Sum(((1, a), (1, b)))
+        assert parse_identity("forall n: -p*q == 0").lhs == Sum(((-1, Product((p, q))),))
+        # one positive term or one factor is the bare child
+        assert parse_identity("forall n: (p) == 0").lhs == p
+
     def test_q_power_requires_parenthesized_exponent(self):
         idn = parse_identity("forall n: q^(2*n+1) == q*q^(2*n)")
         assert identity_goal(idn).is_zero
@@ -120,6 +135,15 @@ class TestParseErrors:
     def test_unknown_name(self):
         with pytest.raises(UnknownNameError):
             parse_identity("forall n: f(n) == W(n)")
+
+    def test_parenthesis_nesting_bound(self):
+        def nested(depth):
+            return "forall n: " + "(" * depth + "u(n)" + ")" * depth + " == u(n)"
+
+        assert identity_goal(parse_identity(nested(MAX_NESTING))).is_zero
+        with pytest.raises(ParseError, match="nested deeper than 100") as info:
+            parse_identity(nested(MAX_NESTING + 1))
+        assert (info.value.line, info.value.col) == (1, len("forall n: ") + MAX_NESTING + 1)
 
     def test_unbalanced_paren(self):
         with pytest.raises(ParseError):
@@ -214,12 +238,30 @@ class TestNormalization:
 
 
 class TestRenderRoundTrip:
-    def test_identity_render_reparse(self):
-        text = "forall m, n: W(m+n+1) == W(m+1)*u(n+1) - q*W(m)*u(n)"
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "forall m, n: W(m+n+1) == W(m+1)*u(n+1) - q*W(m)*u(n)",
+            "forall n: a - -b == W(n)",
+            "forall n: a - (b - c) == W(n)",
+            "forall n: W(n)*(-u(n)) == p",
+            "forall n: (-a)^2 == u(n)",
+            "forall n: -(a + W(n))*c == q",
+        ],
+    )
+    def test_identity_render_reparse(self, text):
+        from horaprove.prover import evaluate_expr
+
         idn = parse_identity(text)
         again = parse_identity(render_identity(idn))
         assert again.lhs == idn.lhs and again.rhs == idn.rhs
         assert again.index_vars == idn.index_vars
+        assert identity_goal(again) == identity_goal(idn)
+        scalars = {s: Fraction(v) for s, v in zip(SYMBOLS, (3, 2, -1, 5, 4, 2))}
+        indices = {v: k + 2 for k, v in enumerate(idn.index_vars)}
+        for side, side_again in ((idn.lhs, again.lhs), (idn.rhs, again.rhs)):
+            value = evaluate_expr(side, scalars, indices, {})
+            assert evaluate_expr(side_again, scalars, indices, {}) == value
 
     def test_pins_render(self):
         text = "forall n: u(n) == u(n) with p := 1, q := -1/2"
