@@ -3,10 +3,11 @@
 Identities over the Horadam family W(a,b; p,q), a second started copy V,
 the fundamental solution u, and geometric q-powers are decided by a
 recurrence argument: both sides of an identity satisfy a common linear
-recurrence computed by closure operations on annihilators, so the identity
-holds for all integers iff finitely many instances reduce to the zero
-polynomial.  Proofs are emitted as machine-checkable JSON certificates and
-cross-checked by an exact numeric oracle.
+recurrence, built with one factor per conjugate class of the roots
+alpha^i beta^j of its terms, so the identity holds for all integers iff
+finitely many instances reduce to the zero polynomial.  Proofs are
+emitted as machine-checkable JSON certificates and cross-checked by an
+exact numeric oracle.
 """
 
 from importlib import resources

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
-from .ring import LaurentPoly, one, q_power, symbol, zero
+from .ring import LaurentPoly, one, q_power, render_sum, symbol, zero
 
 
 class OrderMismatchError(ValueError):
@@ -83,40 +83,26 @@ class Annihilator:
         return (self.order, tuple(c.sort_key() for c in self.coeffs))
 
     def render(self) -> str:
-        """Deterministic text form, e.g. 'x^2 - p*x + q'."""
-        parts = []
+        """Deterministic text form, e.g. 'x^2 - p*x + q'.
+
+        Each coefficient is written as a factor in the identity language.
+        """
+        terms = []
         for k in range(self.order, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero:
+            if self.coeffs[k].is_zero:
                 continue
-            xpart = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-            sign, body = _signed_coefficient(c, with_x=bool(xpart))
-            if xpart:
-                body = f"{body}*{xpart}" if body else xpart
-            if not parts:
-                parts.append("-" + body if sign < 0 else body)
-            else:
-                parts.append((" - " if sign < 0 else " + ") + body)
-        return "".join(parts) or "0"
+            sign, body = self.coeffs[k].render_factor()
+            if k:
+                xpart = "x" if k == 1 else f"x^{k}"
+                body = xpart if body == "1" else f"{body}*{xpart}"
+            terms.append((sign, body))
+        return render_sum(terms)
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"Annihilator({self.render()})"
-
-
-def _signed_coefficient(c: LaurentPoly, with_x: bool):
-    """Split a coefficient into (sign, rendered magnitude) for charpoly text."""
-    terms = list(c.monomials())
-    if len(terms) == 1:
-        exps, coeff = terms[0]
-        sign = -1 if coeff < 0 else 1
-        mono = LaurentPoly({exps: abs(coeff)})
-        if mono == 1 and with_x:
-            return sign, ""
-        return sign, mono.render()
-    return 1, f"({c.render()})"
 
 
 def product(f: Annihilator, g: Annihilator) -> Annihilator:

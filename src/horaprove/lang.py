@@ -18,12 +18,12 @@ Grammar (whitespace-insensitive; '#' starts a comment to end of line):
     SCALAR     := 'p' | 'q' | 'a' | 'b' | 'c' | 'd'
     rational   := ('-')? INT ('/' INT)?
 
-Let-bindings are file-scoped, scalar-only (no sequence terms), and must
-precede use.  Power exponents are non-negative integer literals; negative
-q powers are written q^(-1).  The 'with' clause pins scalars for one
-identity; a pinned q must be nonzero.  Parentheses nest at most
-MAX_NESTING deep; a sum or a product of any length is one flat Sum or
-Product node.
+Let-bindings are file-scoped, scalar-only (no sequence terms, and q^(...)
+only with a constant exponent), bind each name once, and must precede use.
+Power exponents are non-negative integer literals; negative q powers are
+written q^(-1).  The 'with' clause pins scalars for one identity; a pinned
+q must be nonzero.  Parentheses nest at most MAX_NESTING deep; a sum or a
+product of any length is one flat Sum or Product node.
 
 A NormalForm is the sum-of-monomials view of an expression: a map from a
 multiset of atoms (sequence terms and at most one q^(linear form) with no
@@ -36,9 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
-from .ring import SYMBOLS, LaurentPoly, from_int, one, q_power, symbol
+from .ring import SYMBOLS, LaurentPoly, from_int, one, q_power, render_sum, symbol
 from .sequences import SequenceKind
 
 SEQ_NAMES = {"W": SequenceKind.W, "V": SequenceKind.V, "u": SequenceKind.U}
@@ -134,25 +134,10 @@ class LinForm:
         return (self.coeffs, self.const)
 
     def render(self) -> str:
-        parts = []
-        for v, c in self.coeffs:
-            if not parts:
-                if c == 1:
-                    parts.append(v)
-                elif c == -1:
-                    parts.append(f"-{v}")
-                else:
-                    parts.append(f"{c}*{v}")
-            else:
-                sign = " - " if c < 0 else " + "
-                mag = abs(c)
-                parts.append(sign + (v if mag == 1 else f"{mag}*{v}"))
-        if self.const or not parts:
-            if not parts:
-                parts.append(str(self.const))
-            else:
-                parts.append((" - " if self.const < 0 else " + ") + str(abs(self.const)))
-        return "".join(parts)
+        terms = [(c, v if abs(c) == 1 else f"{abs(c)}*{v}") for v, c in self.coeffs]
+        if self.const:
+            terms.append((self.const, str(abs(self.const))))
+        return render_sum(terms)
 
 
 @dataclass(frozen=True)
@@ -215,7 +200,7 @@ class Identity:
     lhs: Expr
     rhs: Expr
     pins: tuple = ()  # ((symbol, Fraction), ...)
-    lets: tuple = field(compare=False, default=())  # bindings in scope
+    lets: tuple = field(compare=False, default=())  # ((name, body), ...) it reaches
     source: str = field(compare=False, default="")
     line: int = field(compare=False, default=0)
     col: int = field(compare=False, default=0)
@@ -315,7 +300,9 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.slope_cap = slope_cap
-        self.lets: dict = {}
+        self.lets: dict = {}  # name -> body, in source order
+        self.let_refs: dict = {}  # name -> the let names its body refers to
+        self.refs: set = set()  # the let names the item being parsed refers to
         self.items: list = []
         self.nesting = 0  # open expression parentheses
 
@@ -375,10 +362,14 @@ class _Parser:
             raise ParseError(
                 f"cannot bind reserved name {name!r}", name_tok.line, name_tok.col
             )
+        if name in self.lets:
+            raise ParseError(f"{name!r} is already bound", name_tok.line, name_tok.col)
         self.expect("=")
+        self.refs = set()
         value = self.parse_expr(index_vars=(), scalar_only=True)
         decl = LetDecl(name, value, kw.line, kw.col)
         self.lets[name] = value
+        self.let_refs[name] = self.refs
         return decl
 
     def parse_identity(self) -> Identity:
@@ -390,6 +381,7 @@ class _Parser:
             index_vars.append(self.parse_index_var(tuple(index_vars)))
         self.expect(":")
         ivars = tuple(index_vars)
+        self.refs = set()
         lhs = self.parse_expr(ivars)
         self.expect("==")
         rhs = self.parse_expr(ivars)
@@ -405,11 +397,25 @@ class _Parser:
             lhs=lhs,
             rhs=rhs,
             pins=pins,
-            lets=tuple(self.lets.items()),
+            lets=self.reached_lets(),
             source=source,
             line=kw.line,
             col=kw.col,
         )
+
+    def reached_lets(self) -> tuple:
+        """(name, body) of each let the item just parsed reaches, in source order.
+
+        A let is reached when the item or a reached let refers to it; a body
+        refers only to lets bound before it, so one backward pass finds them.
+        """
+        wanted = self.refs
+        reached = []
+        for name in reversed(self.lets):
+            if name in wanted:
+                reached.append((name, self.lets[name]))
+                wanted |= self.let_refs[name]
+        return tuple(reversed(reached))
 
     def parse_index_var(self, taken: tuple) -> str:
         tok = self.expect_name("an index variable")
@@ -543,12 +549,6 @@ class _Parser:
                 self.expect(")")
                 return SeqTerm(SEQ_NAMES[name], lin)
             if name == "q" and self.peek(1).text == "^" and self.peek(2).text == "(":
-                if scalar_only:
-                    raise ParseError(
-                        "q^(<index form>) is not allowed in let-bindings",
-                        tok.line,
-                        tok.col,
-                    )
                 self.next()
                 self.next()
                 self.next()
@@ -560,6 +560,7 @@ class _Parser:
                 return ScalarRef(name)
             if name in self.lets:
                 self.next()
+                self.refs.add(name)
                 return NameRef(name)
             if name in index_vars:
                 raise ParseError(
@@ -790,16 +791,7 @@ class NormalForm:
 
     def render(self) -> str:
         """Deterministic DSL-parseable text (e.g. for certificates)."""
-        if not self._terms:
-            return "0"
-        parts = []
-        for atoms, scalar in self.monomials():
-            sign, body = _render_monomial(atoms, scalar)
-            if not parts:
-                parts.append("-" + body if sign < 0 else body)
-            else:
-                parts.append((" - " if sign < 0 else " + ") + body)
-        return "".join(parts)
+        return render_sum(_render_monomial(atoms, scalar) for atoms, scalar in self.monomials())
 
     def __str__(self) -> str:
         return self.render()
@@ -842,50 +834,9 @@ def _render_atom(atom: Atom) -> str:
     return f"q^({atom.exponent.render()})"
 
 
-def _render_scalar_factors(scalar: LaurentPoly):
-    """Render a scalar as (sign, factor text) in DSL-safe syntax.
-
-    Single-monomial scalars render inline (q^-2 becomes q^(-2) so the text
-    reparses); anything else is parenthesized with sign +1.
-    """
-    terms = list(scalar.monomials())
-    if len(terms) != 1:
-        return 1, f"({_render_poly_dsl(scalar)})"
-    exps, coeff = terms[0]
-    sign = -1 if coeff < 0 else 1
-    factors = []
-    if abs(coeff) != 1 or all(e == 0 for e in exps):
-        factors.append(str(abs(coeff)))
-    for i, e in enumerate(exps):
-        if e == 0:
-            continue
-        name = SYMBOLS[i]
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-        else:
-            factors.append(f"{name}^({e})")
-    return sign, "*".join(factors)
-
-
-def _render_poly_dsl(poly: LaurentPoly) -> str:
-    parts = []
-    for exps, coeff in poly.monomials():
-        mono = LaurentPoly({exps: abs(coeff)})
-        _sign, body = _render_scalar_factors(mono)
-        if not parts:
-            parts.append("-" + body if coeff < 0 else body)
-        else:
-            parts.append((" - " if coeff < 0 else " + ") + body)
-    return "".join(parts) or "0"
-
-
 def _render_monomial(atoms: tuple, scalar: LaurentPoly):
-    sign, scalar_text = _render_scalar_factors(scalar)
-    factors = []
-    if scalar_text and scalar_text != "1":
-        factors.append(scalar_text)
+    sign, scalar_text = scalar.render_factor()
+    factors = [] if scalar_text == "1" else [scalar_text]
     i = 0
     while i < len(atoms):
         j = i
@@ -904,18 +855,20 @@ def _render_monomial(atoms: tuple, scalar: LaurentPoly):
 
 
 def normalize(expr: Expr, bindings: Mapping[str, Expr] | None = None) -> NormalForm:
-    """Expand an expression into its canonical sum-of-monomials form."""
-    bindings = bindings or {}
-    return _normalize(expr, bindings)
+    """Expand an expression into its canonical sum-of-monomials form.
+
+    bindings maps let names to their bodies, in source order.
+    """
+    return _normalize(expr, let_values(bindings, _normalize))
 
 
-def _normalize(expr: Expr, bindings: Mapping[str, Expr]) -> NormalForm:
+def _normalize(expr: Expr, values: Mapping[str, NormalForm]) -> NormalForm:
     if isinstance(expr, IntLit):
         return NormalForm.from_scalar(from_int(expr.value))
     if isinstance(expr, ScalarRef):
         return NormalForm.from_scalar(symbol(expr.name))
     if isinstance(expr, NameRef):
-        return _normalize(bindings[expr.name], bindings)
+        return values[expr.name]
     if isinstance(expr, SeqTerm):
         return NormalForm({(expr,): one()})
     if isinstance(expr, QPowTerm):
@@ -923,22 +876,22 @@ def _normalize(expr: Expr, bindings: Mapping[str, Expr]) -> NormalForm:
         return NormalForm._raw({atoms: scalar})
     if isinstance(expr, Sum):
         (sign, first), *rest = expr.terms
-        total = _normalize(first, bindings)
+        total = _normalize(first, values)
         if sign < 0:
             total = -total
         for sign, term in rest:
-            nf = _normalize(term, bindings)
+            nf = _normalize(term, values)
             total = total + nf if sign > 0 else total - nf
         return total
     if isinstance(expr, Product):
         first, *rest = expr.factors
-        total = _normalize(first, bindings)
+        total = _normalize(first, values)
         for factor in rest:
-            total = total * _normalize(factor, bindings)
+            total = total * _normalize(factor, values)
         return total
     if isinstance(expr, Pow):
         result = NormalForm.from_scalar(one())
-        base = _normalize(expr.base, bindings)
+        base = _normalize(expr.base, values)
         for _ in range(expr.exponent):
             result = result * base
         return result
@@ -947,8 +900,21 @@ def _normalize(expr: Expr, bindings: Mapping[str, Expr]) -> NormalForm:
 
 def identity_goal(identity: Identity) -> NormalForm:
     """Normal form of lhs - rhs: the thing that must vanish."""
-    bindings = identity.bindings()
-    return normalize(identity.lhs, bindings) - normalize(identity.rhs, bindings)
+    values = let_values(identity.bindings(), _normalize)
+    return _normalize(identity.lhs, values) - _normalize(identity.rhs, values)
+
+
+def let_values(bindings: Mapping[str, Expr] | None, value: Callable) -> dict:
+    """Value let-bindings once each, in source order.
+
+    bindings maps let names to their bodies in source order; a body refers
+    only to lets bound before it.  value(body, values) computes a body from
+    the values of those lets, so a let name in a tree is a lookup.
+    """
+    values: dict = {}
+    for name, body in (bindings or {}).items():
+        values[name] = value(body, values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -971,14 +937,7 @@ def _render_expr(expr: Expr, min_prec: int) -> str:
         return _render_atom(expr)
     if isinstance(expr, Sum):
         # a term that is itself a Sum came from parentheses and keeps them
-        parts = []
-        for sign, term in expr.terms:
-            body = _render_expr(term, _PREC_MUL)
-            if not parts:
-                parts.append("-" + body if sign < 0 else body)
-            else:
-                parts.append((" - " if sign < 0 else " + ") + body)
-        text = "".join(parts)
+        text = render_sum((sign, _render_expr(term, _PREC_MUL)) for sign, term in expr.terms)
         return text if min_prec <= _PREC_ADD else f"({text})"
     if isinstance(expr, Product):
         text = "*".join(_render_expr(factor, _PREC_POW) for factor in expr.factors)

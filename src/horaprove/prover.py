@@ -49,6 +49,7 @@ from .lang import (
     SeqTerm,
     Sum,
     identity_goal,
+    let_values,
 )
 from .ring import SYMBOLS, LaurentPoly, one, zero
 from .sequences import SequenceKind, numeric_term, symbolic_term
@@ -333,8 +334,9 @@ class FuzzResult:
 
 
 def fuzz(identity: Identity, trials: int, seed: int, value_range: int) -> FuzzResult:
-    """Compare lhs and rhs exactly at seeded uniform integer assignments.
+    """Evaluate lhs - rhs exactly at seeded uniform integer assignments.
 
+    One tree holds both sides, so each let is valued once per trial.
     Scalars are drawn from [-value_range, value_range] (q redrawn until
     nonzero, then overridden by pins), index variables from the same range;
     negative indices exercise the backward extensions.  Deterministic for a
@@ -347,6 +349,7 @@ def fuzz(identity: Identity, trials: int, seed: int, value_range: int) -> FuzzRe
     rng = random.Random(seed)
     pins = identity.pin_map()
     bindings = identity.bindings()
+    goal = Sum(((1, identity.lhs), (-1, identity.rhs)))
     for trial in range(1, trials + 1):
         scalars = {}
         for name in SYMBOLS:
@@ -357,9 +360,9 @@ def fuzz(identity: Identity, trials: int, seed: int, value_range: int) -> FuzzRe
             scalars[name] = Fraction(value)
         scalars.update(pins)
         indices = {v: rng.randint(-value_range, value_range) for v in identity.index_vars}
-        lhs = evaluate_expr(identity.lhs, scalars, indices, bindings)
-        rhs = evaluate_expr(identity.rhs, scalars, indices, bindings)
-        if lhs != rhs:
+        difference = evaluate_expr(goal, scalars, indices, bindings)
+        if difference:
+            lhs = evaluate_expr(identity.lhs, scalars, indices, bindings)
             return FuzzResult(
                 identity,
                 trial,
@@ -368,7 +371,7 @@ def fuzz(identity: Identity, trials: int, seed: int, value_range: int) -> FuzzRe
                     scalars=tuple(sorted((s, v) for s, v in scalars.items())),
                     indices=tuple((v, indices[v]) for v in identity.index_vars),
                     lhs=lhs,
-                    rhs=rhs,
+                    rhs=lhs - difference,
                 ),
             )
     return FuzzResult(identity, trials, None)
@@ -380,32 +383,46 @@ def evaluate_expr(
     indices: Mapping[str, int],
     bindings: Mapping[str, Expr],
 ) -> Fraction:
-    """Exact value of a syntax tree; the oracle route, bypassing normal forms."""
+    """Exact value of a syntax tree; the oracle route, bypassing normal forms.
+
+    bindings maps let names to their bodies; each is valued once, before
+    the tree.
+    """
+    values = let_values(bindings, lambda body, values: _evaluate(body, scalars, indices, values))
+    return _evaluate(expr, scalars, indices, values)
+
+
+def _evaluate(
+    expr: Expr,
+    scalars: Mapping[str, Fraction],
+    indices: Mapping[str, int],
+    values: Mapping[str, Fraction],
+) -> Fraction:
     if isinstance(expr, IntLit):
         return Fraction(expr.value)
     if isinstance(expr, ScalarRef):
         return Fraction(scalars[expr.name])
     if isinstance(expr, NameRef):
-        return evaluate_expr(bindings[expr.name], scalars, indices, bindings)
+        return values[expr.name]
     if isinstance(expr, SeqTerm):
         return numeric_term(expr.kind, expr.index.value(indices), scalars)
     if isinstance(expr, QPowTerm):
         return numeric_term(SequenceKind.GEOQ, expr.exponent.value(indices), scalars)
     if isinstance(expr, Sum):
         (sign, first), *rest = expr.terms
-        total = evaluate_expr(first, scalars, indices, bindings)
+        total = _evaluate(first, scalars, indices, values)
         if sign < 0:
             total = -total
         for sign, term in rest:
-            value = evaluate_expr(term, scalars, indices, bindings)
+            value = _evaluate(term, scalars, indices, values)
             total = total + value if sign > 0 else total - value
         return total
     if isinstance(expr, Product):
         first, *rest = expr.factors
-        total = evaluate_expr(first, scalars, indices, bindings)
+        total = _evaluate(first, scalars, indices, values)
         for factor in rest:
-            total = total * evaluate_expr(factor, scalars, indices, bindings)
+            total = total * _evaluate(factor, scalars, indices, values)
         return total
     if isinstance(expr, Pow):
-        return evaluate_expr(expr.base, scalars, indices, bindings) ** expr.exponent
+        return _evaluate(expr.base, scalars, indices, values) ** expr.exponent
     raise TypeError(f"unexpected node {expr!r}")

@@ -11,8 +11,9 @@ Representation: a polynomial is a mapping from exponent vectors to nonzero
 integer coefficients.  An exponent vector is a tuple of six ints ordered as
 SYMBOLS (q last); the zero polynomial is the empty mapping.  Values are
 canonical and immutable after construction, so they are safe to share and
-to use as dict keys.  Rendering follows a fixed graded-lexicographic term
-order, which makes every printed form deterministic.
+to use as dict keys.  Rendering writes the identity language
+(a negative q power is q^(-k)) in a fixed graded-lexicographic term order,
+so every printed form is deterministic and parses back to its value.
 """
 
 from __future__ import annotations
@@ -338,17 +339,22 @@ class LaurentPoly:
     # -- rendering ----------------------------------------------------
 
     def render(self) -> str:
-        """Canonical text form, e.g. 'p*a*q^-1 - b*q^-1'."""
-        if not self._terms:
-            return "0"
-        parts = []
-        for n, (exps, coeff) in enumerate(self.monomials()):
-            body = _render_monomial(exps, abs(coeff))
-            if n == 0:
-                parts.append("-" + body if coeff < 0 else body)
-            else:
-                parts.append((" - " if coeff < 0 else " + ") + body)
-        return "".join(parts)
+        """Canonical text in the identity language, e.g. 'p*a*q^(-1) - b*q^(-1)'."""
+        return render_sum(
+            (-1 if coeff < 0 else 1, _render_monomial(exps, abs(coeff)))
+            for exps, coeff in self.monomials()
+        )
+
+    def render_factor(self) -> tuple:
+        """(sign, text) of this element as one factor of a product.
+
+        A single monomial renders inline with its sign split off ('1' for
+        +-1); anything else is parenthesized with sign +1.
+        """
+        if len(self._terms) != 1:
+            return 1, f"({self.render()})"
+        ((exps, coeff),) = self._terms.items()
+        return -1 if coeff < 0 else 1, _render_monomial(exps, abs(coeff))
 
     def __str__(self) -> str:
         return self.render()
@@ -375,14 +381,33 @@ def _term_order(item):
 
 
 def _render_monomial(exps: Exponents, coeff: int) -> str:
+    """A monomial of positive coefficient; a negative q exponent is q^(-k)."""
     factors = []
     if coeff != 1 or all(e == 0 for e in exps):
         factors.append(str(coeff))
     for i, e in enumerate(exps):
-        if e == 0:
-            continue
-        factors.append(SYMBOLS[i] if e == 1 else f"{SYMBOLS[i]}^{e}")
+        if e == 1:
+            factors.append(SYMBOLS[i])
+        elif e > 1:
+            factors.append(f"{SYMBOLS[i]}^{e}")
+        elif e < 0:
+            factors.append(f"{SYMBOLS[i]}^({e})")
     return "*".join(factors)
+
+
+def render_sum(terms: Iterable[tuple]) -> str:
+    """Join (sign, body) pairs as 'a - b + c'; a negative sign subtracts.
+
+    The empty sum is '0'.
+    """
+    parts = []
+    for sign, body in terms:
+        if parts:
+            parts.append(" - " if sign < 0 else " + ")
+        elif sign < 0:
+            parts.append("-")
+        parts.append(body)
+    return "".join(parts) or "0"
 
 
 _ZERO = LaurentPoly._raw({})

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from horaprove import corpus_path
+from horaprove import cli, corpus_path, parse_identity, prove
 from horaprove.cli import main
 
 PAPER = str(corpus_path("paper.fib"))
@@ -157,6 +157,12 @@ LONG_INPUTS = {
         "let e = " + " + ".join(["p"] * N_LONG) + "\n"
         f"forall n: e*u(n) == {N_LONG}*p*u(n)\n"
     ),
+    # each let is valued once, from the lets before it, not by recursion
+    "let_chain": (
+        "let e0 = p\n"
+        + "".join(f"let e{k} = e{k - 1}*1\n" for k in range(1, 601))
+        + "forall n: e600*u(n) == p*u(n)\n"
+    ),
 }
 
 
@@ -183,20 +189,27 @@ class TestLargeInputs:
             err = capsys.readouterr().err
             assert f"{path}:1:" in err and "nested deeper than 100" in err
 
-    def test_crash_in_one_identity_is_reported_and_the_run_goes_on(self, tmp_path, capsys):
-        # resolving this let chain recurses deeper than the interpreter allows
-        lets = ["let e0 = p"] + [f"let e{k} = e{k - 1}*1" for k in range(1, 601)]
-        path = tmp_path / "chain.fib"
-        path.write_text(
-            "\n".join(lets) + "\nforall n: e600*u(n) == p*u(n)\nforall n: u(n) == u(n)\n",
-            encoding="utf-8",
-        )
+    def test_crash_in_one_identity_is_reported_and_the_run_goes_on(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def crash_on_line_one(real):
+            def wrapped(identity, *args, **kwargs):
+                if identity.line == 1:
+                    raise RuntimeError("boom")
+                return real(identity, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(cli, "prove", crash_on_line_one(cli.prove))
+        monkeypatch.setattr(cli, "fuzz", crash_on_line_one(cli.fuzz))
+        path = tmp_path / "two.fib"
+        path.write_text("forall n: W(n) == W(n)\nforall n: u(n) == u(n)\n", encoding="utf-8")
         for command in ("verify", "fuzz"):
             assert main([command, str(path)]) == 2
             captured = capsys.readouterr()
-            assert f"error: {path}:602: RecursionError:" in captured.err
+            assert f"error: {path}:1: RuntimeError: boom" in captured.err
             assert "Traceback" not in captured.err
-            assert f"{path}:603: P" in captured.out  # PROVED or PASS
+            assert f"{path}:2: P" in captured.out  # PROVED or PASS
 
 
 class TestInvocation:
@@ -215,6 +228,20 @@ class TestInvocation:
         with contextlib.redirect_stdout(out):
             exec(snippet, {})
         assert out.getvalue().splitlines() == ["PROVED 2", "True"]
+
+    def test_readme_certificate_example_is_current(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        (let,) = re.findall(r"^let e = .*$", text, re.M)
+        (example,) = re.findall(r"```json\n(.*?)```", text, re.S)
+        identity = re.search(r'"identity": "(.*)"', example).group(1)
+        order = int(re.search(r'"order": (\d+)', example).group(1))
+        charpoly = re.search(r'"charpoly": "(.*)"', example).group(1)
+        doc = prove(parse_identity(f"{let}\n{identity}\n")).to_json_dict()
+        assert doc["verdict"] == "PROVED"
+        assert doc["identity"] == identity
+        assert doc["proof"]["order"] == order
+        assert doc["proof"]["charpoly"] == charpoly
 
     def test_module_entry_point(self):
         proc = subprocess.run(

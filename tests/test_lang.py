@@ -25,6 +25,7 @@ from horaprove.lang import (
     UndeclaredIndexError,
     UnknownNameError,
     identity_goal,
+    let_values,
     normalize,
     parse_file,
     parse_identity,
@@ -182,6 +183,15 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_file("let e = W(0)\nforall n: W(n) == W(n)\n")
 
+    def test_let_rejects_index_dependent_q_powers(self):
+        with pytest.raises(UndeclaredIndexError):
+            parse_file("let e = q^(n)\n")
+
+    def test_let_names_bind_once(self):
+        with pytest.raises(ParseError, match="'e' is already bound") as info:
+            parse_file("let e = p\nlet e = e + 1\n")
+        assert (info.value.line, info.value.col) == (2, 5)
+
 
 class TestNormalization:
     def test_goal_of_true_identity_nonzero_before_proving(self):
@@ -236,6 +246,25 @@ class TestNormalization:
         idn = parse_identity("forall n: p*q - q*p == 0")
         assert identity_goal(idn).is_zero
 
+    def test_let_with_a_constant_q_power(self):
+        src = parse_file("let e = q^(-1)*p\nforall n: e*u(n) == p*q^(-1)*u(n)\n")
+        (let,) = src.lets
+        assert normalize(let.value) == NormalForm.from_scalar(symbol("p") * q_power(-1))
+        assert identity_goal(src.identities[0]).is_zero
+        rendered = render_file(src)
+        assert rendered.startswith("let e = q^(-1)*p\n")
+        assert parse_file(rendered).lets == src.lets
+
+    def test_an_identity_values_the_lets_it_reaches_in_source_order(self):
+        idn = parse_file(
+            "let e1 = p\nlet unused = q\nlet e2 = e1*e1\nlet e3 = e2 + a\nlet e4 = unused*e3\n"
+            "forall n: e3*u(n) + e3 == e1*u(n)\n"
+        ).identities[0]
+        assert [name for name, _body in idn.lets] == ["e1", "e2", "e3"]
+        # each let is valued once, from the values of the lets before it
+        valued = let_values(idn.bindings(), lambda body, values: sorted(values))
+        assert valued == {"e1": [], "e2": ["e1"], "e3": ["e1", "e2"]}
+
 
 class TestRenderRoundTrip:
     @pytest.mark.parametrize(
@@ -278,6 +307,10 @@ class TestRenderRoundTrip:
         rendered = goal.render()
         reparsed = parse_identity(f"forall n, j: {rendered} == 0")
         assert normalize(reparsed.lhs, {}) == goal
+
+    def test_normal_form_text(self):
+        idn = parse_identity("forall n: W(n) - q^(-1)*p*u(n+1) + (a - b)*u(n)^2 == 2*W(n)")
+        assert identity_goal(idn).render() == "(a - b)*u(n)^2 - p*q^(-1)*u(n + 1) - W(n)"
 
     def test_corpus_files_round_trip(self):
         from horaprove import corpus_path

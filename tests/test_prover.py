@@ -7,7 +7,7 @@ import pytest
 
 from conftest import by_fragment, walk
 from horaprove.cfinite import Annihilator
-from horaprove.lang import identity_goal, normalize, parse_file, parse_identity
+from horaprove.lang import NormalForm, identity_goal, normalize, parse_file, parse_identity
 from horaprove.prover import (
     ABORTED,
     PROVED,
@@ -221,6 +221,32 @@ class TestCertificateJson:
         nonzero = [l for l in doc["leaves"] if not l["zero"]]
         assert nonzero and all(l["poly"] != "0" for l in nonzero)
 
+    def test_every_printed_polynomial_reparses(self, corpus_identities, mutant_identities):
+        """Goals, leaf polys and charpoly coefficients are in the identity language."""
+        for idn in corpus_identities + mutant_identities:
+            cert = prove(idn)
+            doc = cert.to_json_dict()
+            head = f"forall {', '.join(idn.index_vars)}: "
+
+            def reparsed(text):
+                return normalize(parse_identity(f"{head}{text} == 0").lhs)
+
+            def check(node, node_doc):
+                if isinstance(node, LeafNode):
+                    poly = node_doc["leaf"]["poly"]
+                    assert reparsed(poly) == NormalForm.from_scalar(node.record.poly)
+                    return
+                for coeff in node.annihilator.coeffs:
+                    sign, text = coeff.render_factor()
+                    assert reparsed(text) == NormalForm.from_scalar(sign * coeff)
+                for (_value, child), sub in zip(node.subgoals, node_doc["subgoals"], strict=True):
+                    assert reparsed(sub["goal"]) == child.goal
+                    check(child, sub["proof"])
+
+            check(cert.root, doc["proof"])
+            for leaf, record in zip(doc["leaves"], cert.leaves, strict=True):
+                assert reparsed(leaf["poly"]) == NormalForm.from_scalar(record.poly)
+
 
 class TestFuzz:
     def test_passes_true_identity(self):
@@ -236,6 +262,16 @@ class TestFuzz:
         assert dict(cex.indices).keys() == {"m", "n"}
         assert dict(cex.scalars).keys() == set(SYMBOLS)
         assert str(cex.trial) in cex.describe()
+
+    def test_counterexample_sides_are_the_sides_values(self):
+        bad = parse_file(
+            "let e = p*a*b - q*a^2 - b^2\n"
+            "forall n: W(n+2)*W(n+4) - W(n+3)^2 == -e*q^(n+2)\n"
+        ).identities[0]
+        cex = fuzz(bad, trials=50, seed=1, value_range=5).counterexample
+        scalars, indices = dict(cex.scalars), dict(cex.indices)
+        assert cex.lhs == evaluate_expr(bad.lhs, scalars, indices, bad.bindings())
+        assert cex.rhs == evaluate_expr(bad.rhs, scalars, indices, bad.bindings())
 
     def test_deterministic_for_fixed_seed(self):
         bad = parse_identity("forall n: W(n) == W(n+1)")

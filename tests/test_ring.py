@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horaprove.lang import NormalForm, normalize, parse_identity
 from horaprove.ring import (
     SYMBOLS,
     LaurentPoly,
@@ -190,7 +191,7 @@ class TestPinSubstitute:
 class TestRendering:
     def test_backward_step_render_contract(self):
         poly = p * a * q_power(-1) - b * q_power(-1)
-        assert poly.render() == "p*a*q^-1 - b*q^-1"
+        assert poly.render() == "p*a*q^(-1) - b*q^(-1)"
 
     def test_zero_and_constants(self):
         assert zero().render() == "0"
@@ -211,6 +212,22 @@ class TestRendering:
     def test_render_unique_per_value(self, f):
         g = f * one() + zero()
         assert f.render() == g.render()
+
+    @given(polys())
+    @settings(max_examples=60, deadline=None)
+    def test_render_reparses_to_its_value(self, f):
+        def reparsed(text):
+            return normalize(parse_identity(f"forall n: {text} == 0").lhs)
+
+        assert reparsed(f.render()) == NormalForm.from_scalar(f)
+        sign, text = f.render_factor()
+        assert reparsed(text) == NormalForm.from_scalar(sign * f)
+
+    def test_factor_text(self):
+        assert (-q_power(-2)).render_factor() == (-1, "q^(-2)")
+        assert from_int(-1).render_factor() == (-1, "1")
+        assert (3 * p * a).render_factor() == (1, "3*p*a")
+        assert (p - q).render_factor() == (1, "(p - q)")
 
     def test_min_max_exponent(self):
         f = p * q_power(-2) + a * q_power(3)

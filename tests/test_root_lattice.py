@@ -25,7 +25,7 @@ from horaprove.cfinite import (
     root_class,
     symmetric_square,
 )
-from horaprove.lang import identity_goal, parse_file, parse_identity
+from horaprove.lang import NormalForm, identity_goal, normalize, parse_file, parse_identity
 from horaprove.prover import PROVED, EliminationNode, annihilator_for, prove
 from horaprove.ring import from_int, one, q_power, symbol
 from horaprove.sequences import SequenceKind, slope_annihilator
@@ -86,6 +86,20 @@ class TestRootClasses:
         classes = [(0, 3), (1, 1), (1, 1), (2, 0)]
         assert class_order(classes) == 5
         assert from_root_classes(classes).order == 5
+
+
+class TestCharpolyText:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.tuples(st.integers(-3, -1), st.integers(0, 3)),
+        st.sets(st.tuples(st.integers(-3, 3), st.integers(0, 3)), max_size=3),
+    )
+    def test_coefficients_reparse_with_negative_q_powers(self, negative, others):
+        ann = from_root_classes({negative} | others)
+        for coeff in ann.coeffs:
+            sign, text = coeff.render_factor()
+            reparsed = normalize(parse_identity(f"forall n: {text} == 0").lhs)
+            assert reparsed == NormalForm.from_scalar(sign * coeff)
 
 
 class TestAgainstTheKroneckerRoute:

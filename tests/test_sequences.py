@@ -57,7 +57,7 @@ class TestSymbolicTerms:
     def test_backward_first_step(self):
         term = symbolic_term(W, -1)
         assert term == (p * a - b) * q_power(-1)
-        assert term.render() == "p*a*q^-1 - b*q^-1"
+        assert term.render() == "p*a*q^(-1) - b*q^(-1)"
         assert symbolic_term(GEOQ, -2) == q_power(-2)
 
     def test_recurrence_satisfied_on_both_sides_of_zero(self):
