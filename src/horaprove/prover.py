@@ -22,9 +22,11 @@ The certificate records the annihilator used at every elimination, every
 instantiated subgoal, and every leaf polynomial; checking it needs nothing
 beyond recurrence windows and polynomial arithmetic.
 
-The fuzz oracle evaluates lhs and rhs of the original syntax tree (not the
-normal form: an independent route) at seeded random rational assignments,
-exactly.
+The fuzz oracle evaluates the original syntax tree lhs - rhs (not the
+normal form: an independent route) at seeded random assignments (integer
+draws, rational pins), exactly: one tree per trial, its terms read from
+one TermWindow per trial, in int while the values are integral and in
+Fraction past them.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .lang import (
     let_values,
 )
 from .ring import SYMBOLS, LaurentPoly, one, zero
-from .sequences import SequenceKind, numeric_term, symbolic_term
+from .sequences import Rational, SequenceKind, TermWindow, symbolic_term
 
 DEFAULT_MAX_ORDER = 64
 
@@ -386,43 +388,45 @@ def evaluate_expr(
     """Exact value of a syntax tree; the oracle route, bypassing normal forms.
 
     bindings maps let names to their bodies; each is valued once, before
-    the tree.
+    the tree.  Every term is read from one TermWindow for the assignment,
+    and values stay int while they are integral.
     """
-    values = let_values(bindings, lambda body, values: _evaluate(body, scalars, indices, values))
-    return _evaluate(expr, scalars, indices, values)
+    window = TermWindow(scalars)
+    values = let_values(bindings, lambda body, values: _evaluate(body, window, indices, values))
+    return Fraction(_evaluate(expr, window, indices, values))
 
 
 def _evaluate(
     expr: Expr,
-    scalars: Mapping[str, Fraction],
+    window: TermWindow,
     indices: Mapping[str, int],
-    values: Mapping[str, Fraction],
-) -> Fraction:
+    values: Mapping[str, Rational],
+) -> Rational:
     if isinstance(expr, IntLit):
-        return Fraction(expr.value)
+        return expr.value
     if isinstance(expr, ScalarRef):
-        return Fraction(scalars[expr.name])
+        return window.scalars[expr.name]
     if isinstance(expr, NameRef):
         return values[expr.name]
     if isinstance(expr, SeqTerm):
-        return numeric_term(expr.kind, expr.index.value(indices), scalars)
+        return window.term(expr.kind, expr.index.value(indices))
     if isinstance(expr, QPowTerm):
-        return numeric_term(SequenceKind.GEOQ, expr.exponent.value(indices), scalars)
+        return window.term(SequenceKind.GEOQ, expr.exponent.value(indices))
     if isinstance(expr, Sum):
         (sign, first), *rest = expr.terms
-        total = _evaluate(first, scalars, indices, values)
+        total = _evaluate(first, window, indices, values)
         if sign < 0:
             total = -total
         for sign, term in rest:
-            value = _evaluate(term, scalars, indices, values)
+            value = _evaluate(term, window, indices, values)
             total = total + value if sign > 0 else total - value
         return total
     if isinstance(expr, Product):
         first, *rest = expr.factors
-        total = _evaluate(first, scalars, indices, values)
+        total = _evaluate(first, window, indices, values)
         for factor in rest:
-            total = total * _evaluate(factor, scalars, indices, values)
+            total = total * _evaluate(factor, window, indices, values)
         return total
     if isinstance(expr, Pow):
-        return _evaluate(expr.base, scalars, indices, values) ** expr.exponent
+        return _evaluate(expr.base, window, indices, values) ** expr.exponent
     raise TypeError(f"unexpected node {expr!r}")

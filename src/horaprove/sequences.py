@@ -10,7 +10,9 @@ Four families of atoms appear in identities:
 Terms extend to every integer index: the backward step divides by the
 trailing recurrence coefficient, a power of q, which is invertible in the
 coefficient ring.  symbolic_term produces the exact ring element for a
-fixed index; numeric_term the exact rational under an assignment; and
+fixed index; a TermWindow the exact values of every family under one
+assignment, each term computed once and kept as an int while it is
+integral (numeric_term is one fresh window's lookup); and
 slope_annihilator the recurrence satisfied along an arithmetic progression
 of indices n -> m*n + c, namely the characteristic polynomial of the m-th
 power of the family's companion matrix (inverted first when m < 0).
@@ -95,22 +97,75 @@ def numeric_term(
     kind: SequenceKind, k: int, assignment: Mapping[str, Rational]
 ) -> Fraction:
     """Exact rational value of the k-th term under an assignment (q != 0)."""
-    q = Fraction(assignment["q"])
-    if q == 0:
-        raise ZeroQError("q must be nonzero")
-    if kind is SequenceKind.GEOQ:
-        return q ** k
-    p = Fraction(assignment["p"])
-    seq_def = SEQUENCE_DEFS[kind]
-    cur = seq_def.initial[0].evaluate(assignment)
-    nxt = seq_def.initial[1].evaluate(assignment)
-    if k >= 0:
-        for _ in range(k):
-            cur, nxt = nxt, p * nxt - q * cur
-        return cur
-    for _ in range(-k):
-        cur, nxt = (p * cur - nxt) / q, cur
-    return cur
+    return Fraction(TermWindow(assignment).term(kind, k))
+
+
+def _exact(value: Rational) -> Rational:
+    """The value as an int when it is integral, else as a Fraction."""
+    if isinstance(value, int):
+        return value
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+class TermWindow:
+    """Exact term values of every family under one assignment (q != 0).
+
+    A family's seeds are evaluated once, at its first term; from them the
+    window extends outward only as far as the indices asked for, so a term
+    asked for again is a lookup.  Integral values stay int.  Backward it
+    runs Z(s) = q^s * X(-s), which satisfies the family's own recurrence
+    from Z(0) = X(0) and Z(1) = p*X(0) - X(1) (Horadam, Fibonacci Quarterly
+    3, 1965), so Z stays integral too and X(-s) is one exact division
+    Z(s) / q^s.
+    """
+
+    def __init__(self, assignment: Mapping[str, Rational]):
+        self.scalars = {name: _exact(value) for name, value in assignment.items()}
+        if self.scalars["q"] == 0:
+            raise ZeroQError("q must be nonzero")
+        self._families: dict = {}  # kind -> ([X(0), X(1), ...], [Z(0), ...], [X(0), X(-1), ...])
+        self._powers = [1]  # q^0, q^1, ...
+        self._inverse_powers = [Fraction(1)]  # q^0, q^-1, ...
+
+    def term(self, kind: SequenceKind, k: int) -> Rational:
+        """The k-th term, any integer k."""
+        if kind is SequenceKind.GEOQ:
+            return self._q_power(k)
+        family = self._families.get(kind)
+        if family is None:
+            family = self._families[kind] = self._open(kind)
+        forward, scaled, backward = family
+        if k >= 0:
+            self._extend(forward, k)
+            return forward[k]
+        while len(backward) <= -k:
+            s = len(backward)
+            self._extend(scaled, s)
+            backward.append(Fraction(scaled[s]) / self._q_power(s))
+        return backward[-k]
+
+    def _open(self, kind: SequenceKind) -> tuple:
+        x0, x1 = (_exact(seed.evaluate(self.scalars)) for seed in SEQUENCE_DEFS[kind].initial)
+        return [x0, x1], [x0, self.scalars["p"] * x0 - x1], [x0]
+
+    def _extend(self, values: list, k: int):
+        """Run X(n+2) = p*X(n+1) - q*X(n) until values[k] exists."""
+        p, q = self.scalars["p"], self.scalars["q"]
+        while len(values) <= k:
+            values.append(p * values[-1] - q * values[-2])
+
+    def _q_power(self, k: int) -> Rational:
+        if k >= 0:
+            powers = self._powers
+            while len(powers) <= k:
+                powers.append(powers[-1] * self.scalars["q"])
+            return powers[k]
+        inverse = self._inverse_powers
+        while len(inverse) <= -k:
+            inverse.append(Fraction(1) / self._q_power(len(inverse)))
+        return inverse[-k]
 
 
 def slope_annihilator(kind: SequenceKind, m: int) -> Annihilator:

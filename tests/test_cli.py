@@ -6,12 +6,15 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from horaprove import cli, corpus_path, parse_identity, prove
 from horaprove.cli import main
+from horaprove.prover import Counterexample, FuzzResult
+from horaprove.ring import SYMBOLS
 
 PAPER = str(corpus_path("paper.fib"))
 MUTATIONS = str(corpus_path("mutations.fib"))
@@ -75,6 +78,28 @@ class TestVerify:
         assert main(["verify", PAPER, "--fuzz-after", "--trials", "25"]) == 0
         out = capsys.readouterr().out
         assert "fuzz=PASS(25)" in out
+
+    def test_fuzz_after_reports_oracle_disagreement(self, tmp_path, capsys, monkeypatch):
+        cex = Counterexample(
+            trial=3,
+            scalars=tuple((s, Fraction(1)) for s in sorted(SYMBOLS)),
+            indices=(("n", -2),),
+            lhs=Fraction(1, 2),
+            rhs=Fraction(0),
+        )
+        monkeypatch.setattr(
+            cli, "fuzz", lambda identity, *args: FuzzResult(identity, cex.trial, cex)
+        )
+        path = tmp_path / "proved.fib"
+        path.write_text("forall n: W(n+2) == p*W(n+1) - q*W(n)\n", encoding="utf-8")
+        assert main(["verify", str(path), "--fuzz-after"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {path}:1: oracle disagrees with PROVED verdict: {cex.describe()}\n"
+        )
+        assert f"{path}:1: PROVED" in captured.out
+        assert "fuzz=PASS" not in captured.out
+        assert captured.out.strip().endswith("total: 1 identities, 1 proved, 0 refuted, 0 aborted")
 
 
 class TestCertificates:

@@ -280,16 +280,37 @@ class TestFuzz:
         assert r1.counterexample == r2.counterexample
 
     def test_seed_changes_draws(self):
-        idn = parse_identity(ADDITION_LAW)
-        # same identity, different seeds: both pass, but this asserts nothing
-        # beyond determinism holding per seed; the draw streams differ
-        import random
+        bad = parse_identity("forall n: W(n) == W(n+1)")
+        cex0 = fuzz(bad, trials=20, seed=0, value_range=9).counterexample
+        cex1 = fuzz(bad, trials=20, seed=1, value_range=9).counterexample
+        assert (cex0.scalars, cex0.indices) != (cex1.scalars, cex1.indices)
 
-        s0 = random.Random(0).randint(-9, 9)
-        s1 = random.Random(1).randint(-9, 9)
-        assert (s0, s1) == (random.Random(0).randint(-9, 9), random.Random(1).randint(-9, 9))
-        assert fuzz(idn, trials=20, seed=0, value_range=9).ok
-        assert fuzz(idn, trials=20, seed=1, value_range=9).ok
+    @pytest.mark.parametrize(
+        "line, trial, scalars, indices, lhs, rhs",
+        [
+            # a negative index, with negative q powers and backward terms
+            (45, 2, (2, 9, -3, 7, 6, -5), (("n", 0), ("k", -5)),
+             Fraction(-310995432, 9765625), Fraction(0)),
+            # pinned p := 1, q := -1
+            (31, 1, (4, -8, -1, 7, 1, -1), (("n", 3),), Fraction(-2), Fraction(-4)),
+            # let e, at a negative index
+            (28, 2, (6, 2, 9, -3, 0, 7), (("n", -5),),
+             Fraction(1536, 2401), Fraction(-1536, 2401)),
+        ],
+    )
+    def test_frozen_counterexamples(
+        self, mutant_identities, line, trial, scalars, indices, lhs, rhs
+    ):
+        # both the draw stream and the exact values, as the oracle printed them
+        # for mutations.fib at seed 0
+        (identity,) = [it for it in mutant_identities if it.line == line]
+        cex = fuzz(identity, trials=200, seed=0, value_range=9).counterexample
+        assert cex.trial == trial
+        assert cex.scalars == tuple(zip(("a", "b", "c", "d", "p", "q"), scalars))
+        assert cex.indices == indices
+        assert (cex.lhs, cex.rhs) == (lhs, rhs)
+        assert all(type(v) is Fraction for _, v in cex.scalars)
+        assert type(cex.lhs) is Fraction and type(cex.rhs) is Fraction
 
     def test_pins_override_draws(self):
         pinned = parse_identity(

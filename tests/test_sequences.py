@@ -12,6 +12,7 @@ from horaprove.ring import SYMBOLS, ZeroQError, from_int, one, q_power, symbol
 from horaprove.sequences import (
     SEQUENCE_DEFS,
     SequenceKind,
+    TermWindow,
     numeric_term,
     slope_annihilator,
     symbolic_term,
@@ -103,6 +104,38 @@ class TestNumericTerms:
     def test_numeric_agrees_with_symbolic(self, asgn, k):
         for kind in (W, V, U, GEOQ):
             assert numeric_term(kind, k, asgn) == symbolic_term(kind, k).evaluate(asgn)
+
+
+def integral_assignments():
+    """Integer values for every scalar symbol, q nonzero."""
+    base = {s: st.integers(-9, 9) for s in SYMBOLS}
+    base["q"] = base["q"].filter(lambda v: v != 0)
+    return st.fixed_dictionaries(base)
+
+
+class TestTermWindow:
+    @given(
+        st.one_of(integral_assignments(), rational_assignments()),
+        st.lists(st.integers(-40, 40), min_size=1, max_size=24),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_window_agrees_with_symbolic(self, asgn, ks):
+        # indices arrive in random order, with repeats, within one window
+        window = TermWindow(asgn)
+        for k in ks:
+            for kind in (W, V, U, GEOQ):
+                got = window.term(kind, k)
+                assert type(got) in (int, Fraction)
+                assert got == symbolic_term(kind, k).evaluate(asgn)
+
+    @given(integral_assignments(), st.lists(st.integers(0, 40), min_size=1, max_size=24))
+    @settings(max_examples=30, deadline=None)
+    def test_integral_forward_terms_stay_int(self, asgn, ks):
+        window = TermWindow({s: Fraction(v) for s, v in asgn.items()})
+        assert all(type(v) is int for v in window.scalars.values())
+        for k in ks:
+            for kind in (W, V, U, GEOQ):
+                assert type(window.term(kind, k)) is int
 
 
 class TestSlopeAnnihilators:
