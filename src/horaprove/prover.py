@@ -25,8 +25,9 @@ beyond recurrence windows and polynomial arithmetic.
 The fuzz oracle evaluates the original syntax tree lhs - rhs (not the
 normal form: an independent route) at seeded random assignments (integer
 draws, rational pins), exactly: one tree per trial, its terms read from
-one TermWindow per trial, in int while the values are integral and in
-Fraction past them.
+one TermWindow per trial, and every value an integer pair (N, e) meaning
+N / B^e over the window's one base B, so that a trial builds no Fraction
+until its one final value.
 """
 
 from __future__ import annotations
@@ -359,7 +360,7 @@ def fuzz(identity: Identity, trials: int, seed: int, value_range: int) -> FuzzRe
             if name == "q":
                 while value == 0:
                     value = rng.randint(-value_range, value_range)
-            scalars[name] = Fraction(value)
+            scalars[name] = value
         scalars.update(pins)
         indices = {v: rng.randint(-value_range, value_range) for v in identity.index_vars}
         difference = evaluate_expr(goal, scalars, indices, bindings)
@@ -370,7 +371,7 @@ def fuzz(identity: Identity, trials: int, seed: int, value_range: int) -> FuzzRe
                 trial,
                 Counterexample(
                     trial=trial,
-                    scalars=tuple(sorted((s, v) for s, v in scalars.items())),
+                    scalars=tuple(sorted((s, Fraction(v)) for s, v in scalars.items())),
                     indices=tuple((v, indices[v]) for v in identity.index_vars),
                     lhs=lhs,
                     rhs=lhs - difference,
@@ -381,7 +382,7 @@ def fuzz(identity: Identity, trials: int, seed: int, value_range: int) -> FuzzRe
 
 def evaluate_expr(
     expr: Expr,
-    scalars: Mapping[str, Fraction],
+    scalars: Mapping[str, Rational],
     indices: Mapping[str, int],
     bindings: Mapping[str, Expr],
 ) -> Fraction:
@@ -389,44 +390,48 @@ def evaluate_expr(
 
     bindings maps let names to their bodies; each is valued once, before
     the tree.  Every term is read from one TermWindow for the assignment,
-    and values stay int while they are integral.
+    and every value is an integer pair (N, e) meaning N / B^e over the
+    window's base B, until the one Fraction of the result.
     """
     window = TermWindow(scalars)
     values = let_values(bindings, lambda body, values: _evaluate(body, window, indices, values))
-    return Fraction(_evaluate(expr, window, indices, values))
+    n, e = _evaluate(expr, window, indices, values)
+    return Fraction(n, window.base_power(e))
 
 
 def _evaluate(
     expr: Expr,
     window: TermWindow,
     indices: Mapping[str, int],
-    values: Mapping[str, Rational],
-) -> Rational:
+    values: Mapping[str, tuple],
+) -> tuple:
     if isinstance(expr, IntLit):
-        return expr.value
+        return expr.value, 0
     if isinstance(expr, ScalarRef):
         return window.scalars[expr.name]
     if isinstance(expr, NameRef):
         return values[expr.name]
     if isinstance(expr, SeqTerm):
-        return window.term(expr.kind, expr.index.value(indices))
+        return window.term_pair(expr.kind, expr.index.value(indices))
     if isinstance(expr, QPowTerm):
-        return window.term(SequenceKind.GEOQ, expr.exponent.value(indices))
+        return window.term_pair(SequenceKind.GEOQ, expr.exponent.value(indices))
     if isinstance(expr, Sum):
         (sign, first), *rest = expr.terms
-        total = _evaluate(first, window, indices, values)
-        if sign < 0:
-            total = -total
+        n, e = _evaluate(first, window, indices, values)
+        total = (n if sign > 0 else -n), e
         for sign, term in rest:
-            value = _evaluate(term, window, indices, values)
-            total = total + value if sign > 0 else total - value
+            n, f = _evaluate(term, window, indices, values)
+            total = window.add(total, (n if sign > 0 else -n, f))
         return total
     if isinstance(expr, Product):
         first, *rest = expr.factors
-        total = _evaluate(first, window, indices, values)
+        total, e = _evaluate(first, window, indices, values)
         for factor in rest:
-            total = total * _evaluate(factor, window, indices, values)
-        return total
+            n, f = _evaluate(factor, window, indices, values)
+            total *= n
+            e += f
+        return total, e
     if isinstance(expr, Pow):
-        return _evaluate(expr.base, window, indices, values) ** expr.exponent
+        n, e = _evaluate(expr.base, window, indices, values)
+        return n ** expr.exponent, e * expr.exponent
     raise TypeError(f"unexpected node {expr!r}")

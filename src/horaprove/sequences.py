@@ -11,8 +11,9 @@ Terms extend to every integer index: the backward step divides by the
 trailing recurrence coefficient, a power of q, which is invertible in the
 coefficient ring.  symbolic_term produces the exact ring element for a
 fixed index; a TermWindow the exact values of every family under one
-assignment, each term computed once and kept as an int while it is
-integral (numeric_term is one fresh window's lookup); and
+assignment, each term computed once and kept as an integer pair (N, e)
+meaning N / B^e over one base B for the assignment (numeric_term is one
+fresh window's lookup); and
 slope_annihilator the recurrence satisfied along an arithmetic progression
 of indices n -> m*n + c, namely the characteristic polynomial of the m-th
 power of the family's companion matrix (inverted first when m < 0).
@@ -20,6 +21,7 @@ power of the family's companion matrix (inverted first when m < 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -100,37 +102,64 @@ def numeric_term(
     return Fraction(TermWindow(assignment).term(kind, k))
 
 
-def _exact(value: Rational) -> Rational:
-    """The value as an int when it is integral, else as a Fraction."""
-    if isinstance(value, int):
-        return value
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
 class TermWindow:
     """Exact term values of every family under one assignment (q != 0).
 
-    A family's seeds are evaluated once, at its first term; from them the
-    window extends outward only as far as the indices asked for, so a term
-    asked for again is a lookup.  Integral values stay int.  Backward it
-    runs Z(s) = q^s * X(-s), which satisfies the family's own recurrence
-    from Z(0) = X(0) and Z(1) = p*X(0) - X(1) (Horadam, Fibonacci Quarterly
-    3, 1965), so Z stays integral too and X(-s) is one exact division
-    Z(s) / q^s.
+    Every value is kept as an integer pair (N, e) meaning N / B^e, over one
+    base B per window: the lcm of the scalars' denominators times |num(q)|
+    (|q| for integer scalars, so 1 under the pins p := 1, q := -1).
+    A scalar s is (s, 0) when integral, else (s*B, 1), and so is 1/q; so
+    every value in Z[1/q, scalars] is an integer over a power of B, and
+    sums, products and powers of pairs need no division and no gcd.
+
+    A family's seeds are read from the scalars at its first term; from them
+    the window extends outward only as far as the indices asked for, so a
+    term asked for again is a lookup.  Backward it runs Z(s) = q^s * X(-s),
+    which satisfies the family's own recurrence from Z(0) = X(0) and
+    Z(1) = p*X(0) - X(1) (Horadam, Fibonacci Quarterly 3, 1965), so X(-s)
+    is the pair product Z(s) * (1/q)^s.
     """
 
     def __init__(self, assignment: Mapping[str, Rational]):
-        self.scalars = {name: _exact(value) for name, value in assignment.items()}
-        if self.scalars["q"] == 0:
+        q = assignment["q"]
+        if q == 0:
             raise ZeroQError("q must be nonzero")
+        # a list, not a generator: a tuple built from a generator is resized,
+        # and each one would then sit on the interpreter's tuple free list
+        denominators = [v.denominator for v in assignment.values()]
+        self.base = math.lcm(*denominators) * abs(q.numerator)
+        self._base_powers = [1, self.base]  # B^0, B^1, ...
+        self.scalars = {
+            name: self._pair(v.numerator, v.denominator) for name, v in assignment.items()
+        }
         self._families: dict = {}  # kind -> ([X(0), X(1), ...], [Z(0), ...], [X(0), X(-1), ...])
-        self._powers = [1]  # q^0, q^1, ...
-        self._inverse_powers = [Fraction(1)]  # q^0, q^-1, ...
+        self._powers = [(1, 0), self.scalars["q"]]  # q^0, q^1, ...
+        inverse_q = self._pair(q.denominator if q > 0 else -q.denominator, abs(q.numerator))
+        self._inverse_powers = [(1, 0), inverse_q]  # q^0, q^-1, ...
+
+    def _pair(self, numerator: int, denominator: int) -> tuple:
+        """numerator/denominator, where denominator divides B, as a pair."""
+        if denominator == 1:
+            return numerator, 0
+        return numerator * (self.base // denominator), 1
+
+    def base_power(self, e: int) -> int:
+        """B^e, for e >= 0."""
+        powers = self._base_powers
+        while len(powers) <= e:
+            powers.append(powers[-1] * self.base)
+        return powers[e]
 
     def term(self, kind: SequenceKind, k: int) -> Rational:
-        """The k-th term, any integer k."""
+        """The k-th term, any integer k, as an int when integral."""
+        n, e = self.term_pair(kind, k)
+        if e == 0:
+            return n
+        value = Fraction(n, self.base_power(e))
+        return value.numerator if value.denominator == 1 else value
+
+    def term_pair(self, kind: SequenceKind, k: int) -> tuple:
+        """The k-th term, any integer k, as a pair (N, e)."""
         if kind is SequenceKind.GEOQ:
             return self._q_power(k)
         family = self._families.get(kind)
@@ -143,29 +172,44 @@ class TermWindow:
         while len(backward) <= -k:
             s = len(backward)
             self._extend(scaled, s)
-            backward.append(Fraction(scaled[s]) / self._q_power(s))
+            (z, ez), (r, er) = scaled[s], self._q_power(-s)
+            backward.append((z * r, ez + er))
         return backward[-k]
 
     def _open(self, kind: SequenceKind) -> tuple:
-        x0, x1 = (_exact(seed.evaluate(self.scalars)) for seed in SEQUENCE_DEFS[kind].initial)
-        return [x0, x1], [x0, self.scalars["p"] * x0 - x1], [x0]
+        if kind is SequenceKind.W:
+            x0, x1 = self.scalars["a"], self.scalars["b"]
+        elif kind is SequenceKind.V:
+            x0, x1 = self.scalars["c"], self.scalars["d"]
+        else:
+            x0, x1 = (0, 0), (1, 0)
+        p, ep = self.scalars["p"]
+        z1 = self.add((p * x0[0], ep + x0[1]), (-x1[0], x1[1]))  # Z(1) = p*X(0) - X(1)
+        return [x0, x1], [x0, z1], [x0]
 
     def _extend(self, values: list, k: int):
         """Run X(n+2) = p*X(n+1) - q*X(n) until values[k] exists."""
-        p, q = self.scalars["p"], self.scalars["q"]
+        (p, ep), (q, eq) = self.scalars["p"], self.scalars["q"]
         while len(values) <= k:
-            values.append(p * values[-1] - q * values[-2])
+            (x1, e1), (x0, e0) = values[-1], values[-2]
+            values.append(self.add((p * x1, ep + e1), (-q * x0, eq + e0)))
 
-    def _q_power(self, k: int) -> Rational:
-        if k >= 0:
-            powers = self._powers
-            while len(powers) <= k:
-                powers.append(powers[-1] * self.scalars["q"])
-            return powers[k]
-        inverse = self._inverse_powers
-        while len(inverse) <= -k:
-            inverse.append(Fraction(1) / self._q_power(len(inverse)))
-        return inverse[-k]
+    def add(self, x: tuple, y: tuple) -> tuple:
+        """The pair x + y, over the larger of their two powers of B."""
+        (n, e), (m, f) = x, y
+        if e == f:
+            return n + m, e
+        if e > f:
+            return n + m * self.base_power(e - f), e
+        return n * self.base_power(f - e) + m, f
+
+    def _q_power(self, k: int) -> tuple:
+        powers = self._powers if k >= 0 else self._inverse_powers
+        step, f = powers[1]
+        while len(powers) <= abs(k):
+            n, e = powers[-1]
+            powers.append((n * step, e + f))
+        return powers[abs(k)]
 
 
 def slope_annihilator(kind: SequenceKind, m: int) -> Annihilator:

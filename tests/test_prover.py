@@ -312,6 +312,27 @@ class TestFuzz:
         assert all(type(v) is Fraction for _, v in cex.scalars)
         assert type(cex.lhs) is Fraction and type(cex.rhs) is Fraction
 
+    # the window base is 12 = lcm(2, 3) * 2 here, neither |q| nor 1
+    RATIONAL_CASSINI = (
+        "forall n: W(n)*W(n+2) - W(n+1)^2 == q^(n)*(p*a*b - q*a^2 - b^2)"
+        " with p := 1/2, q := 2/3"
+    )
+
+    def test_passes_true_law_at_rational_pins(self):
+        law = parse_identity(self.RATIONAL_CASSINI)
+        assert prove(law).verdict == PROVED
+        assert fuzz(law, trials=200, seed=3, value_range=9).ok
+
+    def test_rational_pin_counterexample_sides_are_the_sides_values(self):
+        mutant = parse_identity(self.RATIONAL_CASSINI.replace("- q*a^2", "+ q*a^2"))
+        assert prove(mutant).verdict == REFUTED
+        cex = fuzz(mutant, trials=200, seed=3, value_range=9).counterexample
+        scalars, indices = dict(cex.scalars), dict(cex.indices)
+        assert (scalars["p"], scalars["q"]) == (Fraction(1, 2), Fraction(2, 3))
+        assert cex.lhs == evaluate_expr(mutant.lhs, scalars, indices, {})
+        assert cex.rhs == evaluate_expr(mutant.rhs, scalars, indices, {})
+        assert cex.lhs != cex.rhs
+
     def test_pins_override_draws(self):
         pinned = parse_identity(
             "forall n: u(n+1)*u(n+2)*u(n+6) - u(n+3)^3 == q^(n)*u(n) with p := 1, q := -1"

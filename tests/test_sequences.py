@@ -113,7 +113,31 @@ def integral_assignments():
     return st.fixed_dictionaries(base)
 
 
+def mixed_base_assignments():
+    """Rational scalars whose window base B is neither |q| nor 1.
+
+    q's numerator is not +-1, and every other scalar has a denominator
+    above 1, so B = lcm(denominators) * |num(q)| has factors of both.
+    """
+    q = st.builds(
+        Fraction, st.integers(2, 7).flatmap(lambda n: st.sampled_from((n, -n))), st.integers(1, 5)
+    ).filter(lambda v: abs(v.numerator) != 1)
+    other = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(
+        lambda v: v.denominator > 1
+    )
+    return st.fixed_dictionaries({s: q if s == "q" else other for s in SYMBOLS})
+
+
 class TestTermWindow:
+    @given(mixed_base_assignments())
+    @settings(max_examples=15, deadline=None)
+    def test_mixed_base_agrees_with_symbolic(self, asgn):
+        window = TermWindow(asgn)
+        assert window.base not in (1, abs(asgn["q"]))
+        for k in range(-40, 41):
+            for kind in (W, V, U, GEOQ):
+                assert window.term(kind, k) == symbolic_term(kind, k).evaluate(asgn)
+
     @given(
         st.one_of(integral_assignments(), rational_assignments()),
         st.lists(st.integers(-40, 40), min_size=1, max_size=24),
@@ -132,7 +156,9 @@ class TestTermWindow:
     @settings(max_examples=30, deadline=None)
     def test_integral_forward_terms_stay_int(self, asgn, ks):
         window = TermWindow({s: Fraction(v) for s, v in asgn.items()})
-        assert all(type(v) is int for v in window.scalars.values())
+        # integral scalars are pairs (s, 0) over the base |q|
+        assert window.base == abs(asgn["q"])
+        assert all(window.scalars[s] == (v, 0) for s, v in asgn.items())
         for k in ks:
             for kind in (W, V, U, GEOQ):
                 assert type(window.term(kind, k)) is int
