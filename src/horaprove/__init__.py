@@ -52,7 +52,18 @@ from .prover import (
     fuzz,
     prove,
 )
-from .ring import LaurentPoly, NotAUnitError, ZeroQError, SYMBOLS, from_int, one, q_power, symbol, zero
+from .ring import (
+    SYMBOLS,
+    ExponentOverflowError,
+    LaurentPoly,
+    NotAUnitError,
+    ZeroQError,
+    from_int,
+    one,
+    q_power,
+    symbol,
+    zero,
+)
 from .sequences import SequenceKind, numeric_term, slope_annihilator, symbolic_term
 
 __version__ = "0.1.0"
@@ -69,6 +80,7 @@ __all__ = [
     "Certificate",
     "Counterexample",
     "EliminationOrderError",
+    "ExponentOverflowError",
     "FuzzResult",
     "Identity",
     "LaurentPoly",

@@ -79,9 +79,6 @@ class Annihilator:
     def companion(self):
         return linalg.companion(self.coeffs)
 
-    def sort_key(self):
-        return (self.order, tuple(c.sort_key() for c in self.coeffs))
-
     def render(self) -> str:
         """Deterministic text form, e.g. 'x^2 - p*x + q'.
 

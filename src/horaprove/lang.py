@@ -751,8 +751,8 @@ class NormalForm:
         out: dict = {}
         for atoms1, s1 in self._terms.items():
             for atoms2, s2 in other._terms.items():
-                atoms, extra = _merge_atoms(atoms1 + atoms2)
-                scalar = s1 * s2 * extra
+                atoms = _merge_atoms(atoms1 + atoms2)
+                scalar = s1 * s2
                 got = out.get(atoms)
                 s = scalar if got is None else got + scalar
                 if s.is_zero:
@@ -771,16 +771,16 @@ class NormalForm:
         out: dict = {}
         for atoms, scalar in self._terms.items():
             new_atoms = []
-            extra = one()
+            k = 0
             for atom in atoms:
                 if isinstance(atom, SeqTerm):
                     new_atoms.append(SeqTerm(atom.kind, atom.index.substitute(var, value)))
                 else:
-                    q_atoms, q_scalar = _q_power(atom.exponent.substitute(var, value))
+                    q_atoms, const = _q_power(atom.exponent.substitute(var, value))
                     new_atoms.extend(q_atoms)
-                    extra = extra * q_scalar
+                    k += const
             key = tuple(sorted(new_atoms, key=_atom_order))
-            s = scalar * extra
+            s = scalar * q_power(k) if k else scalar
             got = out.get(key)
             s = s if got is None else got + s
             if s.is_zero:
@@ -800,8 +800,12 @@ class NormalForm:
         return f"NormalForm({self.render()})"
 
 
-def _merge_atoms(atoms: tuple):
-    """Sort atoms, combining q-power atoms; return (atoms, scalar factor)."""
+def _merge_atoms(atoms: tuple) -> tuple:
+    """Sort atoms, combining q-power atoms into one.
+
+    A normal form's q-power atoms have no constant part, so neither has
+    their product, and no scalar factor arises.
+    """
     seq_atoms = []
     qlin = None
     for atom in atoms:
@@ -809,23 +813,19 @@ def _merge_atoms(atoms: tuple):
             seq_atoms.append(atom)
         else:
             qlin = atom.exponent if qlin is None else qlin.plus(atom.exponent)
-    extra = one()
-    if qlin is not None:
-        q_atoms, extra = _q_power(qlin)
-        seq_atoms.extend(q_atoms)
-    return tuple(sorted(seq_atoms, key=_atom_order)), extra
+    if qlin is not None and not qlin.is_constant:
+        seq_atoms.append(QPowTerm(qlin))
+    return tuple(sorted(seq_atoms, key=_atom_order))
 
 
 def _q_power(lin: LinForm) -> tuple:
-    """Split q^(lin) into (atoms, scalar q^const).
+    """Split q^(lin) into (atoms, k), the atoms times the scalar q^k.
 
-    The atoms are q^(lin without its constant), or none when lin is constant.
+    The atoms are q^(lin without its constant), or none when lin is
+    constant; k is lin's constant.
     """
-    scalar = one()
-    if lin.const:
-        scalar = q_power(lin.const)
-        lin = lin.drop_const()
-    return (() if lin.is_constant else (QPowTerm(lin),)), scalar
+    atoms = () if lin.is_constant else (QPowTerm(lin.drop_const()),)
+    return atoms, lin.const
 
 
 def _render_atom(atom: Atom) -> str:
@@ -872,8 +872,8 @@ def _normalize(expr: Expr, values: Mapping[str, NormalForm]) -> NormalForm:
     if isinstance(expr, SeqTerm):
         return NormalForm({(expr,): one()})
     if isinstance(expr, QPowTerm):
-        atoms, scalar = _q_power(expr.exponent)
-        return NormalForm._raw({atoms: scalar})
+        atoms, k = _q_power(expr.exponent)
+        return NormalForm._raw({atoms: q_power(k) if k else one()})
     if isinstance(expr, Sum):
         (sign, first), *rest = expr.terms
         total = _normalize(first, values)

@@ -36,6 +36,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 from .cfinite import Annihilator, class_order, from_root_classes, root_class
@@ -54,7 +55,7 @@ from .lang import (
     identity_goal,
     let_values,
 )
-from .ring import SYMBOLS, LaurentPoly, one, zero
+from .ring import SYMBOLS, ExponentOverflowError, LaurentPoly, zero
 from .sequences import Rational, SequenceKind, TermWindow, symbolic_term
 
 DEFAULT_MAX_ORDER = 64
@@ -131,7 +132,9 @@ class LeafRecord:
     poly: LaurentPoly
     zero: bool
 
+    @cached_property
     def rendered(self) -> str:
+        """The poly's text; a certificate writes it twice, so it is rendered once."""
         return self.poly.render()
 
 
@@ -186,7 +189,7 @@ class Certificate:
             "leaves": [
                 {
                     "at": {index: value for index, value in leaf.at},
-                    "poly": leaf.rendered(),
+                    "poly": leaf.rendered,
                     "zero": leaf.zero,
                 }
                 for leaf in self.leaves
@@ -201,7 +204,7 @@ class Certificate:
 
 def _node_json(node: ProofNode) -> dict:
     if isinstance(node, LeafNode):
-        return {"leaf": {"poly": node.record.rendered(), "zero": node.record.zero}}
+        return {"leaf": {"poly": node.record.rendered, "zero": node.record.zero}}
     return {
         "index": node.index,
         "order": node.order,
@@ -227,13 +230,13 @@ def prove(
     Verdicts: PROVED when every leaf polynomial is zero (then the identity
     holds for all integer index values, negative included, because every
     annihilator's constant term is a unit); REFUTED when some leaf is a
-    nonzero polynomial; ABORTED when an annihilator order exceeded the cap.
+    nonzero polynomial; ABORTED when an annihilator order exceeded the cap
+    or an exponent of p, a, b, c, d or q left the ring's range.
     """
     config = config or ProverConfig()
     elim = _validated_order(identity, elimination_order)
     pins = identity.pin_map()
     start = time.perf_counter()
-    goal = identity_goal(identity)
     leaves: list = []
 
     def recurse(nf: NormalForm, remaining: tuple, path: tuple) -> ProofNode:
@@ -252,10 +255,10 @@ def prove(
         return EliminationNode(index=index, annihilator=ann, goal=nf, subgoals=subgoals)
 
     try:
-        root: ProofNode | None = recurse(goal, elim, ())
+        root: ProofNode | None = recurse(identity_goal(identity), elim, ())
         verdict = PROVED if all(leaf.zero for leaf in leaves) else REFUTED
         reason = ""
-    except OrderCapExceededError as exc:
+    except (OrderCapExceededError, ExponentOverflowError) as exc:
         root = None
         leaves = []
         verdict = ABORTED

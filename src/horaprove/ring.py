@@ -7,17 +7,34 @@ is the only quantity the theory ever divides by (extending a recurrence to
 negative indices divides by its trailing coefficient, a power of q).
 Coefficients are ints, never floats: every identity check is exact.
 
-Representation: a polynomial is a mapping from exponent vectors to nonzero
-integer coefficients.  An exponent vector is a tuple of six ints ordered as
-SYMBOLS (q last); the zero polynomial is the empty mapping.  Values are
-canonical and immutable after construction, so they are safe to share and
-to use as dict keys.  Rendering writes the identity language
+Representation: a polynomial is a dict from packed exponent vectors to
+nonzero integer coefficients; the zero polynomial is the empty dict.  An
+exponent vector (p, a, b, c, d, q) packs into one int of six 32-bit fields,
+p lowest and q highest (Monagan & Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Each
+field stores a value in [0, 2^31): the exponent itself for p, a, b, c and
+d, and e + 2^30 for q.  So 0 <= e < 2^31 for p..d and -2^30 <= e < 2^30
+for q; every exponent of magnitude below 2^30 packs.
+
+A monomial product is one integer add of the two keys (q's doubled bias is
+taken off once per outer term).  Two stored values below 2^31 sum below
+2^32, so no carry crosses into the next field, and a sum is out of range
+exactly when its field's top bit, the guard bit, is set; a q sum below
+-2^30 borrows, which sets that bit too.  Every pack and every term-pair
+product tests the guard bits, and an exponent out of range raises
+ExponentOverflowError: it never wraps.  Exponent tuples appear only at the
+API edges: construction, terms(), monomials(), evaluation, substitution
+and rendering.
+
+Values are canonical and immutable after construction, so they are safe
+to share and to use as dict keys.  Rendering writes the identity language
 (a negative q power is q^(-k)) in a fixed graded-lexicographic term order,
 so every printed form is deterministic and parses back to its value.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -25,7 +42,16 @@ SYMBOLS = ("p", "a", "b", "c", "d", "q")
 _NSYM = len(SYMBOLS)
 _SYMBOL_INDEX = {name: i for i, name in enumerate(SYMBOLS)}
 _Q = _SYMBOL_INDEX["q"]
-_UNIT_EXPS = (0,) * _NSYM
+
+# packed exponent layout: see the module docstring
+_WIDTH = 32
+_TOP = 1 << (_WIDTH - 1)  # stored field values lie in [0, _TOP)
+_BIAS = 1 << (_WIDTH - 2)  # q's field stores e + _BIAS
+_SHIFTS = tuple(_WIDTH * i for i in range(_NSYM))
+_OFFSETS = tuple(_BIAS if i == _Q else 0 for i in range(_NSYM))
+_GUARD = sum(_TOP << s for s in _SHIFTS)
+_UNIT = _BIAS << _SHIFTS[_Q]  # the packed zero vector, key of the constants
+_FIELDS = struct.Struct("<6I")  # a key's six 32-bit fields, p first, as stored
 
 Exponents = tuple
 Rational = Union[int, Fraction]
@@ -39,6 +65,36 @@ class NotAUnitError(ValueError):
     """Inversion was asked of a ring element that is not +-(a power of q)."""
 
 
+class ExponentOverflowError(OverflowError):
+    """An exponent left the packed range: 0 <= e < 2^31, or -2^30 <= e < 2^30 for q."""
+
+
+def _pack(exps: Iterable[int]) -> int:
+    """The packed key of an exponent vector; raises if a field is out of range."""
+    key = 0
+    for i, e in enumerate(exps):
+        v = e + _OFFSETS[i]
+        if not 0 <= v < _TOP:
+            lo = -_OFFSETS[i]
+            raise ExponentOverflowError(
+                f"exponent {e} of {SYMBOLS[i]} is outside the ring's range "
+                f"{lo} <= e < {lo + _TOP}"
+            )
+        key |= v << _SHIFTS[i]
+    return key
+
+
+def _unpack(key: int) -> Exponents:
+    p, a, b, c, d, q = _FIELDS.unpack(key.to_bytes(_FIELDS.size, "little"))
+    return p, a, b, c, d, q - _BIAS
+
+
+def _product_overflow(k1: int, k2: int):
+    """Raise the range error of a product whose packed sum set a guard bit."""
+    _pack([x + y for x, y in zip(_unpack(k1), _unpack(k2))])
+    raise AssertionError("a guard bit was set by in-range exponents")
+
+
 def _canonical(terms: Mapping[Exponents, int]) -> dict:
     out = {}
     for exps, coeff in terms.items():
@@ -50,9 +106,12 @@ def _canonical(terms: Mapping[Exponents, int]) -> dict:
         for i, e in enumerate(exps):
             if e < 0 and i != _Q:
                 raise ValueError(f"negative exponent on {SYMBOLS[i]} is not allowed")
-        out[exps] = out.get(exps, 0) + coeff
-        if out[exps] == 0:
-            del out[exps]
+        key = _pack(exps)
+        s = out.get(key, 0) + coeff
+        if s:
+            out[key] = s
+        else:
+            del out[key]
     return out
 
 
@@ -62,6 +121,7 @@ class LaurentPoly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
+        """terms maps exponent tuples, ordered as SYMBOLS, to coefficients."""
         object.__setattr__(self, "_terms", _canonical(terms or {}))
         object.__setattr__(self, "_hash", None)
 
@@ -72,7 +132,7 @@ class LaurentPoly:
 
     @classmethod
     def _raw(cls, terms: dict) -> "LaurentPoly":
-        # terms must already be canonical (no zeros, valid exponents)
+        # terms must already be canonical (packed keys, no zero coefficients)
         self = cls.__new__(cls)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_hash", None)
@@ -90,20 +150,18 @@ class LaurentPoly:
     def from_int(cls, n: int) -> "LaurentPoly":
         if n == 0:
             return _ZERO
-        return cls._raw({_UNIT_EXPS: n})
+        return cls._raw({_UNIT: n})
 
     @classmethod
     def symbol(cls, name: str) -> "LaurentPoly":
         i = _SYMBOL_INDEX.get(name)
         if i is None:
             raise ValueError(f"unknown symbol {name!r}; expected one of {SYMBOLS}")
-        exps = tuple(1 if j == i else 0 for j in range(_NSYM))
-        return cls._raw({exps: 1})
+        return cls._raw({_UNIT + (1 << _SHIFTS[i]): 1})
 
     @classmethod
     def q_power(cls, k: int) -> "LaurentPoly":
-        exps = tuple(k if j == _Q else 0 for j in range(_NSYM))
-        return cls._raw({exps: 1})
+        return cls._raw({_pack(k if j == _Q else 0 for j in range(_NSYM)): 1})
 
     # -- inspection --------------------------------------------------
 
@@ -116,30 +174,31 @@ class LaurentPoly:
 
     def monomials(self) -> Iterator[tuple[Exponents, int]]:
         """Terms in the canonical (graded-lex, descending) order."""
-        return iter(sorted(self._terms.items(), key=_term_order, reverse=True))
+        return iter(sorted(self.terms().items(), key=_term_order, reverse=True))
 
     def terms(self) -> dict:
-        return dict(self._terms)
+        """Exponent tuple -> coefficient."""
+        return {_unpack(key): coeff for key, coeff in self._terms.items()}
 
     def min_exponent(self, name: str) -> int:
         """Smallest exponent of `name` across terms (0 for the zero poly)."""
         i = _SYMBOL_INDEX[name]
         if not self._terms:
             return 0
-        return min(exps[i] for exps in self._terms)
+        return min(_unpack(key)[i] for key in self._terms)
 
     def max_exponent(self, name: str) -> int:
         i = _SYMBOL_INDEX[name]
         if not self._terms:
             return 0
-        return max(exps[i] for exps in self._terms)
+        return max(_unpack(key)[i] for key in self._terms)
 
     def as_int(self) -> int:
         """The value of a constant polynomial; ValueError if non-constant."""
         if not self._terms:
             return 0
-        if list(self._terms) == [_UNIT_EXPS]:
-            return self._terms[_UNIT_EXPS]
+        if list(self._terms) == [_UNIT]:
+            return self._terms[_UNIT]
         raise ValueError(f"not a constant polynomial: {self}")
 
     # -- arithmetic --------------------------------------------------
@@ -149,18 +208,18 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            s = out.get(exps, 0) + coeff
+        for key, coeff in other._terms.items():
+            s = out.get(key, 0) + coeff
             if s:
-                out[exps] = s
+                out[key] = s
             else:
-                out.pop(exps, None)
+                del out[key]
         return LaurentPoly._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw({exps: -coeff for exps, coeff in self._terms.items()})
+        return LaurentPoly._raw({key: -coeff for key, coeff in self._terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         other = _coerce(other)
@@ -178,15 +237,24 @@ class LaurentPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other is _ONE:
+            return self
+        if self is _ONE:
+            return other
         out: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(exps, 0) + c1 * c2
+        get = out.get
+        right = other._terms.items()
+        for k1, c1 in self._terms.items():
+            k1 -= _UNIT  # each sum k1 + k2 then carries q's bias once
+            for k2, c2 in right:
+                key = k1 + k2
+                if key & _GUARD:
+                    _product_overflow(k1 + _UNIT, k2)
+                s = get(key, 0) + c1 * c2
                 if s:
-                    out[exps] = s
+                    out[key] = s
                 else:
-                    del out[exps]
+                    del out[key]
         return LaurentPoly._raw(out)
 
     __rmul__ = __mul__
@@ -224,15 +292,14 @@ class LaurentPoly:
         """True iff the element is +-q^k, the full unit group of the ring."""
         if len(self._terms) != 1:
             return False
-        (exps, coeff), = self._terms.items()
-        return abs(coeff) == 1 and all(e == 0 for i, e in enumerate(exps) if i != _Q)
+        (key, coeff), = self._terms.items()
+        return abs(coeff) == 1 and all(e == 0 for i, e in enumerate(_unpack(key)) if i != _Q)
 
     def unit_inverse(self) -> "LaurentPoly":
         if not self.is_unit():
             raise NotAUnitError(f"not a unit of the coefficient ring: {self}")
-        (exps, coeff), = self._terms.items()
-        inv = tuple(-e for e in exps)
-        return LaurentPoly._raw({inv: coeff})
+        (key, coeff), = self._terms.items()
+        return LaurentPoly._raw({_pack(-e for e in _unpack(key)): coeff})
 
     # -- evaluation and substitution ----------------------------------
 
@@ -246,9 +313,9 @@ class LaurentPoly:
             raise ZeroQError("q must be nonzero")
         values = {}
         total = Fraction(0)
-        for exps, coeff in self._terms.items():
+        for key, coeff in self._terms.items():
             term = Fraction(coeff)
-            for i, e in enumerate(exps):
+            for i, e in enumerate(_unpack(key)):
                 if e == 0:
                     continue
                 name = SYMBOLS[i]
@@ -274,7 +341,8 @@ class LaurentPoly:
                 raise ValueError(f"unknown symbol {name!r}")
             idx[i] = v
         out: dict = {}
-        for exps, coeff in self._terms.items():
+        for key, coeff in self._terms.items():
+            exps = _unpack(key)
             c = coeff
             new = list(exps)
             for i, v in idx.items():
@@ -290,7 +358,7 @@ class LaurentPoly:
                 else:
                     c *= v ** e
                 new[i] = 0
-            key = tuple(new)
+            key = _pack(new)
             s = out.get(key, 0) + c
             if s:
                 out[key] = s
@@ -324,10 +392,10 @@ class LaurentPoly:
             num, den = value.numerator, value.denominator
             top = work.max_exponent(name)
             out: dict = {}
-            for exps, coeff in work._terms.items():
-                e = exps[i]
+            for key, coeff in work._terms.items():
+                e = _unpack(key)[i]
                 c = coeff * num ** e * den ** (top - e)
-                key = tuple(0 if j == i else x for j, x in enumerate(exps))
+                key -= e << _SHIFTS[i]  # the symbol's exponent becomes 0
                 s = out.get(key, 0) + c
                 if s:
                     out[key] = s
@@ -353,18 +421,14 @@ class LaurentPoly:
         """
         if len(self._terms) != 1:
             return 1, f"({self.render()})"
-        ((exps, coeff),) = self._terms.items()
-        return -1 if coeff < 0 else 1, _render_monomial(exps, abs(coeff))
+        ((key, coeff),) = self._terms.items()
+        return -1 if coeff < 0 else 1, _render_monomial(_unpack(key), abs(coeff))
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.render()})"
-
-    def sort_key(self):
-        """A deterministic total-order key (used to sort sets of polys)."""
-        return tuple(sorted(self._terms.items()))
 
 
 def _coerce(value) -> LaurentPoly:
@@ -411,7 +475,7 @@ def render_sum(terms: Iterable[tuple]) -> str:
 
 
 _ZERO = LaurentPoly._raw({})
-_ONE = LaurentPoly._raw({_UNIT_EXPS: 1})
+_ONE = LaurentPoly._raw({_UNIT: 1})
 
 
 def zero() -> LaurentPoly:

@@ -61,6 +61,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "ABORTED" in out
 
+    def test_exponent_out_of_ring_range_aborts_with_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "big.fib"
+        path.write_text(
+            "forall n: q^(1099511627776)*W(n+1) == q^(1099511627776)*(p*W(n) - q*W(n-1))\n"
+            "forall n: u(n) == u(n)\n",
+            encoding="utf-8",
+        )
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"{path}:1: ABORTED" in captured.out
+        assert "exponent 1099511627776 of q is outside" in captured.out
+        assert f"{path}:2: PROVED" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_raised_cap_allows_everything(self, capsys):
         assert main(["verify", PAPER, "--max-order", "128"]) == 0
         capsys.readouterr()

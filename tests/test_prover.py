@@ -23,7 +23,7 @@ from horaprove.prover import (
     prove,
 )
 from horaprove.ring import SYMBOLS, from_int, one, q_power, symbol
-from horaprove.sequences import SequenceKind, numeric_term
+from horaprove.sequences import SequenceKind, numeric_term, symbolic_term
 
 p, a, b, q = symbol("p"), symbol("a"), symbol("b"), symbol("q")
 BASE = Annihilator((q, -p, one()))
@@ -173,6 +173,35 @@ class TestProve:
         assert cert.verdict == ABORTED
         assert cert.root is None and cert.leaves == []
         assert "cap" in cert.reason and cert.witness is None
+
+    def test_large_q_power_within_the_ring_range_proves(self):
+        law = "forall n: q^(100000)*W(n+1) == q^(100000)*(p*W(n) - q*W(n-1))"
+        assert prove(parse_identity(law)).verdict == PROVED
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # packing q^(2^40) while normalizing
+            "forall n: q^(1099511627776)*W(n+1) == q^(1099511627776)*(p*W(n) - q*W(n-1))\n",
+            # multiplying two scalars q^(2^29)
+            "let e = q^(536870912)\nforall n: e^2*W(n) == W(n)\n",
+        ],
+        ids=["pack", "product"],
+    )
+    def test_aborted_on_exponent_out_of_ring_range(self, source):
+        (identity,) = parse_file(source).identities
+        cert = prove(identity)
+        assert cert.verdict == ABORTED
+        assert cert.root is None and cert.leaves == []
+        assert "of q is outside the ring's range" in cert.reason
+
+    def test_sixth_power_of_a_slope_three_law(self):
+        # its leaves multiply terms like W(20)^6, of hundreds of monomials
+        assert len((symbolic_term(SequenceKind.W, 20) ** 6).terms()) > 300
+        law = "forall n: W(3*n+2)^6 == (p*W(3*n+1) - q*W(3*n))^6"
+        cert = prove(parse_identity(law))
+        assert cert.verdict == PROVED
+        assert len(cert.leaves) == 7
 
     def test_elimination_order_must_cover_all_indices(self):
         idn = parse_identity(ADDITION_LAW)

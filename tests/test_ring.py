@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from horaprove.lang import NormalForm, normalize, parse_identity
 from horaprove.ring import (
     SYMBOLS,
+    ExponentOverflowError,
     LaurentPoly,
     NotAUnitError,
     ZeroQError,
@@ -20,6 +21,9 @@ from horaprove.ring import (
 )
 
 p, a, b, c, d, q = (symbol(s) for s in SYMBOLS)
+
+# the packed range of an exponent: 0 <= e < 2^31, and -2^30 <= e < 2^30 for q
+RANGES = {s: (-(2**30), 2**30) if s == "q" else (0, 2**31) for s in SYMBOLS}
 
 
 # strategy: sums of up to 5 terms, small exponents, q exponent may be negative
@@ -111,6 +115,95 @@ class TestArithmetic:
     def test_hash_consistent_with_eq(self, f, asgn):
         g = f + one() - one()
         assert f == g and hash(f) == hash(g)
+
+
+def monomial(**exps):
+    return LaurentPoly({tuple(exps.get(s, 0) for s in SYMBOLS): 1})
+
+
+def in_range(exps):
+    return all(RANGES[s][0] <= e < RANGES[s][1] for s, e in zip(SYMBOLS, exps))
+
+
+@st.composite
+def term_dicts(draw, hot):
+    """Exponent tuple -> coefficient; the `hot` symbol's exponents may sit at its bounds."""
+    lo, hi = RANGES[hot]
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = []
+        for s in SYMBOLS:
+            small = st.integers(-3 if s == "q" else 0, 3)
+            if s == hot:
+                small = st.one_of(small, st.integers(lo, lo + 3), st.integers(hi - 4, hi - 1))
+            exps.append(draw(small))
+        terms[tuple(exps)] = draw(st.integers(-9, 9).filter(bool))
+    return terms
+
+
+def reference_mul(f: dict, g: dict):
+    """Tuple-keyed product; None if some term pair leaves the packed range."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            if not in_range(exps):
+                return None
+            out[exps] = out.get(exps, 0) + c1 * c2
+    return {exps: coeff for exps, coeff in out.items() if coeff}
+
+
+def reference_add(f: dict, g: dict):
+    out = dict(f)
+    for exps, coeff in g.items():
+        out[exps] = out.get(exps, 0) + coeff
+    return {exps: coeff for exps, coeff in out.items() if coeff}
+
+
+class TestPackedExponents:
+    @given(st.sampled_from(SYMBOLS).flatmap(lambda s: st.tuples(term_dicts(s), term_dicts(s))))
+    @settings(max_examples=200, deadline=None)
+    def test_product_and_sum_match_a_tuple_keyed_reference(self, pair):
+        f, g = pair
+        pf, pg = LaurentPoly(f), LaurentPoly(g)
+        assert pf.terms() == reference_add(f, {})
+        assert (pf + pg).terms() == reference_add(f, g)
+        want = reference_mul(f, g)
+        if want is None:
+            with pytest.raises(ExponentOverflowError):
+                pf * pg
+        else:
+            assert (pf * pg).terms() == want
+
+    @pytest.mark.parametrize("name", SYMBOLS)
+    def test_overflow_at_each_field_bound_raises_and_never_wraps(self, name):
+        lo, hi = RANGES[name]
+        x = monomial(**{name: 1})
+        # every other field is set, so a carry or borrow out of this one would show
+        others = {s: 7 for s in SYMBOLS if s != name}
+        top = monomial(**{name: hi - 2}, **others) * x
+        assert top.terms() == {tuple(hi - 1 if s == name else 7 for s in SYMBOLS): 1}
+        with pytest.raises(ExponentOverflowError, match=f"of {name} is outside"):
+            top * x
+        with pytest.raises(ExponentOverflowError):
+            monomial(**{name: hi})
+        bottom = monomial(**{name: lo}, **others)
+        assert bottom.min_exponent(name) == lo
+        if name == "q":
+            with pytest.raises(ExponentOverflowError, match=f"exponent {lo - 1} of q"):
+                bottom * q_power(-1)
+            with pytest.raises(ExponentOverflowError):
+                q_power(lo - 1)
+            with pytest.raises(ExponentOverflowError):
+                q_power(lo).unit_inverse()  # -lo is one past the top
+        else:
+            with pytest.raises(ValueError):
+                monomial(**{name: lo - 1})
+
+    def test_q_sums_to_the_bounds_exactly(self):
+        assert q_power(-(2**29)) * q_power(-(2**29)) == q_power(-(2**30))
+        assert (q_power(2**30 - 1) * q_power(-(2**30))).terms() == {(0, 0, 0, 0, 0, -1): 1}
+        assert q_power(-(2**30)).min_exponent("q") == -(2**30)
 
 
 class TestEvaluateAndSubstitute:

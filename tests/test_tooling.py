@@ -1,12 +1,15 @@
 """The benchmark's tracer still finds every function it wraps.
 
-perfbench/tracer.py wraps program functions by name; a renamed function
-would leave its layer reading 0 without any error.  The module is loaded
-read-only: loading it wraps nothing.
+perfbench/tracer.py wraps program functions by name; a renamed function,
+or work routed around it, would leave its layer reading 0 without any
+error.  The module is loaded read-only: loading it wraps nothing, and a
+test that installs it uninstalls it again.
 """
 
 import importlib.util
 from pathlib import Path
+
+from horaprove import corpus_path, parse_file, prove
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -23,3 +26,22 @@ def test_every_traced_target_resolves():
     assert tracer.TARGETS
     for layer, owner, attr, _kind in tracer.TARGETS:
         assert callable(getattr(owner, attr, None)), f"{layer}: {owner.__name__}.{attr} is gone"
+
+
+def test_ring_layers_stay_traceable():
+    """Every ring product and sum goes through the wrapped callables.
+
+    A private hot path around them would make the `ring.mul` and
+    `ring.add` layers read 0, though the ring still does the work.
+    """
+    identity = parse_file(corpus_path("paper.fib").read_text()).identities[0]
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        cert = prove(identity)
+    finally:
+        tracer.uninstall()
+    assert cert.verdict == "PROVED"
+    layers = tracer.layer_metrics()
+    assert layers["ring.mul_calls"] > 0
+    assert layers["ring.add_calls"] > 0
