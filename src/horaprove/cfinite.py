@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
@@ -83,7 +84,13 @@ class Annihilator:
         """Deterministic text form, e.g. 'x^2 - p*x + q'.
 
         Each coefficient is written as a factor in the identity language.
+        The text is built once per annihilator, which the prover reuses
+        across eliminations (see from_root_classes).
         """
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         terms = []
         for k in range(self.order, -1, -1):
             if self.coeffs[k].is_zero:
@@ -165,9 +172,21 @@ def from_root_classes(root_classes: Iterable[tuple]) -> Annihilator:
     x^2 - q^k L(e) x + q^(2k+e), L the Lucas companion.  Every constant term
     is a unit, and factors multiply in sorted class order, so the result is
     deterministic.
+
+    Equal class sets give the same Annihilator object while the set is among
+    the ANNIHILATOR_CACHE_SIZE most recently used: the prover meets few
+    distinct sets, each on many subgoals.
     """
+    return _from_class_set(frozenset(root_classes))
+
+
+ANNIHILATOR_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=ANNIHILATOR_CACHE_SIZE)
+def _from_class_set(root_classes: frozenset) -> Annihilator:
     coeffs = (one(),)
-    for k, e in sorted(set(root_classes)):
+    for k, e in sorted(root_classes):
         if e == 0:
             factor = (-q_power(k), one())
         else:

@@ -17,6 +17,7 @@ from pathlib import Path
 from .lang import Identity, ParseError, parse_file
 from .prover import (
     ABORTED,
+    DEFAULT_MAX_ORDER,
     PROVED,
     REFUTED,
     EliminationOrderError,
@@ -221,8 +222,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="m,n,k",
         help="index elimination order (extra names are ignored per identity)",
     )
-    verify.add_argument("--max-order", type=int, default=64, metavar="K",
-                        help="abort when an annihilator order exceeds K (default 64)")
+    verify.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER, metavar="K",
+                        help="abort when an annihilator order exceeds K "
+                        f"(default {DEFAULT_MAX_ORDER})")
     verify.add_argument("--fuzz-after", action="store_true",
                         help="run the numeric oracle on every PROVED identity")
     verify.add_argument("--seed", type=int, default=0, help="oracle seed (default 0)")

@@ -29,13 +29,17 @@ A NormalForm is the sum-of-monomials view of an expression: a map from a
 multiset of atoms (sequence terms and at most one q^(linear form) with no
 constant part) to an exact scalar coefficient in the ring.  Identity index
 variables never appear in scalars, only inside atom index forms, which
-makes eliminating one index at a time well-defined.
+makes eliminating one index at a time well-defined.  Each atom carries its
+sort key and hash, computed once when it is built, and substitute_index
+instantiates each distinct atom of a normal form once, however many
+monomials share it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Iterator, Mapping, Union
 
 from .ring import SYMBOLS, LaurentPoly, from_int, one, q_power, render_sum, symbol
@@ -114,9 +118,12 @@ class LinForm:
         return 0
 
     def substitute(self, var: str, value: int) -> "LinForm":
-        coeffs = dict(self.coeffs)
-        c = coeffs.pop(var, 0)
-        return LinForm.make(coeffs, self.const + c * value)
+        coeffs = self.coeffs
+        for i, (v, c) in enumerate(coeffs):
+            if v == var:
+                # dropping one pair keeps the rest sorted and nonzero
+                return LinForm(coeffs[:i] + coeffs[i + 1 :], self.const + c * value)
+        return self
 
     def plus(self, other: "LinForm") -> "LinForm":
         coeffs = dict(self.coeffs)
@@ -129,9 +136,6 @@ class LinForm:
 
     def value(self, index_values: Mapping[str, int]) -> int:
         return self.const + sum(c * index_values[v] for v, c in self.coeffs)
-
-    def sort_key(self):
-        return (self.coeffs, self.const)
 
     def render(self) -> str:
         terms = [(c, v if abs(c) == 1 else f"{abs(c)}*{v}") for v, c in self.coeffs]
@@ -155,15 +159,40 @@ class NameRef:
     name: str
 
 
-@dataclass(frozen=True)
+# An atom computes its order_key, its place in a monomial, and its hash once,
+# at construction: every normal form sorts and hashes the same atoms many
+# times.  Equality stays on the kind and index form alone.
+
+
+@dataclass(frozen=True, slots=True)
 class SeqTerm:
     kind: SequenceKind
     index: LinForm
+    order_key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        key = (0, self.kind.name, (self.index.coeffs, self.index.const))
+        object.__setattr__(self, "order_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self):
+        return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QPowTerm:
     exponent: LinForm
+    order_key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        key = (1, "", (self.exponent.coeffs, self.exponent.const))
+        object.__setattr__(self, "order_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -652,10 +681,8 @@ def parse_identity(text: str, slope_cap: int = DEFAULT_SLOPE_CAP) -> Identity:
 # normal forms
 
 
-def _atom_order(atom: Atom):
-    if isinstance(atom, SeqTerm):
-        return (0, atom.kind.name, atom.index.sort_key())
-    return (1, "", atom.exponent.sort_key())
+# sequence terms by family name, then q powers; each by its index form
+_atom_order = attrgetter("order_key")
 
 
 class NormalForm:
@@ -767,18 +794,21 @@ class NormalForm:
         Sequence-term constants stay inside the atom; a q-power atom folds
         its new constant part into the scalar (as q^const) and disappears
         entirely if its exponent loses all variables.
+
+        Each distinct atom is instantiated once per call, however many
+        monomials share it, and an atom free of var is its own image.
         """
+        images: dict = {}  # atom -> (the atoms it becomes, its q exponent)
         out: dict = {}
         for atoms, scalar in self._terms.items():
             new_atoms = []
             k = 0
             for atom in atoms:
-                if isinstance(atom, SeqTerm):
-                    new_atoms.append(SeqTerm(atom.kind, atom.index.substitute(var, value)))
-                else:
-                    q_atoms, const = _q_power(atom.exponent.substitute(var, value))
-                    new_atoms.extend(q_atoms)
-                    k += const
+                image = images.get(atom)
+                if image is None:
+                    image = images[atom] = _substitute_atom(atom, var, value)
+                new_atoms += image[0]
+                k += image[1]
             key = tuple(sorted(new_atoms, key=_atom_order))
             s = scalar * q_power(k) if k else scalar
             got = out.get(key)
@@ -816,6 +846,17 @@ def _merge_atoms(atoms: tuple) -> tuple:
     if qlin is not None and not qlin.is_constant:
         seq_atoms.append(QPowTerm(qlin))
     return tuple(sorted(seq_atoms, key=_atom_order))
+
+
+def _substitute_atom(atom: Atom, var: str, value: int) -> tuple:
+    """(atoms, k): the atom at var = value is the atoms times the scalar q^k."""
+    lin = atom.index if isinstance(atom, SeqTerm) else atom.exponent
+    new = lin.substitute(var, value)
+    if new is lin:
+        return (atom,), 0
+    if isinstance(atom, SeqTerm):
+        return (SeqTerm(atom.kind, new),), 0
+    return _q_power(new)
 
 
 def _q_power(lin: LinForm) -> tuple:

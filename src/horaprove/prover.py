@@ -9,7 +9,8 @@ at a time from the normal form of lhs - rhs:
      alpha^(m*n) and beta^(m*n), and q^(t*n) is (alpha*beta)^(t*n).  A
      monomial's roots alpha^i beta^j are the sums of its atoms' roots; the
      annihilator is the product of one exact factor per conjugate class of
-     roots found anywhere in the goal (cfinite.from_root_classes).
+     roots found anywhere in the goal (cfinite.from_root_classes, which
+     builds it once per distinct set of classes).
   2. A sequence annihilated by an order-d recurrence whose constant term is
      a unit is determined on all of Z by d consecutive values, so the goal
      is zero everywhere iff it is zero at the index values 0..d-1.  Each of

@@ -144,10 +144,18 @@ class TermWindow:
         return numerator * (self.base // denominator), 1
 
     def base_power(self, e: int) -> int:
-        """B^e, for e >= 0."""
+        """B^e, for e >= 0.
+
+        The list keeps the powers the recurrences walk to, one step at a
+        time; a power further out is one pow and is not kept, so a far
+        power costs memory linear in e, not quadratic.
+        """
         powers = self._base_powers
-        while len(powers) <= e:
-            powers.append(powers[-1] * self.base)
+        if e < len(powers):
+            return powers[e]
+        if e > len(powers):
+            return self.base ** e
+        powers.append(powers[-1] * self.base)
         return powers[e]
 
     def term(self, kind: SequenceKind, k: int) -> Rational:
@@ -204,12 +212,17 @@ class TermWindow:
         return n * self.base_power(f - e) + m, f
 
     def _q_power(self, k: int) -> tuple:
+        """q^k as a pair; kept like base_power's powers of B."""
         powers = self._powers if k >= 0 else self._inverse_powers
+        k = abs(k)
+        if k < len(powers):
+            return powers[k]
         step, f = powers[1]
-        while len(powers) <= abs(k):
-            n, e = powers[-1]
-            powers.append((n * step, e + f))
-        return powers[abs(k)]
+        if k > len(powers):
+            return step ** k, f * k
+        n, e = powers[-1]
+        powers.append((n * step, e + f))
+        return powers[k]
 
 
 def slope_annihilator(kind: SequenceKind, m: int) -> Annihilator:

@@ -2,11 +2,14 @@
 
 import pytest
 
+from horaprove import cfinite
 from horaprove.cfinite import (
+    ANNIHILATOR_CACHE_SIZE,
     Annihilator,
     OrderMismatchError,
     ShortListError,
     annihilates,
+    from_root_classes,
     poly_divmod,
     product,
     sum_annihilators,
@@ -191,3 +194,34 @@ class TestCompanionAlgebra:
         inv = mat_inverse(m)
         assert mat_mul(m, inv) == identity(2)
         assert mat_mul(inv, m) == identity(2)
+
+
+class TestFromRootClasses:
+    CLASSES = [(0, 1), (1, 0), (0, 3), (1, 1)]
+
+    def test_permuted_or_duplicated_classes_give_one_annihilator(self):
+        ann = from_root_classes(self.CLASSES)
+        for variant in (
+            reversed(self.CLASSES),
+            self.CLASSES + self.CLASSES[:2],
+            {*self.CLASSES},
+            iter(sorted(self.CLASSES, key=lambda c: -c[1])),
+        ):
+            again = from_root_classes(variant)
+            assert again == ann and again.render() == ann.render()
+        assert ann.order == 7
+
+    def test_matches_the_product_of_its_factors(self):
+        # (x - q)(x^2 - p*x + q)(x^2 - q*p*x + q^3), factor by factor
+        factors = ((-q, one()), BASE.coeffs, (q ** 3, -(q * p), one()))
+        expected = (one(),)
+        for factor in factors:
+            expected = convolve(expected, factor)
+        assert from_root_classes([(1, 1), (0, 1), (1, 0)]).coeffs == expected
+
+    def test_cache_is_bounded(self):
+        assert cfinite._from_class_set.cache_info().maxsize == ANNIHILATOR_CACHE_SIZE
+
+    def test_render_is_built_once(self):
+        ann = from_root_classes(self.CLASSES)
+        assert ann.render() is ann.render()

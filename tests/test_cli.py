@@ -13,7 +13,7 @@ import pytest
 
 from horaprove import cli, corpus_path, parse_identity, prove
 from horaprove.cli import main
-from horaprove.prover import Counterexample, FuzzResult
+from horaprove.prover import DEFAULT_MAX_ORDER, Counterexample, FuzzResult
 from horaprove.ring import SYMBOLS
 
 PAPER = str(corpus_path("paper.fib"))
@@ -74,6 +74,12 @@ class TestVerify:
         assert "exponent 1099511627776 of q is outside" in captured.out
         assert f"{path}:2: PROVED" in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+    def test_default_cap_is_the_provers(self, capsys):
+        assert cli._build_parser().parse_args(["verify", PAPER]).max_order == DEFAULT_MAX_ORDER
+        assert main(["verify", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"exceeds K (default {DEFAULT_MAX_ORDER})" in help_text
 
     def test_raised_cap_allows_everything(self, capsys):
         assert main(["verify", PAPER, "--max-order", "128"]) == 0
@@ -218,6 +224,22 @@ class TestLargeInputs:
         assert main(["fuzz", str(path), "--trials", "20"]) == 0
         out = capsys.readouterr().out
         assert f"{path}:" in out and "PASS (20 trials)" in out
+
+    def test_far_constant_q_powers_pass_the_oracle(self, tmp_path, capsys):
+        # q^(±3000000) is a 3-million-bit integer at |q| = 2; the oracle keeps
+        # no list of every power below it.  (At |q| = 9 one such power takes
+        # seconds to compute, so the range stays at 2.)
+        path = tmp_path / "far.fib"
+        path.write_text(
+            "".join(
+                f"forall n: q^({k})*W(n+1) == q^({k})*(p*W(n) - q*W(n-1))\n"
+                for k in ("3000000", "-3000000")
+            ),
+            encoding="utf-8",
+        )
+        assert main(["fuzz", str(path), "--trials", "3", "--range", "2"]) == 0
+        out = capsys.readouterr().out
+        assert f"{path}:1: PASS (3 trials)" in out and f"{path}:2: PASS (3 trials)" in out
 
     def test_nesting_past_the_limit_is_a_positioned_error(self, tmp_path, capsys):
         path = tmp_path / "nested.fib"

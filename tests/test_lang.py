@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import eval_normal_form
@@ -32,7 +32,7 @@ from horaprove.lang import (
     render_file,
     render_identity,
 )
-from horaprove.ring import SYMBOLS, from_int, one, q_power, symbol
+from horaprove.ring import SYMBOLS, from_int, one, q_power, symbol, zero
 from horaprove.sequences import SequenceKind
 
 
@@ -354,3 +354,107 @@ class TestNormalizationSoundness:
         goal = identity_goal(idn)
         for r in range(-3, 4):
             assert eval_normal_form(goal, scalars, {"r": r}) == 0
+
+
+def old_atom_order(atom):
+    """The atom sort key as a tuple built per call, as atoms were once sorted."""
+    if isinstance(atom, SeqTerm):
+        return (0, atom.kind.name, (atom.index.coeffs, atom.index.const))
+    return (1, "", (atom.exponent.coeffs, atom.exponent.const))
+
+
+def reference_substitute(nf, var, value) -> dict:
+    """substitute_index rebuilt from scratch: every atom fresh, every key re-sorted."""
+    out = {}
+    for atoms, scalar in nf.monomials():
+        new_atoms, k = [], 0
+        for atom in atoms:
+            lin = atom.index if isinstance(atom, SeqTerm) else atom.exponent
+            coeffs = dict(lin.coeffs)
+            c = coeffs.pop(var, 0)
+            new = LinForm.make(coeffs, lin.const + c * value)
+            if isinstance(atom, SeqTerm):
+                new_atoms.append(SeqTerm(atom.kind, new))
+            else:
+                if not new.is_constant:
+                    new_atoms.append(QPowTerm(LinForm(new.coeffs, 0)))
+                k += new.const
+        key = tuple(sorted(new_atoms, key=old_atom_order))
+        total = out.get(key, zero()) + scalar * q_power(k)
+        if total.is_zero:
+            out.pop(key, None)
+        else:
+            out[key] = total
+    return out
+
+
+INDEX_VARS = ("i", "j", "k")
+index_forms = st.builds(
+    lambda coeffs, const: LinForm.make(dict(zip(INDEX_VARS, coeffs)), const).render(),
+    st.tuples(*[st.integers(-1, 1)] * len(INDEX_VARS)),
+    st.integers(-3, 3),
+)
+atom_texts = st.one_of(
+    st.builds(lambda name, lin: f"{name}({lin})", st.sampled_from(("W", "V", "u")), index_forms),
+    st.builds(lambda lin: f"q^({lin})", index_forms),
+)
+monomial_texts = st.builds(
+    lambda coeff, atoms: "*".join([str(coeff), *atoms]),
+    st.integers(1, 3),
+    st.lists(atom_texts, max_size=4),
+)
+
+
+class TestSubstitutionCaching:
+    """Atoms carry their key and hash; substitute_index builds each image once."""
+
+    @given(
+        st.lists(monomial_texts, min_size=1, max_size=6),
+        st.sampled_from(INDEX_VARS),
+        st.integers(-4, 4),
+    )
+    # W(i + 2) sorts before W(i - j), but W(i - 5) after W(i + 2)
+    @example(["W(i - j)*W(i + 2)"], "j", 5)
+    @settings(max_examples=80, deadline=None)
+    def test_substitute_index_matches_a_fresh_rebuild(self, monomials, var, value):
+        goal = normalize(parse_identity(f"forall i, j, k: {' - '.join(monomials)} == 0").lhs)
+        got = goal.substitute_index(var, value)
+        expected = reference_substitute(goal, var, value)
+        assert got == NormalForm(expected)
+        assert dict(got.monomials()) == expected
+        # monomials and the atoms in each are in the old tuple-key order
+        keys = [atoms for atoms, _scalar in got.monomials()]
+        assert keys == sorted(expected, key=lambda atoms: tuple(map(old_atom_order, atoms)))
+        assert all(list(atoms) == sorted(atoms, key=old_atom_order) for atoms in keys)
+        assert got.render() == NormalForm(expected).render()
+
+    def test_parsed_and_substituted_atoms_agree(self):
+        parsed = parse_identity("forall n: W(n+3)*q^(2*n) == 0").lhs.factors
+        instantiated = normalize(
+            parse_identity("forall n, j: W(n+j+3)*q^(2*n-j) == 0").lhs
+        ).substitute_index("j", 0)
+        ((atoms, scalar),) = instantiated.monomials()
+        assert scalar == one()
+        for left, right in zip(parsed, atoms):
+            assert left == right
+            assert hash(left) == hash(right)
+            assert left.order_key == right.order_key == old_atom_order(left)
+
+    def test_atoms_of_another_kind_or_index_differ(self):
+        w = SeqTerm(SequenceKind.W, LinForm.make({"n": 1}, 3))
+        others = (
+            SeqTerm(SequenceKind.V, LinForm.make({"n": 1}, 3)),
+            SeqTerm(SequenceKind.W, LinForm.make({"n": 1}, 4)),
+            SeqTerm(SequenceKind.W, LinForm.make({"n": 2}, 3)),
+            QPowTerm(LinForm.make({"n": 1}, 3)),
+        )
+        for other in others:
+            assert w != other and other != w
+            assert w.order_key != other.order_key
+        assert repr(w) == (
+            "SeqTerm(kind=<SequenceKind.W: 'W'>, index=LinForm(coeffs=(('n', 1),), const=3))"
+        )
+
+    def test_substitute_leaves_a_form_without_the_variable_as_it_is(self):
+        lin = LinForm.make({"n": 2}, 1)
+        assert lin.substitute("m", 4) is lin

@@ -174,6 +174,13 @@ class TestProve:
         assert cert.root is None and cert.leaves == []
         assert "cap" in cert.reason and cert.witness is None
 
+    def test_order_cap_aborts_after_the_class_set_was_built(self, corpus_identities):
+        triple_product = by_fragment(corpus_identities, "W(n+1)*W(n+2)*W(n+6)")
+        assert prove(triple_product).verdict == PROVED
+        cert = prove(triple_product, config=ProverConfig(max_order=3))
+        assert cert.verdict == ABORTED
+        assert cert.reason == "annihilator order 4 for index 'n' exceeds the cap 3"
+
     def test_large_q_power_within_the_ring_range_proves(self):
         law = "forall n: q^(100000)*W(n+1) == q^(100000)*(p*W(n) - q*W(n-1))"
         assert prove(parse_identity(law)).verdict == PROVED

@@ -1,5 +1,6 @@
 """Symbolic and numeric terms of the four sequence families."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,19 @@ class TestTermWindow:
                 got = window.term(kind, k)
                 assert type(got) in (int, Fraction)
                 assert got == symbolic_term(kind, k).evaluate(asgn)
+
+    def test_far_q_powers_cost_memory_linear_in_k(self):
+        # q^20000 is about 8 kB; keeping every power up to it took about 77 MB
+        window = TermWindow({s: Fraction(9 if s == "q" else 1) for s in SYMBOLS})
+        tracemalloc.start()
+        try:
+            forward = window.term(GEOQ, 20000)
+            backward = window.term(GEOQ, -20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forward == 9**20000 and backward == Fraction(1, 9**20000)
+        assert peak < 200_000
 
     @given(integral_assignments(), st.lists(st.integers(0, 40), min_size=1, max_size=24))
     @settings(max_examples=30, deadline=None)

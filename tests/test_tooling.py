@@ -9,6 +9,7 @@ test that installs it uninstalls it again.
 import importlib.util
 from pathlib import Path
 
+from conftest import by_fragment
 from horaprove import corpus_path, parse_file, prove
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -45,3 +46,24 @@ def test_ring_layers_stay_traceable():
     layers = tracer.layer_metrics()
     assert layers["ring.mul_calls"] > 0
     assert layers["ring.add_calls"] > 0
+
+
+def test_elimination_layers_stay_traceable():
+    """Cached substitution and synthesis still go through the wrapped callables.
+
+    A memo that routed instantiation or annihilator lookup around
+    `NormalForm.substitute_index` or `prover.annihilator_for` would make
+    the `lang.substitute` and `prover.synth` layers read 0.
+    """
+    paper = parse_file(corpus_path("paper.fib").read_text()).identities
+    identity = by_fragment(paper, "forall m, n: W(m+n+1)")
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        cert = prove(identity)
+    finally:
+        tracer.uninstall()
+    assert cert.verdict == "PROVED"
+    layers = tracer.layer_metrics()
+    assert layers["lang.substitute_calls"] > 0
+    assert layers["prover.synth_calls"] > 0
