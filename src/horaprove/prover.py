@@ -25,10 +25,12 @@ beyond recurrence windows and polynomial arithmetic.
 
 The fuzz oracle evaluates the original syntax tree lhs - rhs (not the
 normal form: an independent route) at seeded random assignments (integer
-draws, rational pins), exactly: one tree per trial, its terms read from
-one TermWindow per trial, and every value an integer pair (N, e) meaning
-N / B^e over the window's one base B, so that a trial builds no Fraction
-until its one final value.
+draws, rational pins), exactly.  The tree and each let body it reaches are
+compiled once per fuzz call into a tree of closures, one per node, so a
+trial dispatches on no node type; a trial calls the closures, which read
+their terms from one TermWindow per trial.  Every value is an integer pair
+(N, e) meaning N / B^e over the window's one base B, so a trial builds no
+Fraction unless its difference is nonzero.
 """
 
 from __future__ import annotations
@@ -38,13 +40,14 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .cfinite import Annihilator, class_order, from_root_classes, root_class
 from .lang import (
     Expr,
     Identity,
     IntLit,
+    LinForm,
     NameRef,
     NormalForm,
     Pow,
@@ -343,7 +346,8 @@ class FuzzResult:
 def fuzz(identity: Identity, trials: int, seed: int, value_range: int) -> FuzzResult:
     """Evaluate lhs - rhs exactly at seeded uniform integer assignments.
 
-    One tree holds both sides, so each let is valued once per trial.
+    The goal lhs - rhs and each reached let body are compiled once; a trial
+    opens one TermWindow, values the lets in order and calls the goal.
     Scalars are drawn from [-value_range, value_range] (q redrawn until
     nonzero, then overridden by pins), index variables from the same range;
     negative indices exercise the backward extensions.  Deterministic for a
@@ -356,7 +360,8 @@ def fuzz(identity: Identity, trials: int, seed: int, value_range: int) -> FuzzRe
     rng = random.Random(seed)
     pins = identity.pin_map()
     bindings = identity.bindings()
-    goal = Sum(((1, identity.lhs), (-1, identity.rhs)))
+    goal = _compile(Sum(((1, identity.lhs), (-1, identity.rhs))))
+    lets = _compile_lets(bindings)
     for trial in range(1, trials + 1):
         scalars = {}
         for name in SYMBOLS:
@@ -367,8 +372,10 @@ def fuzz(identity: Identity, trials: int, seed: int, value_range: int) -> FuzzRe
             scalars[name] = value
         scalars.update(pins)
         indices = {v: rng.randint(-value_range, value_range) for v in identity.index_vars}
-        difference = evaluate_expr(goal, scalars, indices, bindings)
-        if difference:
+        window = TermWindow(scalars)
+        n, e = _run(goal, lets, window, indices)
+        if n:
+            difference = Fraction(n, window.base_power(e))
             lhs = evaluate_expr(identity.lhs, scalars, indices, bindings)
             return FuzzResult(
                 identity,
@@ -393,49 +400,123 @@ def evaluate_expr(
     """Exact value of a syntax tree; the oracle route, bypassing normal forms.
 
     bindings maps let names to their bodies; each is valued once, before
-    the tree.  Every term is read from one TermWindow for the assignment,
-    and every value is an integer pair (N, e) meaning N / B^e over the
-    window's base B, until the one Fraction of the result.
+    the tree.  The tree and the bodies are compiled as fuzz compiles them,
+    then run once: every term is read from one TermWindow for the
+    assignment, and every value is an integer pair (N, e) meaning N / B^e
+    over the window's base B, until the one Fraction of the result.
     """
     window = TermWindow(scalars)
-    values = let_values(bindings, lambda body, values: _evaluate(body, window, indices, values))
-    n, e = _evaluate(expr, window, indices, values)
+    n, e = _run(_compile(expr), _compile_lets(bindings), window, indices)
     return Fraction(n, window.base_power(e))
 
 
-def _evaluate(
-    expr: Expr,
-    window: TermWindow,
-    indices: Mapping[str, int],
-    values: Mapping[str, tuple],
+# A compiled node is a closure (window, indices, values) -> (N, e): it reads
+# its terms from the window, its index variables from indices and its let
+# names' pairs from values.
+Compiled = Callable[[TermWindow, Mapping[str, int], Mapping[str, tuple]], tuple]
+
+
+def _compile_lets(bindings: Mapping[str, Expr]) -> dict:
+    return {name: _compile(body) for name, body in bindings.items()}
+
+
+def _run(
+    goal: Compiled, lets: Mapping[str, Compiled], window: TermWindow, indices: Mapping[str, int]
 ) -> tuple:
+    """The goal's pair, after valuing the compiled lets once each, in order."""
+    values = let_values(lets, lambda body, values: body(window, indices, values))
+    return goal(window, indices, values)
+
+
+def _compile(expr: Expr) -> Compiled:
+    """One closure per node of the tree, built once.
+
+    Every per-node decision is taken here: a call dispatches on no node
+    type, and a term's closure holds its kind and its index form's constant
+    and (variable, coefficient) pairs, so it never calls LinForm.value.
+    """
     if isinstance(expr, IntLit):
-        return expr.value, 0
+        pair = expr.value, 0
+        return lambda window, indices, values: pair
     if isinstance(expr, ScalarRef):
-        return window.scalars[expr.name]
+        name = expr.name
+        return lambda window, indices, values: window.scalars[name]
     if isinstance(expr, NameRef):
-        return values[expr.name]
+        name = expr.name
+        return lambda window, indices, values: values[name]
     if isinstance(expr, SeqTerm):
-        return window.term_pair(expr.kind, expr.index.value(indices))
+        return _compile_term(expr.kind, expr.index)
     if isinstance(expr, QPowTerm):
-        return window.term_pair(SequenceKind.GEOQ, expr.exponent.value(indices))
+        return _compile_term(SequenceKind.GEOQ, expr.exponent)
     if isinstance(expr, Sum):
-        (sign, first), *rest = expr.terms
-        n, e = _evaluate(first, window, indices, values)
-        total = (n if sign > 0 else -n), e
-        for sign, term in rest:
-            n, f = _evaluate(term, window, indices, values)
-            total = window.add(total, (n if sign > 0 else -n, f))
-        return total
+        return _compile_sum(expr)
     if isinstance(expr, Product):
-        first, *rest = expr.factors
-        total, e = _evaluate(first, window, indices, values)
-        for factor in rest:
-            n, f = _evaluate(factor, window, indices, values)
-            total *= n
-            e += f
-        return total, e
+        return _compile_product(expr)
     if isinstance(expr, Pow):
-        n, e = _evaluate(expr.base, window, indices, values)
-        return n ** expr.exponent, e * expr.exponent
+        return _compile_pow(expr)
     raise TypeError(f"unexpected node {expr!r}")
+
+
+def _compile_term(kind: SequenceKind, form: LinForm) -> Compiled:
+    const, coeffs = form.const, form.coeffs
+    if not coeffs:
+        return lambda window, indices, values: window.term_pair(kind, const)
+    if len(coeffs) == 1:
+        ((var, c),) = coeffs
+        return lambda window, indices, values: window.term_pair(kind, const + c * indices[var])
+
+    def term(window, indices, values):
+        k = const
+        for var, c in coeffs:
+            k += c * indices[var]
+        return window.term_pair(kind, k)
+
+    return term
+
+
+def _compile_sum(expr: Sum) -> Compiled:
+    (sign, first), *rest = expr.terms
+    first = _compile(first)
+    negate_first = sign < 0
+    rest = tuple((sign < 0, _compile(term)) for sign, term in rest)
+
+    def total(window, indices, values):
+        n, e = first(window, indices, values)
+        if negate_first:
+            n = -n
+        for negate, term in rest:
+            m, f = term(window, indices, values)
+            if negate:
+                m = -m
+            if e == f:  # window.add's common case, inline
+                n += m
+            else:
+                n, e = window.add((n, e), (m, f))
+        return n, e
+
+    return total
+
+
+def _compile_product(expr: Product) -> Compiled:
+    first, *rest = map(_compile, expr.factors)
+    rest = tuple(rest)
+
+    def product(window, indices, values):
+        n, e = first(window, indices, values)
+        for factor in rest:
+            m, f = factor(window, indices, values)
+            n *= m
+            e += f
+        return n, e
+
+    return product
+
+
+def _compile_pow(expr: Pow) -> Compiled:
+    base, k = _compile(expr.base), expr.exponent
+
+    def power(window, indices, values):
+        n, e = base(window, indices, values)
+        return n**k, e * k
+
+    return power

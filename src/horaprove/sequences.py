@@ -40,6 +40,11 @@ class SequenceKind(Enum):
     U = "u"
     GEOQ = "q^n"
 
+    # Members are singletons and equality is identity, so the identity hash
+    # is consistent with it; it skips Enum.__hash__, a Python-level call on
+    # every dict lookup keyed by a kind.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class SequenceDef:

@@ -19,6 +19,7 @@ from horaprove.ring import SYMBOLS
 PAPER = str(corpus_path("paper.fib"))
 MUTATIONS = str(corpus_path("mutations.fib"))
 TEMPLATE = str(corpus_path("horadam_extra.fib"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestVerify:
@@ -55,6 +56,25 @@ class TestVerify:
         assert main(["verify", str(bad)]) == 2
         err = capsys.readouterr().err
         assert f"{bad}:1:" in err
+
+    @pytest.mark.parametrize(
+        "text, col",
+        [
+            ("forall n: W(n+²) == W(n)", 15),  # in an index form
+            ("forall n: W(n)^² == W(n)^2", 16),  # as an exponent
+            ("forall n: ²*W(n) == W(n)", 11),  # as a literal factor
+            ("forall n: 2①*W(n) == W(n)", 12),  # after a decimal digit
+        ],
+    )
+    def test_non_decimal_digit_is_a_positioned_error(self, text, col, tmp_path, capsys):
+        # str.isdigit accepts these characters, but int() does not
+        path = tmp_path / "digit.fib"
+        path.write_text(text + "\n", encoding="utf-8")
+        for command in ("verify", "fuzz"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"{path}:1:{col}: unexpected character" in err
+            assert "Traceback" not in err
 
     def test_order_cap_aborts_with_exit_two(self, capsys):
         assert main(["verify", PAPER, "--max-order", "3"]) == 2
@@ -184,6 +204,17 @@ class TestFuzzCommand:
         main(["fuzz", MUTATIONS, "--seed", "9"])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_whole_report_matches_the_golden_file(self, seed, capsys, monkeypatch):
+        # every draw and every printed value of both shipped files; the
+        # golden files hold the report as the oracle printed it, with paths
+        # relative to the corpus directory
+        monkeypatch.chdir(corpus_path("paper.fib").parent)
+        args = ["fuzz", "paper.fib", "mutations.fib", "--seed", str(seed)]
+        assert main([*args, "--trials", "200", "--range", "9"]) == 1
+        golden = GOLDEN / f"fuzz_seed{seed}.txt"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_zero_trials_usage_error(self, capsys):
         assert main(["fuzz", PAPER, "--trials", "0"]) == 2

@@ -4,10 +4,27 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import by_fragment, walk
+from conftest import by_fragment, eval_normal_form, rational_assignments, walk
 from horaprove.cfinite import Annihilator
-from horaprove.lang import NormalForm, identity_goal, normalize, parse_file, parse_identity
+from horaprove.lang import (
+    IntLit,
+    LinForm,
+    NameRef,
+    NormalForm,
+    Pow,
+    Product,
+    QPowTerm,
+    ScalarRef,
+    SeqTerm,
+    Sum,
+    identity_goal,
+    normalize,
+    parse_file,
+    parse_identity,
+)
 from horaprove.prover import (
     ABORTED,
     PROVED,
@@ -406,3 +423,58 @@ class TestEvaluateExpr:
         w = numeric_term(SequenceKind.W, 2, scalars)
         v = numeric_term(SequenceKind.V, 2, scalars)
         assert evaluate_expr(idn.lhs, scalars, {"n": 2}, {}) == -((w - v) ** 3)
+
+
+# Random syntax trees with every node kind, for the compiled evaluator.  Index
+# forms have 0, 1 or 2 variables, since the compiler special-cases each count.
+TREE_INDICES = ("m", "n")
+tree_forms = st.builds(
+    lambda names, coeffs, const: LinForm.make(dict(zip(names, coeffs)), const),
+    st.sampled_from(((), ("m",), ("n",), TREE_INDICES)),
+    st.tuples(*[st.integers(-3, 3).filter(bool)] * len(TREE_INDICES)),
+    st.integers(-4, 4),
+)
+
+
+def trees(names: tuple, max_leaves: int):
+    """Trees whose NameRef leaves name one of `names` (let names)."""
+    leaves = [
+        st.builds(IntLit, st.integers(-5, 5)),
+        st.builds(ScalarRef, st.sampled_from(SYMBOLS)),
+        st.builds(
+            SeqTerm,
+            st.sampled_from((SequenceKind.W, SequenceKind.V, SequenceKind.U)),
+            tree_forms,
+        ),
+        st.builds(QPowTerm, tree_forms),
+    ]
+    if names:
+        leaves.append(st.builds(NameRef, st.sampled_from(names)))
+    return st.recursive(
+        st.one_of(leaves),
+        lambda children: st.one_of(
+            st.builds(
+                Sum,
+                st.lists(st.tuples(st.sampled_from((1, -1)), children), min_size=1, max_size=3)
+                .map(tuple),
+            ),
+            st.builds(Product, st.lists(children, min_size=2, max_size=3).map(tuple)),
+            st.builds(Pow, children, st.integers(0, 3)),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+class TestCompiledEvaluator:
+    @given(
+        trees(("e0", "e1"), 6),
+        st.tuples(trees((), 3), trees(("e0",), 3)),
+        rational_assignments(),
+        st.fixed_dictionaries({v: st.integers(-6, 6) for v in TREE_INDICES}),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_normal_form_value(self, expr, bodies, scalars, indices):
+        # e1 reads e0, and the tree reads both: a let chain of two
+        bindings = dict(zip(("e0", "e1"), bodies))
+        got = evaluate_expr(expr, scalars, indices, bindings)
+        assert got == eval_normal_form(normalize(expr, bindings), scalars, indices)
