@@ -286,3 +286,4 @@ def poly_divmod(num: Sequence, den: Sequence):
 
 X_MINUS_ONE = Annihilator((LaurentPoly.from_int(-1), one()))
 ORDER_TWO_BASE = Annihilator((symbol("q"), -symbol("p"), one()))
+GEOQ_BASE = Annihilator((-symbol("q"), one()))

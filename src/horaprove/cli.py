@@ -213,8 +213,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Prove or refute identities among generalized Fibonacci sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    oracle = argparse.ArgumentParser(add_help=False)
+    oracle.add_argument("--seed", type=int, default=0, help="oracle seed (default 0)")
+    oracle.add_argument("--trials", type=int, default=200, help="oracle trials (default 200)")
+    oracle.add_argument("--range", type=int, default=9,
+                        help="oracle bound for scalars and indices (default 9)")
 
-    verify = sub.add_parser("verify", help="decide every identity in the given files")
+    verify = sub.add_parser(
+        "verify", parents=[oracle], help="decide every identity in the given files"
+    )
     verify.add_argument("paths", nargs="+", help="identity files")
     verify.add_argument("--cert-out", metavar="DIR", help="write one JSON certificate per identity")
     verify.add_argument(
@@ -227,17 +234,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"(default {DEFAULT_MAX_ORDER})")
     verify.add_argument("--fuzz-after", action="store_true",
                         help="run the numeric oracle on every PROVED identity")
-    verify.add_argument("--seed", type=int, default=0, help="oracle seed (default 0)")
-    verify.add_argument("--trials", type=int, default=200, help="oracle trials (default 200)")
-    verify.add_argument("--range", type=int, default=9,
-                        help="oracle bound for scalars and indices (default 9)")
 
-    fuzz_cmd = sub.add_parser("fuzz", help="numerically test every identity in the given files")
+    fuzz_cmd = sub.add_parser(
+        "fuzz", parents=[oracle], help="numerically test every identity in the given files"
+    )
     fuzz_cmd.add_argument("paths", nargs="+", help="identity files")
-    fuzz_cmd.add_argument("--seed", type=int, default=0, help="oracle seed (default 0)")
-    fuzz_cmd.add_argument("--trials", type=int, default=200, help="oracle trials (default 200)")
-    fuzz_cmd.add_argument("--range", type=int, default=9,
-                          help="oracle bound for scalars and indices (default 9)")
     return parser
 
 
@@ -247,10 +248,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    if getattr(args, "trials", 1) < 1:
+    if args.trials < 1:
         print("error: --trials must be at least 1", file=sys.stderr)
         return EXIT_ERROR
-    if getattr(args, "range", 1) < 1:
+    if args.range < 1:
         print("error: --range must be at least 1", file=sys.stderr)
         return EXIT_ERROR
     if getattr(args, "max_order", 1) < 1:

@@ -45,8 +45,9 @@ from typing import Callable, Iterator, Mapping, Union
 from .ring import SYMBOLS, LaurentPoly, from_int, one, q_power, render_sum, symbol
 from .sequences import SequenceKind
 
-SEQ_NAMES = {"W": SequenceKind.W, "V": SequenceKind.V, "u": SequenceKind.U}
-KEYWORDS = {"forall", "let", "with"}
+# q^n is written q^(...), so every other family's value is its surface name
+SEQ_NAMES = {kind.value: kind for kind in SequenceKind if kind is not SequenceKind.GEOQ}
+RESERVED = frozenset((*SYMBOLS, *SEQ_NAMES, "forall", "let", "with"))
 DEFAULT_SLOPE_CAP = 8
 # Each open parenthesis costs the parser four stack frames and every tree
 # walker one or two, so a fixed bound keeps all of them far from the
@@ -387,7 +388,7 @@ class _Parser:
         kw = self.expect("let")
         name_tok = self.expect_name("a name to bind")
         name = name_tok.text
-        if name in SYMBOLS or name in SEQ_NAMES or name in KEYWORDS:
+        if name in RESERVED:
             raise ParseError(
                 f"cannot bind reserved name {name!r}", name_tok.line, name_tok.col
             )
@@ -449,7 +450,7 @@ class _Parser:
     def parse_index_var(self, taken: tuple) -> str:
         tok = self.expect_name("an index variable")
         name = tok.text
-        if name in SYMBOLS or name in SEQ_NAMES or name in KEYWORDS:
+        if name in RESERVED:
             raise ParseError(
                 f"index variable cannot shadow reserved name {name!r}", tok.line, tok.col
             )

@@ -365,13 +365,13 @@ def fuzz(identity: Identity, trials: int, seed: int, value_range: int) -> FuzzRe
     for trial in range(1, trials + 1):
         scalars = {}
         for name in SYMBOLS:
-            value = rng.randint(-value_range, value_range)
+            value = rng.randrange(-value_range, value_range + 1)
             if name == "q":
                 while value == 0:
-                    value = rng.randint(-value_range, value_range)
+                    value = rng.randrange(-value_range, value_range + 1)
             scalars[name] = value
         scalars.update(pins)
-        indices = {v: rng.randint(-value_range, value_range) for v in identity.index_vars}
+        indices = {v: rng.randrange(-value_range, value_range + 1) for v in identity.index_vars}
         window = TermWindow(scalars)
         n, e = _run(goal, lets, window, indices)
         if n:

@@ -193,14 +193,6 @@ class LaurentPoly:
             return 0
         return max(_unpack(key)[i] for key in self._terms)
 
-    def as_int(self) -> int:
-        """The value of a constant polynomial; ValueError if non-constant."""
-        if not self._terms:
-            return 0
-        if list(self._terms) == [_UNIT]:
-            return self._terms[_UNIT]
-        raise ValueError(f"not a constant polynomial: {self}")
-
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
@@ -326,45 +318,6 @@ class LaurentPoly:
                 term *= values[name] ** e
             total += term
         return total
-
-    def substitute(self, values: Mapping[str, int]) -> "LaurentPoly":
-        """Exact substitution of integers for symbols.
-
-        A substituted symbol must either appear only with non-negative
-        exponents or be replaced by +-1 (otherwise the result would leave
-        the integer-coefficient ring).
-        """
-        idx = {}
-        for name, v in values.items():
-            i = _SYMBOL_INDEX.get(name)
-            if i is None:
-                raise ValueError(f"unknown symbol {name!r}")
-            idx[i] = v
-        out: dict = {}
-        for key, coeff in self._terms.items():
-            exps = _unpack(key)
-            c = coeff
-            new = list(exps)
-            for i, v in idx.items():
-                e = exps[i]
-                if e < 0:
-                    if v == 0:
-                        raise ZeroQError("q must be nonzero")
-                    if abs(v) != 1:
-                        raise ValueError(
-                            f"cannot substitute {v} for {SYMBOLS[i]} at negative exponent"
-                        )
-                    c *= v ** (-e)
-                else:
-                    c *= v ** e
-                new[i] = 0
-            key = _pack(new)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return LaurentPoly._raw(out)
 
     def pin_substitute(self, pins: Mapping[str, Rational]) -> "LaurentPoly":
         """Substitute nonzero rationals for symbols, up to a nonzero scale.

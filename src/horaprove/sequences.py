@@ -1,15 +1,15 @@
 """The recurrence families the prover reasons about, and their terms.
 
-Four families of atoms appear in identities:
+Four families of atoms appear in identities.  W, V and u run one
+recurrence, X(n+2) = p*X(n+1) - q*X(n) (cfinite.ORDER_TWO_BASE), and
+differ only in their seeds X(0), X(1), which SEEDS writes once per
+family; u is the fundamental one.  q^n runs X(n+1) = q*X(n)
+(cfinite.GEOQ_BASE).
 
-    W   order 2, seeds a, b          X(n+2) = p*X(n+1) - q*X(n)
-    V   order 2, seeds c, d          (same recurrence)
-    U   order 2, seeds 0, 1          (same recurrence; the fundamental one)
-    GEOQ order 1, n -> q^n           X(n+1) = q*X(n)
-
-Terms extend to every integer index: the backward step divides by the
-trailing recurrence coefficient, a power of q, which is invertible in the
-coefficient ring.  symbolic_term produces the exact ring element for a
+A family's surface name in the identity language is its SequenceKind
+value.  Terms extend to every integer index: the backward step divides by
+the trailing recurrence coefficient, a power of q, which is invertible in
+the coefficient ring.  symbolic_term produces the exact ring element for a
 fixed index; a TermWindow the exact values of every family under one
 assignment, each term computed once and kept as an integer pair (N, e)
 meaning N / B^e over one base B for the assignment (numeric_term is one
@@ -22,14 +22,13 @@ power of the family's companion matrix (inverted first when m < 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Union
 
 from . import linalg
-from .cfinite import ORDER_TWO_BASE, X_MINUS_ONE, Annihilator
-from .ring import LaurentPoly, ZeroQError, from_int, one, q_power, symbol
+from .cfinite import GEOQ_BASE, ORDER_TWO_BASE, X_MINUS_ONE, Annihilator
+from .ring import LaurentPoly, ZeroQError, from_int, q_power, symbol
 
 Rational = Union[int, Fraction]
 
@@ -46,36 +45,25 @@ class SequenceKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class SequenceDef:
-    kind: SequenceKind
-    order: int
-    initial: tuple
-    charpoly: tuple  # ascending, monic; constant term a power of q
-
-
-# the lattice of roots in the prover assumes every order-2 family shares it
-_CHAR_ORDER2 = ORDER_TWO_BASE.coeffs
-
-SEQUENCE_DEFS = {
-    SequenceKind.W: SequenceDef(
-        SequenceKind.W, 2, (symbol("a"), symbol("b")), _CHAR_ORDER2
-    ),
-    SequenceKind.V: SequenceDef(
-        SequenceKind.V, 2, (symbol("c"), symbol("d")), _CHAR_ORDER2
-    ),
-    SequenceKind.U: SequenceDef(
-        SequenceKind.U, 2, (from_int(0), from_int(1)), _CHAR_ORDER2
-    ),
-    SequenceKind.GEOQ: SequenceDef(
-        SequenceKind.GEOQ, 1, (one(),), (-symbol("q"), one())
-    ),
+# The seeds X(0), X(1) of each family that runs ORDER_TWO_BASE, each a
+# scalar symbol's name or an integer.  Every property of the recurrence
+# holds whatever the seeds (Horadam, Fibonacci Quarterly 3, 1965), so the
+# seeds are all that tells these families apart.
+SEEDS = {
+    SequenceKind.W: ("a", "b"),
+    SequenceKind.V: ("c", "d"),
+    SequenceKind.U: (0, 1),
 }
+
+# X(n+2) = -c1 X(n+1) - c0 X(n), and backward X(n) = -c0^-1 (X(n+2) + c1 X(n+1))
+_C0, _C1, _ = ORDER_TWO_BASE.coeffs
+_C0_INV = _C0.unit_inverse()
 
 # Term caches grow outward from the seeds and are only ever extended, never
 # mutated in place, so sharing across calls is safe.
 _term_cache: dict = {
-    kind: dict(enumerate(d.initial)) for kind, d in SEQUENCE_DEFS.items()
+    kind: {k: symbol(s) if isinstance(s, str) else from_int(s) for k, s in enumerate(seeds)}
+    for kind, seeds in SEEDS.items()
 }
 
 
@@ -87,16 +75,14 @@ def symbolic_term(kind: SequenceKind, k: int) -> LaurentPoly:
     got = cache.get(k)
     if got is not None:
         return got
-    c0, c1, _ = SEQUENCE_DEFS[kind].charpoly
-    c0_inv = c0.unit_inverse()
     hi = max(cache)
-    while hi < k:  # X(n+2) = -c1 X(n+1) - c0 X(n)
+    while hi < k:
         hi += 1
-        cache[hi] = -c1 * cache[hi - 1] - c0 * cache[hi - 2]
+        cache[hi] = -_C1 * cache[hi - 1] - _C0 * cache[hi - 2]
     lo = min(cache)
-    while lo > k:  # X(n) = -c0^-1 (X(n+2) + c1 X(n+1))
+    while lo > k:
         lo -= 1
-        cache[lo] = -c0_inv * (cache[lo + 2] + c1 * cache[lo + 1])
+        cache[lo] = -_C0_INV * (cache[lo + 2] + _C1 * cache[lo + 1])
     return cache[k]
 
 
@@ -190,12 +176,7 @@ class TermWindow:
         return backward[-k]
 
     def _open(self, kind: SequenceKind) -> tuple:
-        if kind is SequenceKind.W:
-            x0, x1 = self.scalars["a"], self.scalars["b"]
-        elif kind is SequenceKind.V:
-            x0, x1 = self.scalars["c"], self.scalars["d"]
-        else:
-            x0, x1 = (0, 0), (1, 0)
+        x0, x1 = [self.scalars[s] if isinstance(s, str) else (s, 0) for s in SEEDS[kind]]
         p, ep = self.scalars["p"]
         z1 = self.add((p * x0[0], ep + x0[1]), (-x1[0], x1[1]))  # Z(1) = p*X(0) - X(1)
         return [x0, x1], [x0, z1], [x0]
@@ -245,10 +226,10 @@ def slope_annihilator(kind: SequenceKind, m: int) -> Annihilator:
     if m == 0:
         ann = X_MINUS_ONE
     else:
-        seq_def = SEQUENCE_DEFS[kind]
-        mat = linalg.companion(seq_def.charpoly)
+        coeffs = (GEOQ_BASE if kind is SequenceKind.GEOQ else ORDER_TWO_BASE).coeffs
+        mat = linalg.companion(coeffs)
         if m < 0:
-            mat = linalg.mat_inverse(mat, seq_def.charpoly)
+            mat = linalg.mat_inverse(mat, coeffs)
         ann = Annihilator(linalg.charpoly(linalg.mat_pow(mat, abs(m))))
     _slope_cache[key] = ann
     return ann

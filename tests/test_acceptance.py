@@ -94,7 +94,7 @@ def test_6_reflection_and_specialization():
         assert symbolic_term(SequenceKind.U, -k) == \
             -q_power(-k) * symbolic_term(SequenceKind.U, k)
     for k in range(-6, 7):
-        specialized = symbolic_term(SequenceKind.W, k).substitute({"a": 0, "b": 1})
+        specialized = symbolic_term(SequenceKind.W, k).pin_substitute({"a": 0, "b": 1})
         assert specialized == symbolic_term(SequenceKind.U, k)
     print("\nPASS 6: u(-k) = -q^(-k) u(k) for k in [1, 8] and the a:=0, b:=1 "
           "specialization of W equals u for k in [-6, 6], symbolically")

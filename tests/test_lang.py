@@ -10,6 +10,7 @@ from conftest import eval_normal_form
 from horaprove.lang import (
     DEFAULT_SLOPE_CAP,
     MAX_NESTING,
+    RESERVED,
     Identity,
     LetDecl,
     LinForm,
@@ -150,11 +151,18 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_identity("forall n: W(n+1 == W(n)")
 
-    def test_reserved_index_variable(self):
-        with pytest.raises(ParseError):
-            parse_identity("forall q: W(q) == W(q)")
-        with pytest.raises(ParseError):
-            parse_identity("forall W: W(W) == 0")
+    def test_reserved_names_are_the_scalars_families_and_keywords(self):
+        assert RESERVED == {*"pabcdq", "W", "V", "u", "forall", "let", "with"}
+
+    @pytest.mark.parametrize("name", sorted(RESERVED))
+    def test_reserved_name_cannot_be_bound(self, name):
+        with pytest.raises(ParseError, match=f"cannot bind reserved name '{name}'"):
+            parse_file(f"let {name} = 1\n")
+
+    @pytest.mark.parametrize("name", sorted(RESERVED))
+    def test_reserved_name_cannot_be_an_index_variable(self, name):
+        with pytest.raises(ParseError, match=f"cannot shadow reserved name '{name}'"):
+            parse_identity(f"forall {name}: u(0) == u(0)")
 
     def test_zero_q_pin_rejected(self):
         with pytest.raises(ParseError, match="nonzero"):
@@ -291,6 +299,15 @@ class TestRenderRoundTrip:
         for side, side_again in ((idn.lhs, again.lhs), (idn.rhs, again.rhs)):
             value = evaluate_expr(side, scalars, indices, {})
             assert evaluate_expr(side_again, scalars, indices, {}) == value
+
+    @pytest.mark.parametrize(
+        "name, kind", [("W", SequenceKind.W), ("V", SequenceKind.V), ("u", SequenceKind.U)]
+    )
+    def test_family_surface_name_round_trips(self, name, kind):
+        text = f"forall n: {name}(2*n + 1) == {name}(n)"
+        idn = parse_identity(text)
+        assert idn.lhs.kind is kind and idn.rhs.kind is kind
+        assert render_identity(idn) == text
 
     def test_pins_render(self):
         text = "forall n: u(n) == u(n) with p := 1, q := -1/2"

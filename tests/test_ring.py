@@ -206,7 +206,7 @@ class TestPackedExponents:
         assert q_power(-(2**30)).min_exponent("q") == -(2**30)
 
 
-class TestEvaluateAndSubstitute:
+class TestEvaluate:
     def test_evaluate_q_zero_rejected(self):
         with pytest.raises(ZeroQError):
             q_power(-1).evaluate({s: Fraction(0) for s in SYMBOLS})
@@ -214,25 +214,6 @@ class TestEvaluateAndSubstitute:
     def test_evaluate_missing_symbol(self):
         with pytest.raises(KeyError):
             (p + a).evaluate({"p": Fraction(1)})
-
-    def test_substitute_partial_then_evaluate(self):
-        f = p * p * q + a * b
-        part = f.substitute({"p": 3})
-        full = {"a": Fraction(2), "b": Fraction(5), "q": Fraction(7)}
-        assert part.evaluate(full) == f.evaluate({"p": Fraction(3), **full})
-
-    def test_substitute_negative_exponent_needs_unit(self):
-        f = q_power(-2)
-        assert f.substitute({"q": -1}) == one()
-        with pytest.raises(ZeroQError):
-            f.substitute({"q": 0})
-        with pytest.raises(ValueError):
-            f.substitute({"q": 2})
-
-    def test_as_int(self):
-        assert (from_int(5) - from_int(2)).as_int() == 3
-        with pytest.raises(ValueError):
-            p.as_int()
 
 
 class TestUnits:

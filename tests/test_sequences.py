@@ -11,7 +11,6 @@ from conftest import rational_assignments
 from horaprove.cfinite import ORDER_TWO_BASE, annihilates
 from horaprove.ring import SYMBOLS, ZeroQError, from_int, one, q_power, symbol
 from horaprove.sequences import (
-    SEQUENCE_DEFS,
     SequenceKind,
     TermWindow,
     numeric_term,
@@ -33,9 +32,8 @@ class TestFamilies:
     def test_order_two_families_share_one_charpoly(self):
         # the prover's root lattice assumes every order-2 atom has the roots
         # alpha, beta of x^2 - p*x + q
-        order_two = [d for d in SEQUENCE_DEFS.values() if d.order == 2]
-        assert {d.kind for d in order_two} == {W, V, U}
-        assert all(d.charpoly == ORDER_TWO_BASE.coeffs for d in order_two)
+        for kind in (W, V, U):
+            assert annihilates(ORDER_TWO_BASE, [symbolic_term(kind, n) for n in range(-4, 5)])
 
 
 class TestSymbolicTerms:
@@ -74,7 +72,7 @@ class TestSymbolicTerms:
 
     def test_general_sequence_specializes_to_fundamental(self):
         for k in range(-6, 7):
-            specialized = symbolic_term(W, k).substitute({"a": 0, "b": 1})
+            specialized = symbolic_term(W, k).pin_substitute({"a": 0, "b": 1})
             assert specialized == symbolic_term(U, k)
 
 
