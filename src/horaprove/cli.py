@@ -81,6 +81,14 @@ def _load(path: str):
     except OSError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return None
+    except UnicodeDecodeError as exc:
+        # read_text decodes the whole file in one call, so exc.object is all of it
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        print(
+            f"error: {path}:{line}: not UTF-8: byte 0x{exc.object[exc.start]:02x}",
+            file=sys.stderr,
+        )
+        return None
     try:
         return parse_file(text)
     except ParseError as exc:

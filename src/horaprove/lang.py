@@ -729,6 +729,15 @@ class NormalForm:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def support(self) -> frozenset:
+        """The monomials' atom tuples, without their scalars.
+
+        Built from the term dict's stored hashes, so it hashes no atom
+        tuple and no scalar: a cheap key under which equal normal forms
+        always meet.
+        """
+        return frozenset(self._terms)
+
     def monomials(self) -> Iterator[tuple]:
         """(atoms, scalar) pairs in the canonical deterministic order."""
         return iter(

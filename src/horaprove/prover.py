@@ -14,14 +14,18 @@ at a time from the normal form of lhs - rhs:
   2. A sequence annihilated by an order-d recurrence whose constant term is
      a unit is determined on all of Z by d consecutive values, so the goal
      is zero everywhere iff it is zero at the index values 0..d-1.  Each of
-     those instantiations is a smaller goal; recurse.
+     those instantiations is a smaller goal; recurse.  Two paths can
+     reach equal goals with the same indices left (a law symmetric in
+     its indices does); such a goal is proved once, and every later path
+     reuses its proof tree.
   3. With no indices left, every atom has a constant index: expand it to an
      exact ring element and check that the leaf polynomial is zero (after
      substituting any pinned scalars).
 
 The certificate records the annihilator used at every elimination, every
-instantiated subgoal, and every leaf polynomial; checking it needs nothing
-beyond recurrence windows and polynomial arithmetic.
+instantiated subgoal, and every leaf polynomial, one per path even where
+paths share a proof; checking it needs nothing beyond recurrence windows
+and polynomial arithmetic.
 
 The fuzz oracle evaluates the original syntax tree lhs - rhs (not the
 normal form: an independent route) at seeded random assignments (integer
@@ -39,7 +43,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
 from .cfinite import Annihilator, class_order, from_root_classes, root_class
@@ -133,13 +136,8 @@ def _check_order(order: int, max_order: int, index: str):
 @dataclass
 class LeafRecord:
     at: tuple  # ((index, value), ...) along the elimination path
-    poly: LaurentPoly
+    poly: LaurentPoly  # shared by every path that reaches an equal goal
     zero: bool
-
-    @cached_property
-    def rendered(self) -> str:
-        """The poly's text; a certificate writes it twice, so it is rendered once."""
-        return self.poly.render()
 
 
 @dataclass
@@ -186,14 +184,20 @@ class Certificate:
         return None
 
     def to_json_dict(self) -> dict:
+        """The certificate as JSON data.
+
+        A node or leaf poly that several paths share is rendered once and
+        its JSON written at each of them.
+        """
+        render = _JsonRenderer()
         out = {
             "identity": self.identity.source,
             "elimination": list(self.elimination),
-            "proof": _node_json(self.root) if self.root is not None else None,
+            "proof": render.node(self.root) if self.root is not None else None,
             "leaves": [
                 {
                     "at": {index: value for index, value in leaf.at},
-                    "poly": leaf.rendered,
+                    "poly": render.poly(leaf.poly),
                     "zero": leaf.zero,
                 }
                 for leaf in self.leaves
@@ -206,18 +210,34 @@ class Certificate:
         return out
 
 
-def _node_json(node: ProofNode) -> dict:
-    if isinstance(node, LeafNode):
-        return {"leaf": {"poly": node.record.rendered, "zero": node.record.zero}}
-    return {
-        "index": node.index,
-        "order": node.order,
-        "charpoly": node.annihilator.render(),
-        "subgoals": [
-            {"value": value, "goal": child.goal.render(), "proof": _node_json(child)}
-            for value, child in node.subgoals
-        ],
-    }
+class _JsonRenderer:
+    """Renders each distinct subgoal and leaf poly of one certificate once."""
+
+    def __init__(self):
+        self._subgoals: dict = {}  # id(node) -> {"goal": its text, "proof": its JSON}
+        self._polys: dict = {}  # id(poly) -> its text
+
+    def poly(self, poly: LaurentPoly) -> str:
+        text = self._polys.get(id(poly))
+        if text is None:
+            text = self._polys[id(poly)] = poly.render()
+        return text
+
+    def node(self, node: ProofNode) -> dict:
+        if isinstance(node, LeafNode):
+            return {"leaf": {"poly": self.poly(node.record.poly), "zero": node.record.zero}}
+        return {
+            "index": node.index,
+            "order": node.order,
+            "charpoly": node.annihilator.render(),
+            "subgoals": [{"value": value, **self._subgoal(child)} for value, child in node.subgoals],
+        }
+
+    def _subgoal(self, node: ProofNode) -> dict:
+        doc = self._subgoals.get(id(node))
+        if doc is None:
+            doc = self._subgoals[id(node)] = {"goal": node.goal.render(), "proof": self.node(node)}
+        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +262,28 @@ def prove(
     pins = identity.pin_map()
     start = time.perf_counter()
     leaves: list = []
+    # (support, remaining) -> the nodes proved for goals with that support.
+    # Paths that differ in one eliminated index only never meet, so only
+    # goals below two eliminations are looked up or stored.
+    proved: dict = {}
 
     def recurse(nf: NormalForm, remaining: tuple, path: tuple) -> ProofNode:
+        if len(path) < 2:
+            return build(nf, remaining, path)
+        key = nf.support(), remaining
+        nodes = proved.get(key)
+        if nodes is None:
+            nodes = proved[key] = []
+        else:
+            for node in nodes:
+                if node.goal == nf:
+                    _replay(node, path, leaves)
+                    return node
+        node = build(nf, remaining, path)
+        nodes.append(node)
+        return node
+
+    def build(nf: NormalForm, remaining: tuple, path: tuple) -> ProofNode:
         if not remaining or nf.is_zero:
             poly = _leaf_poly(nf, pins)
             record = LeafRecord(at=path, poly=poly, zero=poly.is_zero)
@@ -279,11 +319,25 @@ def prove(
     )
 
 
+def _replay(node: ProofNode, path: tuple, leaves: list):
+    """Append the leaf records of a proved subtree reached again along path.
+
+    The tree holds every index and value below node, so each record's `at`
+    is rebuilt by walking it; the poly is the original record's.
+    """
+    if isinstance(node, LeafNode):
+        leaves.append(LeafRecord(at=path, poly=node.record.poly, zero=node.record.zero))
+        return
+    for value, child in node.subgoals:
+        _replay(child, path + ((node.index, value),), leaves)
+
+
 def _validated_order(identity: Identity, elimination_order: Sequence[str] | None) -> tuple:
     declared = identity.index_vars
     if elimination_order is None:
         return tuple(declared)
-    filtered = tuple(v for v in elimination_order if v in declared)
+    # names the identity does not declare are dropped, a repeated one keeps its first place
+    filtered = tuple(dict.fromkeys(v for v in elimination_order if v in declared))
     missing = [v for v in declared if v not in filtered]
     if missing:
         raise EliminationOrderError(

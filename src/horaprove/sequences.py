@@ -127,6 +127,7 @@ class TermWindow:
         self._powers = [(1, 0), self.scalars["q"]]  # q^0, q^1, ...
         inverse_q = self._pair(q.denominator if q > 0 else -q.denominator, abs(q.numerator))
         self._inverse_powers = [(1, 0), inverse_q]  # q^0, q^-1, ...
+        self._far_powers: dict = {}  # k -> q^k, for k past the end of its list
 
     def _pair(self, numerator: int, denominator: int) -> tuple:
         """numerator/denominator, where denominator divides B, as a pair."""
@@ -198,17 +199,25 @@ class TermWindow:
         return n * self.base_power(f - e) + m, f
 
     def _q_power(self, k: int) -> tuple:
-        """q^k as a pair; kept like base_power's powers of B."""
+        """q^k as a pair.
+
+        The powers the recurrences walk to are kept in a list, like
+        base_power's; a power further out is one pow, kept by k, so a
+        constant power that occurs again in the trial is a lookup.
+        """
         powers = self._powers if k >= 0 else self._inverse_powers
-        k = abs(k)
-        if k < len(powers):
-            return powers[k]
+        j = abs(k)
+        if j < len(powers):
+            return powers[j]
         step, f = powers[1]
-        if k > len(powers):
-            return step ** k, f * k
+        if j > len(powers):
+            far = self._far_powers.get(k)
+            if far is None:
+                far = self._far_powers[k] = step ** j, f * j
+            return far
         n, e = powers[-1]
         powers.append((n * step, e + f))
-        return powers[k]
+        return powers[j]
 
 
 def slope_annihilator(kind: SequenceKind, m: int) -> Annihilator:

@@ -20,6 +20,15 @@ def mutant_identities():
     return parse_file(corpus_path("mutations.fib").read_text(encoding="utf-8")).identities
 
 
+# The u-basis law in three indices, times u(i)^2*u(j)^2*u(k)^2: its tree is
+# symmetric in i, j and k, so after two eliminations its 16 subgoals are 10
+# distinct goals, and its 64 leaves 20 distinct leaf goals.
+U_BASIS_3 = (
+    "forall i, j, k: W(i+j+k)*u(i)^2*u(j)^2*u(k)^2 == "
+    "(u(i+j+k)*W(1) - q*u(i+j+k-1)*W(0))*u(i)^2*u(j)^2*u(k)^2"
+)
+
+
 def by_fragment(identities, fragment: str):
     """The unique identity whose source text contains the fragment."""
     hits = [it for it in identities if fragment in it.source]

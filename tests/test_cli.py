@@ -109,6 +109,28 @@ class TestVerify:
         assert main(["verify", PAPER, "--elim-order", "k,m,n,j,r"]) == 0
         capsys.readouterr()
 
+    def test_elim_order_repeated_name_keeps_its_first_place(self, tmp_path, capsys):
+        path = tmp_path / "addition.fib"
+        path.write_text("forall m, n: W(m+n+1) == W(m+1)*u(n+1) - q*W(m)*u(n)\n", encoding="utf-8")
+        certs = tmp_path / "certs"
+        assert main(["verify", str(path), "--elim-order", "m,n,m", "--cert-out", str(certs)]) == 0
+        capsys.readouterr()
+        doc = json.loads((certs / "addition-001.json").read_text(encoding="utf-8"))
+        assert doc["elimination"] == ["m", "n"]
+        assert [leaf["at"] for leaf in doc["leaves"]] == [
+            {"m": 0, "n": 0}, {"m": 0, "n": 1}, {"m": 1, "n": 0}, {"m": 1, "n": 1},
+        ]
+
+    @pytest.mark.parametrize("command", ["verify", "fuzz"])
+    def test_non_utf8_file_is_a_positioned_error(self, command, tmp_path, capsys):
+        path = tmp_path / "latin1.fib"
+        path.write_bytes(b"forall n: W(n) == W(n)\n# fine\nforall n: W(n) == W(n)\xff\n")
+        assert main([command, str(path), PAPER, "--trials", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}:3: not UTF-8: byte 0xff\n"
+        # the run goes on with the next file
+        assert captured.out.strip().splitlines()[-1].startswith("total: 19 identities")
+
     def test_elim_order_not_covering_some_identity(self, capsys):
         assert main(["verify", PAPER, "--elim-order", "m,n"]) == 2
         err = capsys.readouterr().err

@@ -15,14 +15,11 @@ import hashlib
 import json
 from pathlib import Path
 
+from conftest import U_BASIS_3
 from horaprove import corpus_path, parse_file, parse_identity, prove
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "certificates.sha256"
 CORPORA = ("paper.fib", "mutations.fib", "horadam_extra.fib")
-U_BASIS_3 = (
-    "forall i, j, k: W(i+j+k)*u(i)^2*u(j)^2*u(k)^2 == "
-    "(u(i+j+k)*W(1) - q*u(i+j+k-1)*W(0))*u(i)^2*u(j)^2*u(k)^2"
-)
 
 
 def certificate_digest(identity) -> str:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import by_fragment, eval_normal_form, rational_assignments, walk
+from conftest import U_BASIS_3, by_fragment, eval_normal_form, rational_assignments, walk
 from horaprove.cfinite import Annihilator
 from horaprove.lang import (
     IntLit,
@@ -25,6 +25,7 @@ from horaprove.lang import (
     parse_file,
     parse_identity,
 )
+from horaprove import prover
 from horaprove.prover import (
     ABORTED,
     PROVED,
@@ -34,6 +35,7 @@ from horaprove.prover import (
     LeafNode,
     OrderCapExceededError,
     ProverConfig,
+    _leaf_poly,
     annihilator_for,
     evaluate_expr,
     fuzz,
@@ -237,6 +239,78 @@ class TestProve:
         cert = prove(idn, elimination_order=["k", "n", "j", "m"])
         assert cert.elimination == ("n", "m")
         assert cert.verdict == PROVED
+
+    def test_repeated_elimination_name_keeps_its_first_place(self):
+        cert = prove(parse_identity(ADDITION_LAW), elimination_order=["m", "n", "m"])
+        assert cert.elimination == ("m", "n")
+        assert cert.verdict == PROVED
+        assert [leaf.at for leaf in cert.leaves] == [
+            (("m", x), ("n", y)) for x in range(2) for y in range(2)
+        ]
+
+
+class TestSharedSubgoals:
+    def test_every_path_keeps_its_leaf_in_dfs_order(self):
+        cert = prove(parse_identity(U_BASIS_3))
+        assert cert.verdict == PROVED
+        assert [leaf.at for leaf in cert.leaves] == [
+            (("i", x), ("j", y), ("k", z)) for x in range(4) for y in range(4) for z in range(4)
+        ]
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            U_BASIS_3,
+            # q^i and q^j fold into the scalars, so the four subgoals over k
+            # share one monomial set; only 2*(q + 1)*W(k), at (0, 1) and (1, 0), repeats
+            "forall i, j, k: (q^(i) + 1)*(q^(j) + 1)*W(k) == 0",
+        ],
+        ids=["u-basis-3", "equal-support"],
+    )
+    def test_each_leaf_is_the_root_goal_instantiated_along_its_path(self, law):
+        identity = parse_identity(law)
+        cert = prove(identity)
+        root = identity_goal(identity)
+        for leaf in cert.leaves:
+            goal = root
+            for index, value in leaf.at:
+                goal = goal.substitute_index(index, value)
+            assert leaf.poly == _leaf_poly(goal, {})
+
+    def test_equal_subgoals_are_proved_once(self, monkeypatch):
+        calls = {"annihilator_for": 0, "substitute_index": 0, "_leaf_poly": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(prover, "annihilator_for", counted("annihilator_for", annihilator_for))
+        monkeypatch.setattr(prover, "_leaf_poly", counted("_leaf_poly", _leaf_poly))
+        monkeypatch.setattr(
+            NormalForm,
+            "substitute_index",
+            counted("substitute_index", NormalForm.substitute_index),
+        )
+        cert = prove(parse_identity(U_BASIS_3))
+        assert len(cert.leaves) == 64
+        # without sharing: 1 + 4 + 16 eliminations, 4 + 16 + 64 instantiations
+        assert calls == {"annihilator_for": 1 + 4 + 10, "substitute_index": 4 + 16 + 40,
+                         "_leaf_poly": 20}
+
+    def test_equal_subgoals_share_one_node(self):
+        cert = prove(parse_identity(U_BASIS_3))
+        second_level = [grand for _v, child in cert.root.subgoals for _w, grand in child.subgoals]
+        assert len(second_level) == 16 and len({id(node) for node in second_level}) == 10
+
+    def test_one_sign_mutant_is_refuted_at_the_same_witness(self):
+        mutant = U_BASIS_3.replace("- q*u(i+j+k-1)", "+ q*u(i+j+k-1)")
+        cert = prove(parse_identity(mutant))
+        assert cert.verdict == REFUTED
+        assert cert.witness.at == (("i", 1), ("j", 1), ("k", 1))
+        assert len(cert.leaves) == 64
 
 
 class TestCertificateJson:

@@ -164,6 +164,13 @@ class TestTermWindow:
         assert forward == 9**20000 and backward == Fraction(1, 9**20000)
         assert peak < 200_000
 
+    def test_a_repeated_far_q_power_is_computed_once(self):
+        window = TermWindow({s: Fraction(9 if s == "q" else 1) for s in SYMBOLS})
+        for k in (20000, -20000):
+            first = window.term_pair(GEOQ, k)
+            assert window.term_pair(GEOQ, k) is first
+        assert window.term_pair(GEOQ, 20000) != window.term_pair(GEOQ, -20000)
+
     @given(integral_assignments(), st.lists(st.integers(0, 40), min_size=1, max_size=24))
     @settings(max_examples=30, deadline=None)
     def test_integral_forward_terms_stay_int(self, asgn, ks):
