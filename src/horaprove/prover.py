@@ -263,8 +263,10 @@ def prove(
     start = time.perf_counter()
     leaves: list = []
     # (support, remaining) -> the nodes proved for goals with that support.
-    # Paths that differ in one eliminated index only never meet, so only
-    # goals below two eliminations are looked up or stored.
+    # Equal goals come from paths that differ in two or more eliminated
+    # indices, as when a law symmetric in i and j swaps their values; one
+    # goal's instances along a single index are seldom equal (never in the
+    # shipped corpora), so only goals below two eliminations pay a lookup.
     proved: dict = {}
 
     def recurse(nf: NormalForm, remaining: tuple, path: tuple) -> ProofNode:
