@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
@@ -195,19 +196,23 @@ def _from_class_set(root_classes: frozenset) -> Annihilator:
     return Annihilator(coeffs)
 
 
+def fundamental(k: int) -> LaurentPoly:
+    """u(k) (u0 = 0, u1 = 1), any integer k, in Lucas's closed form
+    u(n) = sum_j (-1)^j C(n-1-j, j) p^(n-1-2j) q^j, n >= 1 (Amer. J. Math. 1,
+    1878), and u(-n) = -q^(-n) u(n).  The end powers are range-checked before
+    any binomial is computed, so a far index raises ExponentOverflowError at once.
+    """
+    if k == 0:
+        return zero()
+    m = abs(k) - 1  # C(m-j-1, j+1) = C(m-j, j) * (m-2j)(m-2j-1) / ((j+1)(m-j)), exactly
+    binomials = accumulate(range(m // 2), initial=1 if k > 0 else -1, func=lambda c, j:
+                           -c * ((m - 2 * j) * (m - 2 * j - 1)) // ((j + 1) * (m - j)))
+    return LaurentPoly.pq_series(m, min(k, 0), binomials)
+
+
 def lucas(e: int) -> LaurentPoly:
-    """L(e) = alpha^e + beta^e: L0 = 2, L1 = p, L(e) = p L(e-1) - q L(e-2)."""
-    if e < 0:
-        raise ValueError(f"Lucas index must be nonnegative, got {e}")
-    p, q = symbol("p"), symbol("q")
-    if not _lucas:
-        _lucas.extend((LaurentPoly.from_int(2), p))
-    while len(_lucas) <= e:
-        _lucas.append(p * _lucas[-1] - q * _lucas[-2])
-    return _lucas[e]
-
-
-_lucas: list = []  # filled on first use
+    """L(e) = alpha^e + beta^e = u(e+1) - q u(e-1), any integer e: L0 = 2, L1 = p."""
+    return fundamental(e + 1) - symbol("q") * fundamental(e - 1)
 
 
 Term = Union[LaurentPoly, int, Fraction]

@@ -163,6 +163,18 @@ class LaurentPoly:
     def q_power(cls, k: int) -> "LaurentPoly":
         return cls._raw({_pack(k if j == _Q else 0 for j in range(_NSYM)): 1})
 
+    @classmethod
+    def pq_series(cls, p_top: int, q_low: int, coeffs: Iterable[int]) -> "LaurentPoly":
+        """sum_j coeffs[j]*p^(p_top-2j)*q^(q_low+j), j <= p_top // 2, coeffs nonzero;
+        both ends are range-checked before any coefficient is drawn."""
+        for p_end, q_end in ((p_top, q_low), (p_top % 2, q_low + p_top // 2)):
+            if not (0 <= p_end < _TOP and -_BIAS <= q_end < _BIAS):
+                _pack((p_end, 0, 0, 0, 0, q_end))  # raises
+        key, step, terms = _UNIT + p_top + (q_low << _SHIFTS[_Q]), (1 << _SHIFTS[_Q]) - 2, {}
+        for _j, coeff in zip(range(p_top // 2 + 1), coeffs):
+            terms[key], key = coeff, key + step
+        return cls._raw(terms)
+
     # -- inspection --------------------------------------------------
 
     @property

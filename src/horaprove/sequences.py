@@ -7,16 +7,14 @@ family; u is the fundamental one.  q^n runs X(n+1) = q*X(n)
 (cfinite.GEOQ_BASE).
 
 A family's surface name in the identity language is its SequenceKind
-value.  Terms extend to every integer index: the backward step divides by
-the trailing recurrence coefficient, a power of q, which is invertible in
-the coefficient ring.  symbolic_term produces the exact ring element for a
-fixed index; a TermWindow the exact values of every family under one
-assignment, each term computed once and kept as an integer pair (N, e)
-meaning N / B^e over one base B for the assignment (numeric_term is one
-fresh window's lookup); and
-slope_annihilator the recurrence satisfied along an arithmetic progression
-of indices n -> m*n + c, namely the characteristic polynomial of the m-th
-power of the family's companion matrix (inverted first when m < 0).
+value.  Terms extend to every integer index.  symbolic_term gives the exact
+ring element for a fixed index, in closed form; a TermWindow the exact
+values of every family under one assignment, by the recurrence (an
+independent route), each kept as an integer pair (N, e) meaning N / B^e
+over one base B (numeric_term is one fresh window's lookup); and
+slope_annihilator the recurrence along indices n -> m*n + c, the
+characteristic polynomial of the m-th power of the family's companion
+matrix (inverted first when m < 0).
 """
 
 from __future__ import annotations
@@ -24,10 +22,11 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Union
 
 from . import linalg
-from .cfinite import GEOQ_BASE, ORDER_TWO_BASE, X_MINUS_ONE, Annihilator
+from .cfinite import GEOQ_BASE, ORDER_TWO_BASE, X_MINUS_ONE, Annihilator, fundamental
 from .ring import LaurentPoly, ZeroQError, from_int, q_power, symbol
 
 Rational = Union[int, Fraction]
@@ -55,35 +54,27 @@ SEEDS = {
     SequenceKind.U: (0, 1),
 }
 
-# X(n+2) = -c1 X(n+1) - c0 X(n), and backward X(n) = -c0^-1 (X(n+2) + c1 X(n+1))
-_C0, _C1, _ = ORDER_TWO_BASE.coeffs
-_C0_INV = _C0.unit_inverse()
-
-# Term caches grow outward from the seeds and are only ever extended, never
-# mutated in place, so sharing across calls is safe.
-_term_cache: dict = {
-    kind: {k: symbol(s) if isinstance(s, str) else from_int(s) for k, s in enumerate(seeds)}
-    for kind, seeds in SEEDS.items()
-}
+# Distinct terms (and slope annihilators) kept: a corpus file asks for ~30.
+TERM_CACHE_SIZE = 128
 
 
+def _seed(s) -> LaurentPoly:
+    return symbol(s) if isinstance(s, str) else from_int(s)
+
+
+# X(1) and -q*X(0) of each family: X(k) = X(1)*u(k) - q*X(0)*u(k-1)
+_FACTORS = {kind: (_seed(x1), -symbol("q") * _seed(x0)) for kind, (x0, x1) in SEEDS.items()}
+
+
+@lru_cache(maxsize=TERM_CACHE_SIZE)
 def symbolic_term(kind: SequenceKind, k: int) -> LaurentPoly:
-    """The exact ring element for the k-th term, any integer k."""
+    """The exact ring element for the k-th term, any integer k, by the
+    addition law (4.3) at m = 0 from u's closed form (cfinite.fundamental)."""
     if kind is SequenceKind.GEOQ:
         return q_power(k)
-    cache = _term_cache[kind]
-    got = cache.get(k)
-    if got is not None:
-        return got
-    hi = max(cache)
-    while hi < k:
-        hi += 1
-        cache[hi] = -_C1 * cache[hi - 1] - _C0 * cache[hi - 2]
-    lo = min(cache)
-    while lo > k:
-        lo -= 1
-        cache[lo] = -_C0_INV * (cache[lo + 2] + _C1 * cache[lo + 1])
-    return cache[k]
+    x1, x0q = _FACTORS[kind]
+    term = x1 * fundamental(k)
+    return term + x0q * fundamental(k - 1) if x0q else term
 
 
 def numeric_term(
@@ -220,6 +211,7 @@ class TermWindow:
         return powers[j]
 
 
+@lru_cache(maxsize=TERM_CACHE_SIZE)
 def slope_annihilator(kind: SequenceKind, m: int) -> Annihilator:
     """Annihilator of n -> term(m*n + c), any integer slope m, any offset c.
 
@@ -228,20 +220,10 @@ def slope_annihilator(kind: SequenceKind, m: int) -> Annihilator:
     of C^m (inverse via adjugate over the Laurent ring when m < 0)
     annihilates every such sampled sequence.  Slope 0 gives x - 1.
     """
-    key = (kind, m)
-    got = _slope_cache.get(key)
-    if got is not None:
-        return got
     if m == 0:
-        ann = X_MINUS_ONE
-    else:
-        coeffs = (GEOQ_BASE if kind is SequenceKind.GEOQ else ORDER_TWO_BASE).coeffs
-        mat = linalg.companion(coeffs)
-        if m < 0:
-            mat = linalg.mat_inverse(mat, coeffs)
-        ann = Annihilator(linalg.charpoly(linalg.mat_pow(mat, abs(m))))
-    _slope_cache[key] = ann
-    return ann
-
-
-_slope_cache: dict = {}
+        return X_MINUS_ONE
+    coeffs = (GEOQ_BASE if kind is SequenceKind.GEOQ else ORDER_TWO_BASE).coeffs
+    mat = linalg.companion(coeffs)
+    if m < 0:
+        mat = linalg.mat_inverse(mat, coeffs)
+    return Annihilator(linalg.charpoly(linalg.mat_pow(mat, abs(m))))

@@ -95,6 +95,25 @@ class TestVerify:
         assert f"{path}:2: PROVED" in captured.out
         assert "Traceback" not in captured.out + captured.err
 
+    def test_far_index_aborts_at_once(self, tmp_path, capsys):
+        # the top power p^(k-1), or q^k on the reflected side, is packed
+        # before any term is built
+        path = tmp_path / "far.fib"
+        path.write_text(
+            "forall n: W(n+3000000000) == 0\n"
+            "forall n: u(n-3000000000) == 0\n"
+            "forall n: u(n-1500000000) == 0\n",
+            encoding="utf-8",
+        )
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        for line in (1, 2):
+            assert f"{path}:{line}: ABORTED" in captured.out
+        assert captured.out.count("exponent 2999999999 of p is outside the ring's range") == 2
+        assert f"{path}:3: ABORTED" in captured.out
+        assert "exponent -1500000000 of q is outside the ring's range" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_default_cap_is_the_provers(self, capsys):
         assert cli._build_parser().parse_args(["verify", PAPER]).max_order == DEFAULT_MAX_ORDER
         assert main(["verify", "--help"]) == 0

@@ -229,6 +229,12 @@ class TestProve:
         assert cert.verdict == PROVED
         assert len(cert.leaves) == 7
 
+    def test_a_far_constant_offset_proves(self):
+        # each leaf term is one closed form, not a walk from the seeds
+        cert = prove(parse_identity("forall n: W(n+2002) == p*W(n+2001) - q*W(n+2000)"))
+        assert cert.verdict == PROVED
+        assert len(cert.leaves) == 2
+
     def test_elimination_order_must_cover_all_indices(self):
         idn = parse_identity(ADDITION_LAW)
         with pytest.raises(EliminationOrderError):

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rational_assignments
-from horaprove.cfinite import ORDER_TWO_BASE, annihilates
+from horaprove.cfinite import ORDER_TWO_BASE, annihilates, lucas
 from horaprove.ring import SYMBOLS, ZeroQError, from_int, one, q_power, symbol
 from horaprove.sequences import (
+    SEEDS,
+    TERM_CACHE_SIZE,
     SequenceKind,
     TermWindow,
     numeric_term,
@@ -74,6 +76,58 @@ class TestSymbolicTerms:
         for k in range(-6, 7):
             specialized = symbolic_term(W, k).pin_substitute({"a": 0, "b": 1})
             assert specialized == symbolic_term(U, k)
+
+
+def recurrence_terms(kind, lo: int, hi: int) -> dict:
+    """X(lo..hi) by X(n+2) = p*X(n+1) - q*X(n) from the family's seeds.
+
+    The reference route for the closed form: forward from X(0), X(1), and
+    backward by X(n) = q^-1 * (p*X(n+1) - X(n+2)).
+    """
+    terms = {k: symbol(s) if isinstance(s, str) else from_int(s) for k, s in enumerate(SEEDS[kind])}
+    for n in range(2, hi + 1):
+        terms[n] = p * terms[n - 1] - q * terms[n - 2]
+    for n in range(-1, lo - 1, -1):
+        terms[n] = q_power(-1) * (p * terms[n + 1] - terms[n + 2])
+    return terms
+
+
+class TestClosedForm:
+    def test_every_family_matches_the_recurrence(self):
+        for kind in (W, V, U):
+            reference = recurrence_terms(kind, -40, 40)
+            for k in range(-40, 41):
+                assert symbolic_term(kind, k) == reference[k], (kind, k)
+
+    def test_lucas_matches_its_recurrence(self):
+        reference = [from_int(2), p]
+        for e in range(2, 41):
+            reference.append(p * reference[e - 1] - q * reference[e - 2])
+        for e in range(41):
+            assert lucas(e) == reference[e], e
+            assert lucas(-e) == q_power(-e) * reference[e], -e
+
+    def test_a_far_term_is_built_in_bounded_memory(self):
+        # the closed form holds one term: u(3000) has 1500 monomials with
+        # coefficients below 2^2100, far less than the 3000 terms of a walk
+        symbolic_term.cache_clear()
+        tracemalloc.start()
+        try:
+            term = symbolic_term(U, 3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50_000_000
+        assert len(term.terms()) == 1500
+        # x^2 - 3x + 2 has roots 2 and 1, so u(k) = 2^k - 1
+        assert term.evaluate({"p": 3, "q": 2}) == 2**3000 - 1
+
+    def test_the_term_cache_has_a_constant_bound(self):
+        for k in range(-TERM_CACHE_SIZE, TERM_CACHE_SIZE):
+            symbolic_term(U, k)
+        info = symbolic_term.cache_info()
+        assert info.maxsize == TERM_CACHE_SIZE
+        assert info.currsize <= TERM_CACHE_SIZE
 
 
 class TestNumericTerms:

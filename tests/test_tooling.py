@@ -48,6 +48,23 @@ def test_ring_layers_stay_traceable():
     assert layers["ring.add_calls"] > 0
 
 
+def test_term_layer_stays_traceable():
+    """Cached leaf terms still go through the wrapped `symbolic_term`.
+
+    A term cache that leaf expansion consulted around
+    `sequences.symbolic_term` would make the `sequences.term` layer read 0.
+    """
+    identity = parse_file(corpus_path("paper.fib").read_text()).identities[0]
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        cert = prove(identity)
+    finally:
+        tracer.uninstall()
+    assert cert.verdict == "PROVED"
+    assert tracer.layer_metrics()["sequences.term_calls"] > 0
+
+
 def test_elimination_layers_stay_traceable():
     """Cached substitution and synthesis still go through the wrapped callables.
 
