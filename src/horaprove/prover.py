@@ -408,26 +408,41 @@ def fuzz(identity: Identity, trials: int, seed: int, value_range: int) -> FuzzRe
     nonzero, then overridden by pins), index variables from the same range;
     negative indices exercise the backward extensions.  Deterministic for a
     fixed (identity, trials, seed, value_range).
+
+    Each value is one rejection loop over getrandbits, the stream of
+    random.randrange(-value_range, value_range + 1) without its argument
+    checks: draw width.bit_length() bits, width = 2*value_range + 1, until
+    the draw is below width (for q, also not value_range, q's 0), then
+    subtract value_range.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if value_range < 1:
         raise ValueError("range must be at least 1")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    width = 2 * value_range + 1
+    bits = width.bit_length()
+    # each scalar with the draw it must redraw: q's 0, none for the others
+    scalar_draws = tuple((name, value_range if name == "q" else width) for name in SYMBOLS)
+    index_vars = identity.index_vars
     pins = identity.pin_map()
     bindings = identity.bindings()
     goal = _compile(Sum(((1, identity.lhs), (-1, identity.rhs))))
     lets = _compile_lets(bindings)
     for trial in range(1, trials + 1):
         scalars = {}
-        for name in SYMBOLS:
-            value = rng.randrange(-value_range, value_range + 1)
-            if name == "q":
-                while value == 0:
-                    value = rng.randrange(-value_range, value_range + 1)
-            scalars[name] = value
+        for name, redraw in scalar_draws:
+            v = getrandbits(bits)
+            while v >= width or v == redraw:
+                v = getrandbits(bits)
+            scalars[name] = v - value_range
         scalars.update(pins)
-        indices = {v: rng.randrange(-value_range, value_range + 1) for v in identity.index_vars}
+        indices = {}
+        for name in index_vars:
+            v = getrandbits(bits)
+            while v >= width:
+                v = getrandbits(bits)
+            indices[name] = v - value_range
         window = TermWindow(scalars)
         n, e = _run(goal, lets, window, indices)
         if n:
@@ -439,7 +454,7 @@ def fuzz(identity: Identity, trials: int, seed: int, value_range: int) -> FuzzRe
                 Counterexample(
                     trial=trial,
                     scalars=tuple(sorted((s, Fraction(v)) for s, v in scalars.items())),
-                    indices=tuple((v, indices[v]) for v in identity.index_vars),
+                    indices=tuple((v, indices[v]) for v in index_vars),
                     lhs=lhs,
                     rhs=lhs - difference,
                 ),
@@ -480,6 +495,8 @@ def _run(
     goal: Compiled, lets: Mapping[str, Compiled], window: TermWindow, indices: Mapping[str, int]
 ) -> tuple:
     """The goal's pair, after valuing the compiled lets once each, in order."""
+    if not lets:
+        return goal(window, indices, {})
     values = let_values(lets, lambda body, values: body(window, indices, values))
     return goal(window, indices, values)
 

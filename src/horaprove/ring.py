@@ -148,8 +148,11 @@ class LaurentPoly:
 
     @classmethod
     def from_int(cls, n: int) -> "LaurentPoly":
+        # the shared zero and one, so that __mul__'s `is _ONE` test sees a 1
         if n == 0:
             return _ZERO
+        if n == 1:
+            return _ONE
         return cls._raw({_UNIT: n})
 
     @classmethod

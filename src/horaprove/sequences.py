@@ -9,11 +9,12 @@ family; u is the fundamental one.  q^n runs X(n+1) = q*X(n)
 A family's surface name in the identity language is its SequenceKind
 value.  Terms extend to every integer index.  symbolic_term gives the exact
 ring element for a fixed index, in closed form; a TermWindow the exact
-values of every family under one assignment, by the recurrence (an
-independent route), each kept as an integer pair (N, e) meaning N / B^e
-over one base B (numeric_term is one fresh window's lookup); and
-slope_annihilator the recurrence along indices n -> m*n + c, the
-characteristic polynomial of the m-th power of the family's companion
+values of every family under one assignment, by the recurrence alone (an
+independent route): forward as written, and backward, since q != 0, as
+X(n-1) = (p*X(n) - X(n+1)) / q, each value kept as an integer pair (N, e)
+meaning N / B^e over one base B (numeric_term is one fresh window's
+lookup); and slope_annihilator the recurrence along indices n -> m*n + c,
+the characteristic polynomial of the m-th power of the family's companion
 matrix (inverted first when m < 0).
 """
 
@@ -96,29 +97,38 @@ class TermWindow:
 
     A family's seeds are read from the scalars at its first term; from them
     the window extends outward only as far as the indices asked for, so a
-    term asked for again is a lookup.  Backward it runs Z(s) = q^s * X(-s),
-    which satisfies the family's own recurrence from Z(0) = X(0) and
-    Z(1) = p*X(0) - X(1) (Horadam, Fibonacci Quarterly 3, 1965), so X(-s)
-    is the pair product Z(s) * (1/q)^s.
+    term asked for again is a lookup.  Each family keeps two lists: forward
+    X(0), X(1), ..., run by X(n+1) = p*X(n) - q*X(n-1), and backward
+    X(0), X(-1), ..., run by the same recurrence solved for its lowest
+    term, X(n-1) = (p*X(n) - X(n+1)) * (1/q), one pair product by 1/q a
+    step; q != 0 makes every family two-sided (Horadam, Fibonacci
+    Quarterly 3, 1965).
     """
 
     def __init__(self, assignment: Mapping[str, Rational]):
         q = assignment["q"]
         if q == 0:
             raise ZeroQError("q must be nonzero")
-        # a list, not a generator: a tuple built from a generator is resized,
-        # and each one would then sit on the interpreter's tuple free list
-        denominators = [v.denominator for v in assignment.values()]
-        self.base = math.lcm(*denominators) * abs(q.numerator)
+        # An integral scalar is (s, 0) whatever B is, so it is paired on the
+        # way to B; the oracle opens a window per trial, and its draws are
+        # integral unless a pin is not.
+        scalars = self.scalars = {}
+        lcm = 1
+        for name, v in assignment.items():
+            if v.denominator == 1:
+                scalars[name] = v.numerator, 0
+            else:
+                lcm = math.lcm(lcm, v.denominator)
+        self.base = lcm * abs(q.numerator)
+        if lcm != 1:
+            for name, v in assignment.items():
+                scalars[name] = self._pair(v.numerator, v.denominator)
         self._base_powers = [1, self.base]  # B^0, B^1, ...
-        self.scalars = {
-            name: self._pair(v.numerator, v.denominator) for name, v in assignment.items()
-        }
-        self._families: dict = {}  # kind -> ([X(0), X(1), ...], [Z(0), ...], [X(0), X(-1), ...])
-        self._powers = [(1, 0), self.scalars["q"]]  # q^0, q^1, ...
+        self._families: dict = {}  # kind -> ([X(0), X(1), ...], [X(0), X(-1), ...])
+        self._powers = [(1, 0), scalars["q"]]  # q^0, q^1, ...
         inverse_q = self._pair(q.denominator if q > 0 else -q.denominator, abs(q.numerator))
         self._inverse_powers = [(1, 0), inverse_q]  # q^0, q^-1, ...
-        self._far_powers: dict = {}  # k -> q^k, for k past the end of its list
+        self._far_powers = None  # {k: q^k} for k past the end of its list, once needed
 
     def _pair(self, numerator: int, denominator: int) -> tuple:
         """numerator/denominator, where denominator divides B, as a pair."""
@@ -156,29 +166,48 @@ class TermWindow:
         family = self._families.get(kind)
         if family is None:
             family = self._families[kind] = self._open(kind)
-        forward, scaled, backward = family
+        forward, backward = family
         if k >= 0:
-            self._extend(forward, k)
+            if k >= len(forward):
+                self._extend(forward, k)
             return forward[k]
-        while len(backward) <= -k:
-            s = len(backward)
-            self._extend(scaled, s)
-            (z, ez), (r, er) = scaled[s], self._q_power(-s)
-            backward.append((z * r, ez + er))
+        if -k >= len(backward):
+            self._extend_backward(backward, -k)
         return backward[-k]
 
     def _open(self, kind: SequenceKind) -> tuple:
-        x0, x1 = [self.scalars[s] if isinstance(s, str) else (s, 0) for s in SEEDS[kind]]
-        p, ep = self.scalars["p"]
-        z1 = self.add((p * x0[0], ep + x0[1]), (-x1[0], x1[1]))  # Z(1) = p*X(0) - X(1)
-        return [x0, x1], [x0, z1], [x0]
+        scalars = self.scalars
+        s0, s1 = SEEDS[kind]
+        x0 = scalars[s0] if isinstance(s0, str) else (s0, 0)
+        x1 = scalars[s1] if isinstance(s1, str) else (s1, 0)
+        (p, ep), (r, er) = scalars["p"], self._inverse_powers[1]
+        n, e = self.add((p * x0[0], ep + x0[1]), (-x1[0], x1[1]))
+        return [x0, x1], [x0, (n * r, e + er)]  # X(-1) = (p*X(0) - X(1)) * (1/q)
 
     def _extend(self, values: list, k: int):
-        """Run X(n+2) = p*X(n+1) - q*X(n) until values[k] exists."""
+        """Run X(n+1) = p*X(n) - q*X(n-1) until values[k] = X(k) exists."""
         (p, ep), (q, eq) = self.scalars["p"], self.scalars["q"]
         while len(values) <= k:
             (x1, e1), (x0, e0) = values[-1], values[-2]
-            values.append(self.add((p * x1, ep + e1), (-q * x0, eq + e0)))
+            e1 += ep
+            e0 += eq
+            if e1 == e0:  # add's common case, inline
+                values.append((p * x1 - q * x0, e1))
+            else:
+                values.append(self.add((p * x1, e1), (-q * x0, e0)))
+
+    def _extend_backward(self, values: list, k: int):
+        """Run X(n-1) = (p*X(n) - X(n+1)) * (1/q) until values[k] = X(-k) exists."""
+        (p, ep), (r, er) = self.scalars["p"], self._inverse_powers[1]
+        base = self.base
+        while len(values) <= k:
+            (x0, e0), (x1, e1) = values[-1], values[-2]
+            e0 += ep
+            if e0 == e1 + 1:  # add's case when X(-n) sits over B^n (integral scalars), inline
+                n, e = p * x0 - x1 * base, e0
+            else:
+                n, e = self.add((p * x0, e0), (-x1, e1))
+            values.append((n * r, e + er))
 
     def add(self, x: tuple, y: tuple) -> tuple:
         """The pair x + y, over the larger of their two powers of B."""
@@ -202,6 +231,8 @@ class TermWindow:
             return powers[j]
         step, f = powers[1]
         if j > len(powers):
+            if self._far_powers is None:
+                self._far_powers = {}
             far = self._far_powers.get(k)
             if far is None:
                 far = self._far_powers[k] = step ** j, f * j

@@ -1,6 +1,7 @@
 """The decision procedure, its certificates, and the numeric oracle."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -478,6 +479,30 @@ class TestFuzz:
             fuzz(idn, trials=0, seed=1, value_range=9)
         with pytest.raises(ValueError):
             fuzz(idn, trials=10, seed=1, value_range=0)
+
+    @pytest.mark.parametrize("value_range", [1, 3, 8, 9, 15, 16, 100])
+    @pytest.mark.parametrize("seed", [0, 4, 7])
+    def test_draws_are_the_randrange_stream(self, value_range, seed):
+        # fuzz draws through getrandbits; if randrange's stream ever changes,
+        # this fails here rather than as an unexplained golden diff.  The
+        # widths 2r+1 of 7 and 31 sit one below a power of two, 17 and 33 one
+        # above; seeds 0 and 4 draw q = 0 first at r = 1 (4 also at 3 and 15).
+        always_false = parse_identity("forall n, m: u(m) + W(n) == u(m) + W(n) + 1")
+        cex = fuzz(always_false, trials=1, seed=seed, value_range=value_range).counterexample
+        rng = random.Random(seed)
+
+        def draw():
+            return rng.randrange(-value_range, value_range + 1)
+
+        scalars = {}
+        for name in SYMBOLS:
+            scalars[name] = draw()
+            while name == "q" and scalars[name] == 0:
+                scalars[name] = draw()
+        indices = (("n", draw()), ("m", draw()))
+        assert cex.trial == 1
+        assert dict(cex.scalars) == scalars
+        assert cex.indices == indices
 
     def test_single_trial_reproducible(self):
         bad = parse_identity("forall n: u(n) == 1 + u(n)")

@@ -60,6 +60,13 @@ class TestConstruction:
         assert from_int(1) == one()
         assert from_int(-3) + from_int(3) == zero()
 
+    def test_from_int_one_is_the_shared_one(self):
+        # so __mul__'s shortcut returns the other factor for a built or coerced 1
+        x = p * q - 3 * a
+        assert from_int(1) is one()
+        assert from_int(1) * x is x and x * from_int(1) is x
+        assert 1 * x is x and x * 1 is x
+
     def test_symbol_names_are_fixed(self):
         assert SYMBOLS == ("p", "a", "b", "c", "d", "q")
         with pytest.raises(ValueError):

@@ -225,6 +225,17 @@ class TestTermWindow:
             assert window.term_pair(GEOQ, k) is first
         assert window.term_pair(GEOQ, 20000) != window.term_pair(GEOQ, -20000)
 
+    def test_a_reached_negative_index_is_a_lookup(self):
+        asgn = {s: Fraction(v) for s, v in zip(SYMBOLS, (3, 2, -5, 1, 4, 7))}
+        window = TermWindow(asgn)
+        first = window.term_pair(W, -7)
+        assert window.term_pair(W, -7) is first
+        _forward, backward = window._families[W]  # [X(0), X(-1), ..., X(-7)]
+        assert len(backward) == 8
+        assert window.term_pair(W, -3) is backward[3]
+        assert len(backward) == 8
+        assert window.term(W, -7) == symbolic_term(W, -7).evaluate(asgn)
+
     @given(integral_assignments(), st.lists(st.integers(0, 40), min_size=1, max_size=24))
     @settings(max_examples=30, deadline=None)
     def test_integral_forward_terms_stay_int(self, asgn, ks):
