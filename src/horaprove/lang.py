@@ -37,12 +37,24 @@ monomials share it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterator, Mapping, Union
 
-from .ring import SYMBOLS, LaurentPoly, from_int, one, q_power, render_sum, symbol
+from .ring import (
+    RENDER_CACHE_SIZE,
+    SYMBOLS,
+    LaurentPoly,
+    from_int,
+    one,
+    q_power,
+    render_sum,
+    symbol,
+)
 from .sequences import SequenceKind
 
 # q^n is written q^(...), so every other family's value is its surface name
@@ -259,64 +271,50 @@ class SourceFile:
 # tokenizer
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # NAME INT OP EOF
-    text: str
-    line: int
-    col: int
-    offset: int
+    __slots__ = ("kind", "text", "line", "col", "offset")
+
+    def __init__(self, kind: str, text: str, line: int, col: int, offset: int):
+        self.kind = kind  # NAME INT OP EOF
+        self.text = text
+        self.line = line
+        self.col = col
+        self.offset = offset
+
+
+# One match per token, each with the blanks before it.  Group 1 is a line
+# break, 2 a comment, 3 a decimal run (\d is exactly str.isdecimal), 4 a
+# word run (\w is str.isalnum plus '_'), 5 an operator and 6 any other
+# character but a blank, so a scan skips no text but the blanks at its end.
+_SCAN = re.compile(
+    r"[ \t\r]*(?:(\n)|(#[^\n]*)|(\d+)|(\w+)|(==|:=|[()^*+\-,:=/])|([^ \t\r]))", re.DOTALL
+).finditer
+_KINDS = (None, None, None, "INT", "NAME", "OP")
 
 
 def _tokenize(text: str) -> list:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _SCAN(text):
+        group = m.lastindex
+        if group == 1:
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if group == 2:
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, col, i))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], line, col, i))
-            col += j - i
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two in ("==", ":="):
-            tokens.append(_Token("OP", two, line, col, i))
-            i += 2
-            col += 2
-            continue
-        if ch in "()^*+-,:=/":
-            tokens.append(_Token("OP", ch, line, col, i))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col, n))
+        start = m.start(group)
+        col = start - line_start + 1
+        word = m[group]
+        # a word must start as a name does; '²', '①' or '½' alone is an error
+        if group == 6 or (group == 4 and not (word[0].isalpha() or word[0] == "_")):
+            raise ParseError(f"unexpected character {word[0]!r}", line, col)
+        tokens.append(_Token(_KINDS[group], word, line, col, start))
+    # the end of input sits after the last line's text, less any comment on it
+    last = text[line_start:]
+    hash_at = last.find("#")
+    col = (len(last) if hash_at < 0 else hash_at) + 1
+    tokens.append(_Token("EOF", "", line, col, len(text)))
     return tokens
 
 
@@ -327,7 +325,9 @@ def _tokenize(text: str) -> list:
 class _Parser:
     def __init__(self, text: str, slope_cap: int):
         self.text = text
-        self.tokens = _tokenize(text)
+        tokens = _tokenize(text)
+        tokens += tokens[-1:] * 2  # EOF padding: peek(2) never runs off the end
+        self.tokens = tokens
         self.pos = 0
         self.slope_cap = slope_cap
         self.lets: dict = {}  # name -> body, in source order
@@ -339,7 +339,7 @@ class _Parser:
     # token helpers
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -879,23 +879,25 @@ def _q_power(lin: LinForm) -> tuple:
     return atoms, lin.const
 
 
-def _render_atom(atom: Atom) -> str:
-    if isinstance(atom, SeqTerm):
-        return f"{atom.kind.value}({atom.index.render()})"
-    return f"q^({atom.exponent.render()})"
+# Certificates render the same few atoms over and over, so each distinct
+# atom is rendered once.  An atom is named by its order_key, a tuple of
+# strings and ints that compares without calling the atom's Python-level
+# __eq__, so the cache is keyed by it.
+@lru_cache(maxsize=RENDER_CACHE_SIZE)
+def _render_atom(order_key: tuple) -> str:
+    """The text of the atom whose order_key this is."""
+    family, kind_name, (coeffs, const) = order_key
+    index = LinForm(coeffs, const).render()
+    return f"q^({index})" if family else f"{SequenceKind[kind_name].value}({index})"
 
 
 def _render_monomial(atoms: tuple, scalar: LaurentPoly):
     sign, scalar_text = scalar.render_factor()
     factors = [] if scalar_text == "1" else [scalar_text]
-    i = 0
-    while i < len(atoms):
-        j = i
-        while j < len(atoms) and atoms[j] == atoms[i]:
-            j += 1
-        text = _render_atom(atoms[i])
-        factors.append(text if j - i == 1 else f"{text}^{j - i}")
-        i = j
+    # equal atoms sit side by side and have equal text, and only they do
+    for text, run in groupby(map(_render_atom, map(_atom_order, atoms))):
+        count = len(list(run))
+        factors.append(text if count == 1 else f"{text}^{count}")
     if not factors:
         factors.append("1")
     return sign, "*".join(factors)
@@ -985,7 +987,7 @@ def _render_expr(expr: Expr, min_prec: int) -> str:
     if isinstance(expr, (ScalarRef, NameRef)):
         return expr.name
     if isinstance(expr, (SeqTerm, QPowTerm)):
-        return _render_atom(expr)
+        return _render_atom(expr.order_key)
     if isinstance(expr, Sum):
         # a term that is itself a Sum came from parentheses and keeps them
         text = render_sum((sign, _render_expr(term, _PREC_MUL)) for sign, term in expr.terms)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
 SYMBOLS = ("p", "a", "b", "c", "d", "q")
@@ -52,6 +53,7 @@ _OFFSETS = tuple(_BIAS if i == _Q else 0 for i in range(_NSYM))
 _GUARD = sum(_TOP << s for s in _SHIFTS)
 _UNIT = _BIAS << _SHIFTS[_Q]  # the packed zero vector, key of the constants
 _FIELDS = struct.Struct("<6I")  # a key's six 32-bit fields, p first, as stored
+RENDER_CACHE_SIZE = 1024  # distinct exponent vectors (or atoms, in lang) whose text is kept
 
 Exponents = tuple
 Rational = Union[int, Fraction]
@@ -376,9 +378,12 @@ class LaurentPoly:
 
     def render(self) -> str:
         """Canonical text in the identity language, e.g. 'p*a*q^(-1) - b*q^(-1)'."""
+        items = sorted(
+            ((_render_key(key), coeff) for key, coeff in self._terms.items()), reverse=True
+        )
         return render_sum(
-            (-1 if coeff < 0 else 1, _render_monomial(exps, abs(coeff)))
-            for exps, coeff in self.monomials()
+            (-1 if coeff < 0 else 1, _render_monomial(body, abs(coeff)))
+            for (_order, body), coeff in items
         )
 
     def render_factor(self) -> tuple:
@@ -390,7 +395,7 @@ class LaurentPoly:
         if len(self._terms) != 1:
             return 1, f"({self.render()})"
         ((key, coeff),) = self._terms.items()
-        return -1 if coeff < 0 else 1, _render_monomial(_unpack(key), abs(coeff))
+        return -1 if coeff < 0 else 1, _render_monomial(_render_key(key)[1], abs(coeff))
 
     def __str__(self) -> str:
         return self.render()
@@ -412,11 +417,15 @@ def _term_order(item):
     return (sum(exps), exps)
 
 
-def _render_monomial(exps: Exponents, coeff: int) -> str:
-    """A monomial of positive coefficient; a negative q exponent is q^(-k)."""
+@lru_cache(maxsize=RENDER_CACHE_SIZE)
+def _render_key(key: int) -> tuple:
+    """(term order, text) of a packed exponent vector, each rendered once.
+
+    The order is graded-lexicographic, (degree, exponents); the text is the
+    symbol factors ('' for the constants), a negative q exponent as q^(-k).
+    """
+    exps = _unpack(key)
     factors = []
-    if coeff != 1 or all(e == 0 for e in exps):
-        factors.append(str(coeff))
     for i, e in enumerate(exps):
         if e == 1:
             factors.append(SYMBOLS[i])
@@ -424,7 +433,14 @@ def _render_monomial(exps: Exponents, coeff: int) -> str:
             factors.append(f"{SYMBOLS[i]}^{e}")
         elif e < 0:
             factors.append(f"{SYMBOLS[i]}^({e})")
-    return "*".join(factors)
+    return (sum(exps), exps), "*".join(factors)
+
+
+def _render_monomial(body: str, coeff: int) -> str:
+    """A monomial of positive coefficient from its symbol factors' text."""
+    if not body:
+        return str(coeff)
+    return body if coeff == 1 else f"{coeff}*{body}"
 
 
 def render_sum(terms: Iterable[tuple]) -> str:

@@ -10,8 +10,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from horaprove import cli, corpus_path, parse_identity, prove
+from horaprove import cli, corpus_path, parse_file, parse_identity, prove
 from horaprove.cli import main
 from horaprove.prover import DEFAULT_MAX_ORDER, Counterexample, FuzzResult
 from horaprove.ring import SYMBOLS
@@ -150,6 +152,20 @@ class TestVerify:
         # the run goes on with the next file
         assert captured.out.strip().splitlines()[-1].startswith("total: 19 identities")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        path = tmp_path / "bom.fib"
+        path.write_bytes(b"\xef\xbb\xbfforall n: W(n+2) == p*W(n+1) - q*W(n)\n")
+        assert main(["verify", str(path)]) == 0
+        assert f"{path}:1: PROVED" in capsys.readouterr().out
+
+    def test_byte_order_mark_keeps_the_bad_byte_line(self, tmp_path, capsys):
+        path = tmp_path / "bom.fib"
+        path.write_bytes(
+            b"\xef\xbb\xbfforall n: W(n) == W(n)\n# fine\nforall n: W(n) == W(n)\xff\n"
+        )
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:3: not UTF-8: byte 0xff\n"
+
     def test_elim_order_not_covering_some_identity(self, capsys):
         assert main(["verify", PAPER, "--elim-order", "m,n"]) == 2
         err = capsys.readouterr().err
@@ -222,6 +238,39 @@ class TestCertificates:
             doc = json.loads(path.read_text(encoding="utf-8"))
             assert doc["verdict"] == "REFUTED"
             assert any(not leaf["zero"] for leaf in doc["leaves"])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(10**30), max_value=10**30) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """cli._json_text writes what json.dumps(value, indent=2) does."""
+
+    def test_every_shipped_certificate(self):
+        sources = [corpus_path(name) for name in ("paper.fib", "mutations.fib", "horadam_extra.fib")]
+        sources.append(Path(__file__).resolve().parents[1] / "perfbench/workloads/multi_index.fib")
+        count = 0
+        for source in sources:
+            for identity in parse_file(source.read_text(encoding="utf-8")).identities:
+                doc = prove(identity).to_json_dict()
+                assert cli._json_text(doc) == json.dumps(doc, indent=2)
+                count += 1
+        assert count == 19 + 38 + 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    @example({"": [], "a": {}, "é\n\"\\": [True, False, None, -(10**30)], "\x00": "\u2028😀"})
+    def test_drawn_values(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, (1, 2), {1: "int key"}])
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
 
 
 class TestFuzzCommand:
@@ -375,6 +424,14 @@ class TestInvocation:
         assert doc["identity"] == identity
         assert doc["proof"]["order"] == order
         assert doc["proof"]["charpoly"] == charpoly
+
+    def test_readme_fuzz_line_is_current(self, tmp_path, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        assert "`PASS (200 trials)`" in readme.read_text(encoding="utf-8")
+        path = tmp_path / "one.fib"
+        path.write_text("forall n: W(n+2) == p*W(n+1) - q*W(n)\n", encoding="utf-8")
+        assert main(["fuzz", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"{path}:1: PASS (200 trials)"
 
     def test_module_entry_point(self):
         proc = subprocess.run(
