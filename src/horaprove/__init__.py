@@ -13,16 +13,7 @@ exact numeric oracle.
 from importlib import resources
 from pathlib import Path
 
-from .cfinite import (
-    Annihilator,
-    OrderMismatchError,
-    ShortListError,
-    annihilates,
-    poly_divmod,
-    product,
-    sum_annihilators,
-    symmetric_square,
-)
+from .cfinite import Annihilator, OrderMismatchError
 from .lang import (
     Identity,
     NonIntegerExponentError,
@@ -64,7 +55,7 @@ from .ring import (
     symbol,
     zero,
 )
-from .sequences import SequenceKind, numeric_term, slope_annihilator, symbolic_term
+from .sequences import SequenceKind, symbolic_term
 
 __version__ = "0.1.0"
 
@@ -95,33 +86,25 @@ __all__ = [
     "REFUTED",
     "SYMBOLS",
     "SequenceKind",
-    "ShortListError",
     "SlopeCapExceededError",
     "SourceFile",
     "UndeclaredIndexError",
     "UnknownNameError",
     "ZeroQError",
-    "annihilates",
     "annihilator_for",
     "corpus_path",
     "from_int",
     "fuzz",
     "identity_goal",
     "normalize",
-    "numeric_term",
     "one",
     "parse_file",
     "parse_identity",
-    "poly_divmod",
-    "product",
     "prove",
     "q_power",
     "render_identity",
-    "slope_annihilator",
-    "sum_annihilators",
     "symbol",
     "symbolic_term",
-    "symmetric_square",
     "zero",
     "__version__",
 ]

@@ -37,7 +37,7 @@ from itertools import accumulate
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
-from .ring import LaurentPoly, one, q_power, render_sum, symbol, zero
+from .ring import LaurentPoly, from_int, one, q_power, render_sum, symbol, zero
 
 
 class OrderMismatchError(ValueError):
@@ -60,7 +60,7 @@ class Annihilator:
 
     def __post_init__(self):
         cs = tuple(
-            c if isinstance(c, LaurentPoly) else LaurentPoly.from_int(c)
+            c if isinstance(c, LaurentPoly) else from_int(c)
             for c in self.coeffs
         )
         object.__setattr__(self, "coeffs", cs)
@@ -235,7 +235,7 @@ def annihilates(
     if assignment is None:
         coeffs = f.coeffs
         values = [
-            t if isinstance(t, LaurentPoly) else LaurentPoly.from_int(t) for t in terms
+            t if isinstance(t, LaurentPoly) else from_int(t) for t in terms
         ]
         zero_value = zero()
     else:
@@ -271,8 +271,8 @@ def poly_divmod(num: Sequence, den: Sequence):
     remainder) as ascending tuples; the remainder is padded with zeros to
     length len(den) - 1 (or (zero(),) when the divisor is linear).
     """
-    num = [c if isinstance(c, LaurentPoly) else LaurentPoly.from_int(c) for c in num]
-    den = [c if isinstance(c, LaurentPoly) else LaurentPoly.from_int(c) for c in den]
+    num = [c if isinstance(c, LaurentPoly) else from_int(c) for c in num]
+    den = [c if isinstance(c, LaurentPoly) else from_int(c) for c in den]
     if den[-1] != 1:
         raise ValueError("divisor must be monic")
     d = len(den) - 1
@@ -289,6 +289,6 @@ def poly_divmod(num: Sequence, den: Sequence):
     return tuple(quot), tuple(rem)
 
 
-X_MINUS_ONE = Annihilator((LaurentPoly.from_int(-1), one()))
+X_MINUS_ONE = Annihilator((from_int(-1), one()))
 ORDER_TWO_BASE = Annihilator((symbol("q"), -symbol("p"), one()))
 GEOQ_BASE = Annihilator((-symbol("q"), one()))

@@ -178,7 +178,12 @@ def _cert_stem(path: str, used: set) -> str:
 
 
 def cmd_verify(args) -> int:
-    elim = [s.strip() for s in args.elim_order.split(",") if s.strip()] if args.elim_order else None
+    elim = None
+    if args.elim_order is not None:
+        elim = [s.strip() for s in args.elim_order.split(",") if s.strip()]
+        if not elim:
+            print("error: --elim-order names no index variable", file=sys.stderr)
+            return EXIT_ERROR
     config = ProverConfig(max_order=args.max_order)
     cert_dir = None
     if args.cert_out:

@@ -121,9 +121,6 @@ class LinForm:
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    def variables(self) -> tuple:
-        return tuple(v for v, _ in self.coeffs)
-
     def coefficient(self, var: str) -> int:
         for v, c in self.coeffs:
             if v == var:
@@ -744,16 +741,6 @@ class NormalForm:
             sorted(self._terms.items(), key=lambda kv: tuple(map(_atom_order, kv[0])))
         )
 
-    def free_index_vars(self) -> tuple:
-        seen = []
-        for atoms in self._terms:
-            for atom in atoms:
-                lin = atom.index if isinstance(atom, SeqTerm) else atom.exponent
-                for v in lin.variables():
-                    if v not in seen:
-                        seen.append(v)
-        return tuple(sorted(seen))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, NormalForm):
             return NotImplemented
@@ -778,11 +765,6 @@ class NormalForm:
 
     def __sub__(self, other: "NormalForm") -> "NormalForm":
         return self + (-other)
-
-    def scale(self, scalar: LaurentPoly) -> "NormalForm":
-        if scalar.is_zero:
-            return NormalForm.zero()
-        return NormalForm._raw({k: v * scalar for k, v in self._terms.items()})
 
     def __mul__(self, other: "NormalForm") -> "NormalForm":
         out: dict = {}

@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .cfinite import Annihilator, class_order, from_root_classes, root_class
 from .lang import (
@@ -62,8 +62,8 @@ from .lang import (
     identity_goal,
     let_values,
 )
-from .ring import SYMBOLS, ExponentOverflowError, LaurentPoly, zero
-from .sequences import Rational, SequenceKind, TermWindow, symbolic_term
+from .ring import SYMBOLS, ExponentOverflowError, LaurentPoly, Rational, zero
+from .sequences import SequenceKind, TermWindow, symbolic_term
 
 DEFAULT_MAX_ORDER = 64
 
@@ -136,14 +136,15 @@ def _check_order(order: int, max_order: int, index: str):
 @dataclass
 class LeafRecord:
     at: tuple  # ((index, value), ...) along the elimination path
-    poly: LaurentPoly  # shared by every path that reaches an equal goal
+    poly: LaurentPoly  # the LeafNode's, shared by every path that reaches it
     zero: bool
 
 
 @dataclass
 class LeafNode:
     goal: NormalForm
-    record: LeafRecord
+    poly: LaurentPoly
+    zero: bool
 
 
 @dataclass
@@ -225,7 +226,7 @@ class _JsonRenderer:
 
     def node(self, node: ProofNode) -> dict:
         if isinstance(node, LeafNode):
-            return {"leaf": {"poly": self.poly(node.record.poly), "zero": node.record.zero}}
+            return {"leaf": {"poly": self.poly(node.poly), "zero": node.zero}}
         return {
             "index": node.index,
             "order": node.order,
@@ -261,7 +262,6 @@ def prove(
     elim = _validated_order(identity, elimination_order)
     pins = identity.pin_map()
     start = time.perf_counter()
-    leaves: list = []
     # (support, remaining) -> the nodes proved for goals with that support.
     # Equal goals come from paths that differ in two or more eliminated
     # indices, as when a law symmetric in i and j swaps their values; one
@@ -269,9 +269,9 @@ def prove(
     # shipped corpora), so only goals below two eliminations pay a lookup.
     proved: dict = {}
 
-    def recurse(nf: NormalForm, remaining: tuple, path: tuple) -> ProofNode:
-        if len(path) < 2:
-            return build(nf, remaining, path)
+    def recurse(nf: NormalForm, remaining: tuple, depth: int) -> ProofNode:
+        if depth < 2:
+            return build(nf, remaining, depth)
         key = nf.support(), remaining
         nodes = proved.get(key)
         if nodes is None:
@@ -279,29 +279,27 @@ def prove(
         else:
             for node in nodes:
                 if node.goal == nf:
-                    _replay(node, path, leaves)
                     return node
-        node = build(nf, remaining, path)
+        node = build(nf, remaining, depth)
         nodes.append(node)
         return node
 
-    def build(nf: NormalForm, remaining: tuple, path: tuple) -> ProofNode:
+    def build(nf: NormalForm, remaining: tuple, depth: int) -> ProofNode:
         if not remaining or nf.is_zero:
             poly = _leaf_poly(nf, pins)
-            record = LeafRecord(at=path, poly=poly, zero=poly.is_zero)
-            leaves.append(record)
-            return LeafNode(goal=nf, record=record)
+            return LeafNode(goal=nf, poly=poly, zero=poly.is_zero)
         index, rest = remaining[0], remaining[1:]
         ann = annihilator_for(nf, index, config.max_order)
         subgoals = []
         for value in range(ann.order):
             child_nf = nf.substitute_index(index, value)
-            child = recurse(child_nf, rest, path + ((index, value),))
+            child = recurse(child_nf, rest, depth + 1)
             subgoals.append((value, child))
         return EliminationNode(index=index, annihilator=ann, goal=nf, subgoals=subgoals)
 
     try:
-        root: ProofNode | None = recurse(identity_goal(identity), elim, ())
+        root: ProofNode | None = recurse(identity_goal(identity), elim, 0)
+        leaves = list(_leaf_records(root, ()))
         verdict = PROVED if all(leaf.zero for leaf in leaves) else REFUTED
         reason = ""
     except (OrderCapExceededError, ExponentOverflowError) as exc:
@@ -321,17 +319,17 @@ def prove(
     )
 
 
-def _replay(node: ProofNode, path: tuple, leaves: list):
-    """Append the leaf records of a proved subtree reached again along path.
+def _leaf_records(node: ProofNode, path: tuple) -> Iterator[LeafRecord]:
+    """The leaf records below node, reached along path, in DFS order.
 
-    The tree holds every index and value below node, so each record's `at`
-    is rebuilt by walking it; the poly is the original record's.
+    A subtree shared by several paths is walked once per path, so each
+    record's `at` is its own path; its poly is the LeafNode's.
     """
     if isinstance(node, LeafNode):
-        leaves.append(LeafRecord(at=path, poly=node.record.poly, zero=node.record.zero))
+        yield LeafRecord(at=path, poly=node.poly, zero=node.zero)
         return
     for value, child in node.subgoals:
-        _replay(child, path + ((node.index, value),), leaves)
+        yield from _leaf_records(child, path + ((node.index, value),))
 
 
 def _validated_order(identity: Identity, elimination_order: Sequence[str] | None) -> tuple:

@@ -23,8 +23,7 @@ exactly when its field's top bit, the guard bit, is set; a q sum below
 -2^30 borrows, which sets that bit too.  Every pack and every term-pair
 product tests the guard bits, and an exponent out of range raises
 ExponentOverflowError: it never wraps.  Exponent tuples appear only at the
-API edges: construction, terms(), monomials(), evaluation, substitution
-and rendering.
+API edges: construction, terms(), evaluation, substitution and rendering.
 
 Values are canonical and immutable after construction, so they are safe
 to share and to use as dict keys.  Rendering writes the identity language
@@ -37,7 +36,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 SYMBOLS = ("p", "a", "b", "c", "d", "q")
 _NSYM = len(SYMBOLS)
@@ -141,34 +140,6 @@ class LaurentPoly:
         return self
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return _ONE
-
-    @classmethod
-    def from_int(cls, n: int) -> "LaurentPoly":
-        # the shared zero and one, so that __mul__'s `is _ONE` test sees a 1
-        if n == 0:
-            return _ZERO
-        if n == 1:
-            return _ONE
-        return cls._raw({_UNIT: n})
-
-    @classmethod
-    def symbol(cls, name: str) -> "LaurentPoly":
-        i = _SYMBOL_INDEX.get(name)
-        if i is None:
-            raise ValueError(f"unknown symbol {name!r}; expected one of {SYMBOLS}")
-        return cls._raw({_UNIT + (1 << _SHIFTS[i]): 1})
-
-    @classmethod
-    def q_power(cls, k: int) -> "LaurentPoly":
-        return cls._raw({_pack(k if j == _Q else 0 for j in range(_NSYM)): 1})
-
-    @classmethod
     def pq_series(cls, p_top: int, q_low: int, coeffs: Iterable[int]) -> "LaurentPoly":
         """sum_j coeffs[j]*p^(p_top-2j)*q^(q_low+j), j <= p_top // 2, coeffs nonzero;
         both ends are range-checked before any coefficient is drawn."""
@@ -188,10 +159,6 @@ class LaurentPoly:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def monomials(self) -> Iterator[tuple[Exponents, int]]:
-        """Terms in the canonical (graded-lex, descending) order."""
-        return iter(sorted(self.terms().items(), key=_term_order, reverse=True))
 
     def terms(self) -> dict:
         """Exponent tuple -> coefficient."""
@@ -353,7 +320,7 @@ class LaurentPoly:
                 raise ZeroQError("q must be pinned to a nonzero value")
             m = work.min_exponent("q")
             if m < 0:
-                work = work * LaurentPoly.q_power(-m)
+                work = work * q_power(-m)
         for name, value in pins.items():
             i = _SYMBOL_INDEX.get(name)
             if i is None:
@@ -408,13 +375,8 @@ def _coerce(value) -> LaurentPoly:
     if isinstance(value, LaurentPoly):
         return value
     if isinstance(value, int):
-        return LaurentPoly.from_int(value)
+        return from_int(value)
     return NotImplemented
-
-
-def _term_order(item):
-    exps, _coeff = item
-    return (sum(exps), exps)
 
 
 @lru_cache(maxsize=RENDER_CACHE_SIZE)
@@ -471,12 +433,20 @@ def one() -> LaurentPoly:
 
 
 def from_int(n: int) -> LaurentPoly:
-    return LaurentPoly.from_int(n)
+    # the shared zero and one, so that __mul__'s `is _ONE` test sees a 1
+    if n == 0:
+        return _ZERO
+    if n == 1:
+        return _ONE
+    return LaurentPoly._raw({_UNIT: n})
 
 
 def symbol(name: str) -> LaurentPoly:
-    return LaurentPoly.symbol(name)
+    i = _SYMBOL_INDEX.get(name)
+    if i is None:
+        raise ValueError(f"unknown symbol {name!r}; expected one of {SYMBOLS}")
+    return LaurentPoly._raw({_UNIT + (1 << _SHIFTS[i]): 1})
 
 
 def q_power(k: int) -> LaurentPoly:
-    return LaurentPoly.q_power(k)
+    return LaurentPoly._raw({_pack(k if j == _Q else 0 for j in range(_NSYM)): 1})

@@ -24,13 +24,11 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Mapping
 
 from . import linalg
 from .cfinite import GEOQ_BASE, ORDER_TWO_BASE, X_MINUS_ONE, Annihilator, fundamental
-from .ring import LaurentPoly, ZeroQError, from_int, q_power, symbol
-
-Rational = Union[int, Fraction]
+from .ring import LaurentPoly, Rational, ZeroQError, from_int, q_power, symbol
 
 
 class SequenceKind(Enum):

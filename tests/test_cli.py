@@ -171,6 +171,18 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "does not cover" in err
 
+    @pytest.mark.parametrize("value", [",", " , ", ""])
+    def test_elim_order_naming_no_index_is_one_usage_error(self, value, tmp_path, capsys):
+        missing = tmp_path / "missing.fib"
+        certs = tmp_path / "certs"
+        argv = ["verify", PAPER, str(missing), "--elim-order", value, "--cert-out", str(certs)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        # raised before any file is read: no report, no unreadable-file error
+        assert captured.err == "error: --elim-order names no index variable\n"
+        assert captured.out == ""
+        assert not certs.exists()
+
     def test_fuzz_after_annotates_report(self, capsys):
         assert main(["verify", PAPER, "--fuzz-after", "--trials", "25"]) == 0
         out = capsys.readouterr().out

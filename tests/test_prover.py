@@ -368,7 +368,7 @@ class TestCertificateJson:
             def check(node, node_doc):
                 if isinstance(node, LeafNode):
                     poly = node_doc["leaf"]["poly"]
-                    assert reparsed(poly) == NormalForm.from_scalar(node.record.poly)
+                    assert reparsed(poly) == NormalForm.from_scalar(node.poly)
                     return
                 for coeff in node.annihilator.coeffs:
                     sign, text = coeff.render_factor()

@@ -1,16 +1,19 @@
-"""The benchmark's tracer still finds every function it wraps.
+"""The benchmark's tracer and pass runner still find every name they use.
 
 perfbench/tracer.py wraps program functions by name; a renamed function,
 or work routed around it, would leave its layer reading 0 without any
 error.  The module is loaded read-only: loading it wraps nothing, and a
-test that installs it uninstalls it again.
+test that installs it uninstalls it again.  perfbench/passrun.py times
+`prove` and `fuzz` by rebinding them in `cli`, and reads
+`horaprove.FuzzResult` and `horaprove.corpus_path`.
 """
 
 import importlib.util
 from pathlib import Path
 
+import horaprove
 from conftest import by_fragment
-from horaprove import corpus_path, parse_file, prove
+from horaprove import cli, corpus_path, parse_file, prove, prover
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -27,6 +30,15 @@ def test_every_traced_target_resolves():
     assert tracer.TARGETS
     for layer, owner, attr, _kind in tracer.TARGETS:
         assert callable(getattr(owner, attr, None)), f"{layer}: {owner.__name__}.{attr} is gone"
+
+
+def test_package_names_the_harness_uses_resolve():
+    for name in horaprove.__all__:
+        assert hasattr(horaprove, name), f"horaprove.__all__ names {name}, which is gone"
+    assert cli.prove is prover.prove
+    assert cli.fuzz is prover.fuzz
+    assert isinstance(horaprove.FuzzResult, type)
+    assert callable(horaprove.corpus_path)
 
 
 def test_ring_layers_stay_traceable():
