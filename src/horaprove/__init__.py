@@ -38,7 +38,6 @@ from .prover import (
     EliminationOrderError,
     FuzzResult,
     OrderCapExceededError,
-    ProverConfig,
     annihilator_for,
     fuzz,
     prove,
@@ -82,7 +81,6 @@ __all__ = [
     "OrderMismatchError",
     "PROVED",
     "ParseError",
-    "ProverConfig",
     "REFUTED",
     "SYMBOLS",
     "SequenceKind",

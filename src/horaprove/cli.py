@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
@@ -30,7 +29,6 @@ from .prover import (
     PROVED,
     REFUTED,
     EliminationOrderError,
-    ProverConfig,
     fuzz,
     prove,
 )
@@ -38,49 +36,6 @@ from .prover import (
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_ERROR = 2
-
-
-@dataclass
-class ReportEntry:
-    path: str
-    line: int
-    verdict: str
-    ms: int
-    cert_file: str = ""
-    note: str = ""
-
-    def render(self) -> str:
-        out = f"{self.path}:{self.line}: {self.verdict} ({self.ms} ms)"
-        if self.cert_file:
-            out += f" -> {self.cert_file}"
-        if self.note:
-            out += f" {self.note}"
-        return out
-
-
-@dataclass
-class RunReport:
-    entries: list = field(default_factory=list)
-
-    @property
-    def proved(self) -> int:
-        return sum(1 for e in self.entries if e.verdict == PROVED)
-
-    @property
-    def refuted(self) -> int:
-        return sum(1 for e in self.entries if e.verdict == REFUTED)
-
-    @property
-    def aborted(self) -> int:
-        return sum(1 for e in self.entries if e.verdict == ABORTED)
-
-    def render(self) -> str:
-        lines = [entry.render() for entry in self.entries]
-        lines.append(
-            f"total: {len(self.entries)} identities, {self.proved} proved, "
-            f"{self.refuted} refuted, {self.aborted} aborted"
-        )
-        return "\n".join(lines)
 
 
 def _load(path: str):
@@ -184,7 +139,6 @@ def cmd_verify(args) -> int:
         if not elim:
             print("error: --elim-order names no index variable", file=sys.stderr)
             return EXIT_ERROR
-    config = ProverConfig(max_order=args.max_order)
     cert_dir = None
     if args.cert_out:
         cert_dir = Path(args.cert_out)
@@ -194,7 +148,8 @@ def cmd_verify(args) -> int:
             print(f"error: {args.cert_out}: {exc}", file=sys.stderr)
             return EXIT_ERROR
 
-    report = RunReport()
+    lines = []
+    counts = dict.fromkeys((PROVED, REFUTED, ABORTED), 0)
     errors = False
     used_stems: set = set()
     for path in args.paths:
@@ -205,7 +160,7 @@ def cmd_verify(args) -> int:
         stem = _cert_stem(path, used_stems) if cert_dir else ""
         for i, identity in enumerate(source.identities, start=1):
             try:
-                cert = prove(identity, elimination_order=elim, config=config)
+                cert = prove(identity, elimination_order=elim, max_order=args.max_order)
             except EliminationOrderError as exc:
                 print(f"error: {path}:{identity.line}: {exc}", file=sys.stderr)
                 errors = True
@@ -214,10 +169,8 @@ def cmd_verify(args) -> int:
                 _report_crash(path, identity, exc)
                 errors = True
                 continue
-            entry = ReportEntry(path, identity.line, cert.verdict, cert.ms)
-            if cert.verdict == ABORTED:
-                entry.note = f"({cert.reason})"
-                errors = True
+            counts[cert.verdict] += 1
+            line = f"{path}:{identity.line}: {cert.verdict} ({cert.ms} ms)"
             if cert_dir is not None:
                 cert_path = cert_dir / f"{stem}-{i:03d}.json"
                 try:
@@ -225,13 +178,16 @@ def cmd_verify(args) -> int:
                 except OSError as exc:
                     print(f"error: {cert_path}: {exc}", file=sys.stderr)
                     return EXIT_ERROR
-                entry.cert_file = str(cert_path)
-            if args.fuzz_after and cert.verdict == PROVED:
+                line += f" -> {cert_path}"
+            if cert.verdict == ABORTED:
+                line += f" ({cert.reason})"
+                errors = True
+            elif args.fuzz_after and cert.verdict == PROVED:
                 result = _fuzz_or_report(path, identity, args)
                 if result is None:
                     errors = True
                 elif result.ok:
-                    entry.note = (entry.note + f" fuzz=PASS({args.trials})").strip()
+                    line += f" fuzz=PASS({args.trials})"
                 else:
                     print(
                         f"error: {path}:{identity.line}: oracle disagrees with PROVED "
@@ -239,11 +195,15 @@ def cmd_verify(args) -> int:
                         file=sys.stderr,
                     )
                     errors = True
-            report.entries.append(entry)
-    print(report.render())
+            lines.append(line)
+    lines.append(
+        f"total: {sum(counts.values())} identities, {counts[PROVED]} proved, "
+        f"{counts[REFUTED]} refuted, {counts[ABORTED]} aborted"
+    )
+    print("\n".join(lines))
     if errors:
         return EXIT_ERROR
-    return EXIT_FALSIFIED if report.refuted else EXIT_OK
+    return EXIT_FALSIFIED if counts[REFUTED] else EXIT_OK
 
 
 def cmd_fuzz(args) -> int:

@@ -25,14 +25,16 @@ written q^(-1).  The 'with' clause pins scalars for one identity; a pinned
 q must be nonzero.  Parentheses nest at most MAX_NESTING deep; a sum or a
 product of any length is one flat Sum or Product node.
 
-A NormalForm is the sum-of-monomials view of an expression: a map from a
-multiset of atoms (sequence terms and at most one q^(linear form) with no
-constant part) to an exact scalar coefficient in the ring.  Identity index
-variables never appear in scalars, only inside atom index forms, which
-makes eliminating one index at a time well-defined.  Each atom carries its
-sort key and hash, computed once when it is built, and substitute_index
-instantiates each distinct atom of a normal form once, however many
-monomials share it.
+Every atom is a sequence term, SeqTerm(kind, linear form); q^(...) is the
+term of the GEOQ family, the q^n of sequences.SequenceKind.  A NormalForm
+is the sum-of-monomials view of an expression: a map from a multiset of
+atoms (at most one of them of the GEOQ family, with no constant part) to
+an exact scalar coefficient in the ring.  Identity index variables never
+appear in scalars, only inside atom index forms, which makes eliminating
+one index at a time well-defined.  Each atom carries its sort key and
+hash, computed once when it is built, and substitute_index instantiates
+each distinct atom of a normal form once, however many monomials share
+it.
 """
 
 from __future__ import annotations
@@ -57,10 +59,11 @@ from .ring import (
 )
 from .sequences import SequenceKind
 
+GEOQ = SequenceKind.GEOQ
 # q^n is written q^(...), so every other family's value is its surface name
-SEQ_NAMES = {kind.value: kind for kind in SequenceKind if kind is not SequenceKind.GEOQ}
+SEQ_NAMES = {kind.value: kind for kind in SequenceKind if kind is not GEOQ}
 RESERVED = frozenset((*SYMBOLS, *SEQ_NAMES, "forall", "let", "with"))
-DEFAULT_SLOPE_CAP = 8
+SLOPE_CAP = 8
 # Each open parenthesis costs the parser four stack frames and every tree
 # walker one or two, so a fixed bound keeps all of them far from the
 # interpreter's recursion limit.
@@ -182,22 +185,8 @@ class SeqTerm:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        key = (0, self.kind.name, (self.index.coeffs, self.index.const))
-        object.__setattr__(self, "order_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self):
-        return self._hash
-
-
-@dataclass(frozen=True, slots=True)
-class QPowTerm:
-    exponent: LinForm
-    order_key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        key = (1, "", (self.exponent.coeffs, self.exponent.const))
+        index = self.index.coeffs, self.index.const
+        key = (1, "", index) if self.kind is GEOQ else (0, self.kind.name, index)
         object.__setattr__(self, "order_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -221,8 +210,7 @@ class Pow:
     exponent: int
 
 
-Expr = Union[IntLit, ScalarRef, NameRef, SeqTerm, QPowTerm, Sum, Product, Pow]
-Atom = Union[SeqTerm, QPowTerm]
+Expr = Union[IntLit, ScalarRef, NameRef, SeqTerm, Sum, Product, Pow]
 
 
 @dataclass(frozen=True)
@@ -320,13 +308,12 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
-    def __init__(self, text: str, slope_cap: int):
+    def __init__(self, text: str):
         self.text = text
         tokens = _tokenize(text)
         tokens += tokens[-1:] * 2  # EOF padding: peek(2) never runs off the end
         self.tokens = tokens
         self.pos = 0
-        self.slope_cap = slope_cap
         self.lets: dict = {}  # name -> body, in source order
         self.let_refs: dict = {}  # name -> the let names its body refers to
         self.refs: set = set()  # the let names the item being parsed refers to
@@ -581,7 +568,7 @@ class _Parser:
                 self.next()
                 lin = self.parse_linform(index_vars)
                 self.expect(")")
-                return QPowTerm(lin)
+                return SeqTerm(GEOQ, lin)
             if name in SYMBOLS:
                 self.next()
                 return ScalarRef(name)
@@ -650,9 +637,9 @@ class _Parser:
             )
 
     def _check_slope(self, coeff: int, tok: _Token):
-        if abs(coeff) > self.slope_cap:
+        if abs(coeff) > SLOPE_CAP:
             raise SlopeCapExceededError(
-                f"index coefficient {coeff} exceeds the slope cap {self.slope_cap}",
+                f"index coefficient {coeff} exceeds the slope cap {SLOPE_CAP}",
                 tok.line,
                 tok.col,
             )
@@ -662,13 +649,13 @@ def _describe(tok: _Token) -> str:
     return "end of input" if tok.kind == "EOF" else f"{tok.text!r}"
 
 
-def parse_file(text: str, slope_cap: int = DEFAULT_SLOPE_CAP) -> SourceFile:
-    return _Parser(text, slope_cap).parse_file()
+def parse_file(text: str) -> SourceFile:
+    return _Parser(text).parse_file()
 
 
-def parse_identity(text: str, slope_cap: int = DEFAULT_SLOPE_CAP) -> Identity:
+def parse_identity(text: str) -> Identity:
     """Parse text holding (lets and) exactly one identity; return it."""
-    src = parse_file(text, slope_cap)
+    src = parse_file(text)
     ids = src.identities
     if len(ids) != 1:
         raise ValueError(f"expected exactly one identity, found {len(ids)}")
@@ -679,14 +666,14 @@ def parse_identity(text: str, slope_cap: int = DEFAULT_SLOPE_CAP) -> Identity:
 # normal forms
 
 
-# sequence terms by family name, then q powers; each by its index form
+# W, V and u terms by family name, then the GEOQ term; each by its index form
 _atom_order = attrgetter("order_key")
 
 
 class NormalForm:
     """Sum of monomials: multiset of atoms -> exact scalar coefficient.
 
-    Canonical: atom tuples are sorted, at most one q-power atom per monomial
+    Canonical: atom tuples are sorted, at most one GEOQ atom per monomial
     (with zero constant part), and no zero scalars.
     """
 
@@ -746,9 +733,6 @@ class NormalForm:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset((k, v) for k, v in self._terms.items()))
-
     def __add__(self, other: "NormalForm") -> "NormalForm":
         out = dict(self._terms)
         for atoms, scalar in other._terms.items():
@@ -783,9 +767,9 @@ class NormalForm:
     def substitute_index(self, var: str, value: int) -> "NormalForm":
         """Instantiate one index variable at an integer value.
 
-        Sequence-term constants stay inside the atom; a q-power atom folds
-        its new constant part into the scalar (as q^const) and disappears
-        entirely if its exponent loses all variables.
+        Sequence-term constants stay inside the atom; a GEOQ atom folds its
+        new constant part into the scalar (as q^const) and disappears
+        entirely if its index loses all variables.
 
         Each distinct atom is instantiated once per call, however many
         monomials share it, and an atom free of var is its own image.
@@ -823,32 +807,31 @@ class NormalForm:
 
 
 def _merge_atoms(atoms: tuple) -> tuple:
-    """Sort atoms, combining q-power atoms into one.
+    """Sort atoms, combining GEOQ atoms into one.
 
-    A normal form's q-power atoms have no constant part, so neither has
-    their product, and no scalar factor arises.
+    A normal form's GEOQ atoms have no constant part, so neither has their
+    product, and no scalar factor arises.
     """
-    seq_atoms = []
+    merged = []
     qlin = None
     for atom in atoms:
-        if isinstance(atom, SeqTerm):
-            seq_atoms.append(atom)
+        if atom.kind is not GEOQ:
+            merged.append(atom)
         else:
-            qlin = atom.exponent if qlin is None else qlin.plus(atom.exponent)
+            qlin = atom.index if qlin is None else qlin.plus(atom.index)
     if qlin is not None and not qlin.is_constant:
-        seq_atoms.append(QPowTerm(qlin))
-    return tuple(sorted(seq_atoms, key=_atom_order))
+        merged.append(SeqTerm(GEOQ, qlin))
+    return tuple(sorted(merged, key=_atom_order))
 
 
-def _substitute_atom(atom: Atom, var: str, value: int) -> tuple:
+def _substitute_atom(atom: SeqTerm, var: str, value: int) -> tuple:
     """(atoms, k): the atom at var = value is the atoms times the scalar q^k."""
-    lin = atom.index if isinstance(atom, SeqTerm) else atom.exponent
-    new = lin.substitute(var, value)
-    if new is lin:
+    new = atom.index.substitute(var, value)
+    if new is atom.index:
         return (atom,), 0
-    if isinstance(atom, SeqTerm):
-        return (SeqTerm(atom.kind, new),), 0
-    return _q_power(new)
+    if atom.kind is GEOQ:
+        return _q_power(new)
+    return (SeqTerm(atom.kind, new),), 0
 
 
 def _q_power(lin: LinForm) -> tuple:
@@ -857,7 +840,7 @@ def _q_power(lin: LinForm) -> tuple:
     The atoms are q^(lin without its constant), or none when lin is
     constant; k is lin's constant.
     """
-    atoms = () if lin.is_constant else (QPowTerm(lin.drop_const()),)
+    atoms = () if lin.is_constant else (SeqTerm(GEOQ, lin.drop_const()),)
     return atoms, lin.const
 
 
@@ -905,9 +888,9 @@ def _normalize(expr: Expr, values: Mapping[str, NormalForm]) -> NormalForm:
     if isinstance(expr, NameRef):
         return values[expr.name]
     if isinstance(expr, SeqTerm):
-        return NormalForm({(expr,): one()})
-    if isinstance(expr, QPowTerm):
-        atoms, k = _q_power(expr.exponent)
+        if expr.kind is not GEOQ:
+            return NormalForm({(expr,): one()})
+        atoms, k = _q_power(expr.index)
         return NormalForm._raw({atoms: q_power(k) if k else one()})
     if isinstance(expr, Sum):
         (sign, first), *rest = expr.terms
@@ -968,7 +951,7 @@ def _render_expr(expr: Expr, min_prec: int) -> str:
         return str(expr.value)
     if isinstance(expr, (ScalarRef, NameRef)):
         return expr.name
-    if isinstance(expr, (SeqTerm, QPowTerm)):
+    if isinstance(expr, SeqTerm):
         return _render_atom(expr.order_key)
     if isinstance(expr, Sum):
         # a term that is itself a Sum came from parentheses and keeps them

@@ -55,7 +55,6 @@ from .lang import (
     NormalForm,
     Pow,
     Product,
-    QPowTerm,
     ScalarRef,
     SeqTerm,
     Sum,
@@ -74,11 +73,6 @@ class OrderCapExceededError(RuntimeError):
 
 class EliminationOrderError(ValueError):
     """The requested elimination order does not cover the identity's indices."""
-
-
-@dataclass(frozen=True)
-class ProverConfig:
-    max_order: int = DEFAULT_MAX_ORDER
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +106,11 @@ def annihilator_for(nf: NormalForm, index: str, max_order: int = DEFAULT_MAX_ORD
 def _monomial_roots(atoms: tuple, index: str) -> set:
     roots = {(0, 0)}
     for atom in atoms:
-        if isinstance(atom, SeqTerm):
-            m = atom.index.coefficient(index)
-            atom_roots = ((m, 0), (0, m)) if m else ((0, 0),)
+        m = atom.index.coefficient(index)
+        if atom.kind is SequenceKind.GEOQ:
+            atom_roots = ((m, m),)
         else:
-            t = atom.exponent.coefficient(index)
-            atom_roots = ((t, t),)
+            atom_roots = ((m, 0), (0, m)) if m else ((0, 0),)
         roots = {(i + di, j + dj) for i, j in roots for di, dj in atom_roots}
     return roots
 
@@ -248,17 +241,16 @@ class _JsonRenderer:
 def prove(
     identity: Identity,
     elimination_order: Sequence[str] | None = None,
-    config: ProverConfig | None = None,
+    max_order: int = DEFAULT_MAX_ORDER,
 ) -> Certificate:
     """Decide an identity; always returns a Certificate.
 
     Verdicts: PROVED when every leaf polynomial is zero (then the identity
     holds for all integer index values, negative included, because every
     annihilator's constant term is a unit); REFUTED when some leaf is a
-    nonzero polynomial; ABORTED when an annihilator order exceeded the cap
+    nonzero polynomial; ABORTED when an annihilator order exceeded max_order
     or an exponent of p, a, b, c, d or q left the ring's range.
     """
-    config = config or ProverConfig()
     elim = _validated_order(identity, elimination_order)
     pins = identity.pin_map()
     start = time.perf_counter()
@@ -289,7 +281,7 @@ def prove(
             poly = _leaf_poly(nf, pins)
             return LeafNode(goal=nf, poly=poly, zero=poly.is_zero)
         index, rest = remaining[0], remaining[1:]
-        ann = annihilator_for(nf, index, config.max_order)
+        ann = annihilator_for(nf, index, max_order)
         subgoals = []
         for value in range(ann.order):
             child_nf = nf.substitute_index(index, value)
@@ -353,14 +345,8 @@ def _leaf_poly(nf: NormalForm, pins: Mapping[str, Fraction]) -> LaurentPoly:
     for atoms, scalar in nf.monomials():
         term = scalar
         for atom in atoms:
-            if isinstance(atom, QPowTerm):
-                raise AssertionError(
-                    "q-power atom survived to a leaf; indices were not eliminated"
-                )
             if not atom.index.is_constant:
-                raise AssertionError(
-                    "sequence atom with live index reached a leaf"
-                )
+                raise AssertionError("sequence atom with live index reached a leaf")
             term = term * symbolic_term(atom.kind, atom.index.const)
         total = total + term
     if pins:
@@ -517,8 +503,6 @@ def _compile(expr: Expr) -> Compiled:
         return lambda window, indices, values: values[name]
     if isinstance(expr, SeqTerm):
         return _compile_term(expr.kind, expr.index)
-    if isinstance(expr, QPowTerm):
-        return _compile_term(SequenceKind.GEOQ, expr.exponent)
     if isinstance(expr, Sum):
         return _compile_sum(expr)
     if isinstance(expr, Product):

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import strategies as st
 
 from horaprove import corpus_path, parse_file
-from horaprove.lang import QPowTerm
 from horaprove.prover import EliminationNode
 from horaprove.ring import SYMBOLS
-from horaprove.sequences import SequenceKind, numeric_term
+from horaprove.sequences import numeric_term
 
 
 @pytest.fixture(scope="session")
@@ -62,9 +61,6 @@ def eval_normal_form(nf, scalars, indices) -> Fraction:
     for atoms, scalar in nf.monomials():
         term = scalar.evaluate(scalars)
         for atom in atoms:
-            if isinstance(atom, QPowTerm):
-                term *= numeric_term(SequenceKind.GEOQ, atom.exponent.value(indices), scalars)
-            else:
-                term *= numeric_term(atom.kind, atom.index.value(indices), scalars)
+            term *= numeric_term(atom.kind, atom.index.value(indices), scalars)
         total += term
     return total

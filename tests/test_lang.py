@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import eval_normal_form
 from horaprove.lang import (
-    DEFAULT_SLOPE_CAP,
     MAX_NESTING,
     RESERVED,
     Identity,
@@ -18,7 +17,7 @@ from horaprove.lang import (
     NormalForm,
     ParseError,
     Product,
-    QPowTerm,
+    SLOPE_CAP,
     ScalarRef,
     SeqTerm,
     SlopeCapExceededError,
@@ -124,15 +123,12 @@ class TestParseErrors:
         with pytest.raises(NonIntegerExponentError):
             parse_identity("forall n: W(n)^p == W(n)")
 
-    def test_slope_cap(self):
+    def test_slope_limit_is_eight(self):
         with pytest.raises(SlopeCapExceededError):
             parse_identity("forall n: W(9*n) == W(9*n)")
-        # the cap is configurable and the default admits slope 8
+        # the cap admits slope 8
         parse_identity("forall n: W(8*n) == W(8*n)")
-        parse_identity("forall n: W(9*n) == W(9*n)", slope_cap=9)
-        with pytest.raises(SlopeCapExceededError):
-            parse_identity("forall n: W(3*n) == W(3*n)", slope_cap=2)
-        assert DEFAULT_SLOPE_CAP == 8
+        assert SLOPE_CAP == 8
 
     def test_unknown_name(self):
         with pytest.raises(UnknownNameError):
@@ -222,8 +218,8 @@ class TestNormalization:
         nf = normalize(parse_identity("forall n: q^(n+2) == 0").lhs, {})
         ((atoms, scalar),) = nf.monomials()
         assert scalar == q_power(2)
-        assert isinstance(atoms[0], QPowTerm)
-        assert atoms[0].exponent == LinForm.make({"n": 1}, 0)
+        assert atoms[0].kind is SequenceKind.GEOQ
+        assert atoms[0].index == LinForm.make({"n": 1}, 0)
 
     def test_substitute_index_partial(self):
         nf = normalize(parse_identity("forall n, j: q^(n-j)*W(n+j) == 0").lhs, {})
@@ -374,9 +370,9 @@ class TestNormalizationSoundness:
 
 def old_atom_order(atom):
     """The atom sort key as a tuple built per call, as atoms were once sorted."""
-    if isinstance(atom, SeqTerm):
-        return (0, atom.kind.name, (atom.index.coeffs, atom.index.const))
-    return (1, "", (atom.exponent.coeffs, atom.exponent.const))
+    if atom.kind is SequenceKind.GEOQ:
+        return (1, "", (atom.index.coeffs, atom.index.const))
+    return (0, atom.kind.name, (atom.index.coeffs, atom.index.const))
 
 
 def reference_substitute(nf, var, value) -> dict:
@@ -385,15 +381,14 @@ def reference_substitute(nf, var, value) -> dict:
     for atoms, scalar in nf.monomials():
         new_atoms, k = [], 0
         for atom in atoms:
-            lin = atom.index if isinstance(atom, SeqTerm) else atom.exponent
-            coeffs = dict(lin.coeffs)
+            coeffs = dict(atom.index.coeffs)
             c = coeffs.pop(var, 0)
-            new = LinForm.make(coeffs, lin.const + c * value)
-            if isinstance(atom, SeqTerm):
+            new = LinForm.make(coeffs, atom.index.const + c * value)
+            if atom.kind is not SequenceKind.GEOQ:
                 new_atoms.append(SeqTerm(atom.kind, new))
             else:
                 if not new.is_constant:
-                    new_atoms.append(QPowTerm(LinForm(new.coeffs, 0)))
+                    new_atoms.append(SeqTerm(SequenceKind.GEOQ, LinForm(new.coeffs, 0)))
                 k += new.const
         key = tuple(sorted(new_atoms, key=old_atom_order))
         total = out.get(key, zero()) + scalar * q_power(k)
@@ -462,7 +457,7 @@ class TestSubstitutionCaching:
             SeqTerm(SequenceKind.V, LinForm.make({"n": 1}, 3)),
             SeqTerm(SequenceKind.W, LinForm.make({"n": 1}, 4)),
             SeqTerm(SequenceKind.W, LinForm.make({"n": 2}, 3)),
-            QPowTerm(LinForm.make({"n": 1}, 3)),
+            SeqTerm(SequenceKind.GEOQ, LinForm.make({"n": 1}, 3)),
         )
         for other in others:
             assert w != other and other != w

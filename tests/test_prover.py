@@ -17,7 +17,6 @@ from horaprove.lang import (
     NormalForm,
     Pow,
     Product,
-    QPowTerm,
     ScalarRef,
     SeqTerm,
     Sum,
@@ -35,7 +34,6 @@ from horaprove.prover import (
     EliminationOrderError,
     LeafNode,
     OrderCapExceededError,
-    ProverConfig,
     _leaf_poly,
     annihilator_for,
     evaluate_expr,
@@ -189,7 +187,7 @@ class TestProve:
 
     def test_aborted_on_order_cap(self, corpus_identities):
         triple_product = by_fragment(corpus_identities, "W(n+1)*W(n+2)*W(n+6)")
-        cert = prove(triple_product, config=ProverConfig(max_order=3))
+        cert = prove(triple_product, max_order=3)
         assert cert.verdict == ABORTED
         assert cert.root is None and cert.leaves == []
         assert "cap" in cert.reason and cert.witness is None
@@ -197,7 +195,7 @@ class TestProve:
     def test_order_cap_aborts_after_the_class_set_was_built(self, corpus_identities):
         triple_product = by_fragment(corpus_identities, "W(n+1)*W(n+2)*W(n+6)")
         assert prove(triple_product).verdict == PROVED
-        cert = prove(triple_product, config=ProverConfig(max_order=3))
+        cert = prove(triple_product, max_order=3)
         assert cert.verdict == ABORTED
         assert cert.reason == "annihilator order 4 for index 'n' exceeds the cap 3"
 
@@ -343,7 +341,7 @@ class TestCertificateJson:
 
     def test_aborted_carries_reason(self, corpus_identities):
         triple_product = by_fragment(corpus_identities, "W(n+1)*W(n+2)*W(n+6)")
-        doc = prove(triple_product, config=ProverConfig(max_order=3)).to_json_dict()
+        doc = prove(triple_product, max_order=3).to_json_dict()
         assert list(doc.keys()) == [
             "identity", "elimination", "proof", "leaves", "verdict", "reason", "ms",
         ]
@@ -546,12 +544,7 @@ def trees(names: tuple, max_leaves: int):
     leaves = [
         st.builds(IntLit, st.integers(-5, 5)),
         st.builds(ScalarRef, st.sampled_from(SYMBOLS)),
-        st.builds(
-            SeqTerm,
-            st.sampled_from((SequenceKind.W, SequenceKind.V, SequenceKind.U)),
-            tree_forms,
-        ),
-        st.builds(QPowTerm, tree_forms),
+        st.builds(SeqTerm, st.sampled_from(tuple(SequenceKind)), tree_forms),
     ]
     if names:
         leaves.append(st.builds(NameRef, st.sampled_from(names)))

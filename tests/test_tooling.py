@@ -4,29 +4,47 @@ perfbench/tracer.py wraps program functions by name; a renamed function,
 or work routed around it, would leave its layer reading 0 without any
 error.  The module is loaded read-only: loading it wraps nothing, and a
 test that installs it uninstalls it again.  perfbench/passrun.py times
-`prove` and `fuzz` by rebinding them in `cli`, and reads
-`horaprove.FuzzResult` and `horaprove.corpus_path`.
+`prove` and `fuzz` by rebinding them in `cli`, reads
+`horaprove.FuzzResult` and `horaprove.corpus_path`, and reads each
+verdict back from the report lines that `cli` prints.
 """
 
+import contextlib
 import importlib.util
+import io
+import re
+import sys
 from pathlib import Path
 
 import horaprove
 from conftest import by_fragment
 from horaprove import cli, corpus_path, parse_file, prove, prover
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(name: str):
+    """perfbench/<name>.py as a module; perfbench/ is importable only meanwhile."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
     return module
 
 
+def run_main(argv) -> tuple:
+    """(exit code, stdout) of one in-process CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
 def test_every_traced_target_resolves():
-    tracer = load_tracer()
+    tracer = load("tracer")
     assert tracer.TARGETS
     for layer, owner, attr, _kind in tracer.TARGETS:
         assert callable(getattr(owner, attr, None)), f"{layer}: {owner.__name__}.{attr} is gone"
@@ -48,7 +66,7 @@ def test_ring_layers_stay_traceable():
     `ring.add` layers read 0, though the ring still does the work.
     """
     identity = parse_file(corpus_path("paper.fib").read_text()).identities[0]
-    tracer = load_tracer().Tracer()
+    tracer = load("tracer").Tracer()
     tracer.install()
     try:
         cert = prove(identity)
@@ -67,7 +85,7 @@ def test_term_layer_stays_traceable():
     `sequences.symbolic_term` would make the `sequences.term` layer read 0.
     """
     identity = parse_file(corpus_path("paper.fib").read_text()).identities[0]
-    tracer = load_tracer().Tracer()
+    tracer = load("tracer").Tracer()
     tracer.install()
     try:
         cert = prove(identity)
@@ -86,7 +104,7 @@ def test_elimination_layers_stay_traceable():
     """
     paper = parse_file(corpus_path("paper.fib").read_text()).identities
     identity = by_fragment(paper, "forall m, n: W(m+n+1)")
-    tracer = load_tracer().Tracer()
+    tracer = load("tracer").Tracer()
     tracer.install()
     try:
         cert = prove(identity)
@@ -96,3 +114,47 @@ def test_elimination_layers_stay_traceable():
     layers = tracer.layer_metrics()
     assert layers["lang.substitute_calls"] > 0
     assert layers["prover.synth_calls"] > 0
+
+
+def test_the_pass_runner_reads_every_workload_report(tmp_path):
+    """Every verdict of every workload reads back from the CLI's report.
+
+    The pass runner finds each verdict, and each certificate, by a regex
+    over the report lines; a line it no longer matched would count the
+    identity as failed.
+    """
+    passrun = load("passrun")
+    for name, workload in passrun.workloads.WORKLOADS.items():
+        code, out = run_main(passrun.workloads.cli_argv(workload, 0, tmp_path / name))
+        got = passrun.check(workload, out, code)
+        assert got["attempted"] > 0, name
+        assert got["failed"] == 0, name
+        assert got["exit_ok"], name
+
+
+def test_verify_line_layouts(tmp_path):
+    """A line holds the verdict, the time, the certificate, then a note."""
+    path = tmp_path / "laws.fib"
+    path.write_text(
+        "forall n: W(n+2) == p*W(n+1) - q*W(n)\nforall n: u(n+1)^2 - u(n)*u(n+2) == q^(n)\n",
+        encoding="utf-8",
+    )
+    certs = tmp_path / "certs"
+    argv = ["verify", "--cert-out", str(certs), "--max-order", "2", "--fuzz-after",
+            "--trials", "3", str(path)]
+    code, out = run_main(argv)
+    assert code == 2
+    proved, aborted, total = out.splitlines()
+    head, cert = re.escape(str(path)), re.escape(str(certs / "laws"))
+    assert re.fullmatch(rf"{head}:1: PROVED \(\d+ ms\) -> {cert}-001\.json fuzz=PASS\(3\)", proved)
+    assert re.fullmatch(
+        rf"{head}:2: ABORTED \(\d+ ms\) -> {cert}-002\.json "
+        r"\(annihilator order 3 for index 'n' exceeds the cap 2\)",
+        aborted,
+    )
+    assert total == "total: 2 identities, 1 proved, 0 refuted, 1 aborted"
+    verify_line = load("passrun")._VERIFY_LINE
+    for line, verdict, number in ((proved, "PROVED", 1), (aborted, "ABORTED", 2)):
+        m = verify_line.match(line)
+        assert m[3] == verdict
+        assert m[4] == str(certs / f"laws-{number:03d}.json")
