@@ -10,7 +10,6 @@ emitted as machine-checkable JSON certificates and cross-checked by an
 exact numeric oracle.
 """
 
-from importlib import resources
 from pathlib import Path
 
 from .cfinite import Annihilator, OrderMismatchError
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 
 def corpus_path(name: str = "paper.fib") -> Path:
     """Filesystem path of a shipped corpus file."""
-    return Path(str(resources.files(__package__).joinpath("corpus", name)))
+    return Path(__file__).parent / "corpus" / name
 
 
 __all__ = [

@@ -30,14 +30,12 @@ All are division-free and purely symbolic, so results are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence, Union
 
-from . import linalg
-from .ring import LaurentPoly, from_int, one, q_power, render_sum, symbol, zero
+from .ring import LaurentPoly, Record, from_int, one, q_power, render_sum, symbol, zero
 
 
 class OrderMismatchError(ValueError):
@@ -48,21 +46,18 @@ class ShortListError(ValueError):
     """annihilates() needs at least order+1 consecutive terms."""
 
 
-@dataclass(frozen=True)
-class Annihilator:
+class Annihilator(Record):
     """Monic characteristic polynomial of a constant-coefficient recurrence.
 
     coeffs are ascending: (c0, ..., c_{d-1}, 1).  Instances are validated on
     construction: monic, order >= 1, and unit constant term.
     """
 
-    coeffs: tuple
+    __slots__ = ("coeffs", "__dict__")  # __dict__ holds the cached text
+    _compared = 1
 
-    def __post_init__(self):
-        cs = tuple(
-            c if isinstance(c, LaurentPoly) else from_int(c)
-            for c in self.coeffs
-        )
+    def __init__(self, coeffs: tuple):
+        cs = tuple(c if isinstance(c, LaurentPoly) else from_int(c) for c in coeffs)
         object.__setattr__(self, "coeffs", cs)
         if len(cs) < 2:
             raise OrderMismatchError("annihilator order must be at least 1")
@@ -79,6 +74,7 @@ class Annihilator:
         return len(self.coeffs) - 1
 
     def companion(self):
+        from . import linalg  # only the closure algebra needs it
         return linalg.companion(self.coeffs)
 
     def render(self) -> str:
@@ -118,6 +114,7 @@ def product(f: Annihilator, g: Annihilator) -> Annihilator:
     so its characteristic polynomial annihilates every product sequence.
     Order multiplies; no minimality is attempted.
     """
+    from . import linalg
     m = linalg.kron(f.companion(), g.companion())
     return Annihilator(linalg.charpoly(m))
 

@@ -40,7 +40,6 @@ it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -51,6 +50,7 @@ from .ring import (
     RENDER_CACHE_SIZE,
     SYMBOLS,
     LaurentPoly,
+    Record,
     from_int,
     one,
     q_power,
@@ -104,16 +104,18 @@ class UnknownNameError(ParseError):
 # syntax tree
 
 
-@dataclass(frozen=True)
-class LinForm:
+class LinForm(Record):
     """Integer-linear form in index variables plus an integer constant.
 
     coeffs holds (variable, nonzero coefficient) pairs sorted by variable
     name, so equal forms compare equal.
     """
 
-    coeffs: tuple
-    const: int
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self, coeffs: tuple, const: int):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "const", const)
 
     @classmethod
     def make(cls, coeffs: Mapping[str, int], const: int) -> "LinForm":
@@ -157,80 +159,72 @@ class LinForm:
         return render_sum(terms)
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class ScalarRef:
-    name: str
+class ScalarRef(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class NameRef:
-    name: str
+class NameRef(Record):
+    __slots__ = ("name",)
 
 
 # An atom computes its order_key, its place in a monomial, and its hash once,
 # at construction: every normal form sorts and hashes the same atoms many
-# times.  Equality stays on the kind and index form alone.
+# times.  The key names the kind and index form, so equality compares keys.
 
 
-@dataclass(frozen=True, slots=True)
-class SeqTerm:
-    kind: SequenceKind
-    index: LinForm
-    order_key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+class SeqTerm(Record):
+    __slots__ = ("kind", "index", "order_key", "_hash")
 
-    def __post_init__(self):
-        index = self.index.coeffs, self.index.const
-        key = (1, "", index) if self.kind is GEOQ else (0, self.kind.name, index)
+    def __init__(self, kind: SequenceKind, index: LinForm):
+        form = index.coeffs, index.const
+        key = (1, "", form) if kind is GEOQ else (0, kind.name, form)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
         object.__setattr__(self, "order_key", key)
         object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if other.__class__ is not SeqTerm:
+            return NotImplemented
+        return self.order_key == other.order_key
 
     def __hash__(self):
         return self._hash
 
-
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple  # ((sign, Expr), ...) with sign +1 or -1, at least one term
+    def __repr__(self) -> str:
+        return f"SeqTerm(kind={self.kind!r}, index={self.index!r})"
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple  # (Expr, ...), at least two factors
+class Sum(Record):
+    __slots__ = ("terms",)  # ((sign, Expr), ...) with sign +1 or -1, at least one term
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
+class Product(Record):
+    __slots__ = ("factors",)  # (Expr, ...), at least two factors
+
+
+class Pow(Record):
+    __slots__ = ("base", "exponent")  # Expr, int
 
 
 Expr = Union[IntLit, ScalarRef, NameRef, SeqTerm, Sum, Product, Pow]
 
 
-@dataclass(frozen=True)
-class LetDecl:
-    name: str
-    value: Expr
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+class LetDecl(Record):
+    __slots__ = ("name", "value", "line", "col")
+    _compared = 2
+    _defaults = {"line": 0, "col": 0}
 
 
-@dataclass(frozen=True)
-class Identity:
-    index_vars: tuple
-    lhs: Expr
-    rhs: Expr
-    pins: tuple = ()  # ((symbol, Fraction), ...)
-    lets: tuple = field(compare=False, default=())  # ((name, body), ...) it reaches
-    source: str = field(compare=False, default="")
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+class Identity(Record):
+    # pins is ((symbol, Fraction), ...), lets the ((name, body), ...) it reaches
+    __slots__ = ("index_vars", "lhs", "rhs", "pins", "lets", "source", "line", "col")
+    _compared = 4
+    _defaults = {"pins": (), "lets": (), "source": "", "line": 0, "col": 0}
 
     def bindings(self) -> dict:
         return dict(self.lets)
@@ -239,9 +233,8 @@ class Identity:
         return dict(self.pins)
 
 
-@dataclass(frozen=True)
-class SourceFile:
-    items: tuple  # LetDecl | Identity, in source order
+class SourceFile(Record):
+    __slots__ = ("items",)  # LetDecl | Identity, in source order
 
     @property
     def identities(self) -> tuple:
@@ -406,16 +399,7 @@ class _Parser:
         # comments cannot occur inside tokens, so a line-wise cut is exact
         source = " ".join(line.split("#", 1)[0] for line in raw.splitlines())
         source = " ".join(source.split())
-        return Identity(
-            index_vars=ivars,
-            lhs=lhs,
-            rhs=rhs,
-            pins=pins,
-            lets=self.reached_lets(),
-            source=source,
-            line=kw.line,
-            col=kw.col,
-        )
+        return Identity(ivars, lhs, rhs, pins, self.reached_lets(), source, kw.line, kw.col)
 
     def reached_lets(self) -> tuple:
         """(name, body) of each let the item just parsed reaches, in source order.

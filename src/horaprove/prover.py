@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
@@ -61,7 +60,7 @@ from .lang import (
     identity_goal,
     let_values,
 )
-from .ring import SYMBOLS, ExponentOverflowError, LaurentPoly, Rational, zero
+from .ring import SYMBOLS, ExponentOverflowError, LaurentPoly, Rational, Record, zero
 from .sequences import SequenceKind, TermWindow, symbolic_term
 
 DEFAULT_MAX_ORDER = 64
@@ -126,26 +125,19 @@ def _check_order(order: int, max_order: int, index: str):
 # certificates
 
 
-@dataclass
-class LeafRecord:
-    at: tuple  # ((index, value), ...) along the elimination path
-    poly: LaurentPoly  # the LeafNode's, shared by every path that reaches it
-    zero: bool
+class LeafRecord(Record):
+    # at is ((index, value), ...) along the elimination path; poly is the
+    # LeafNode's, shared by every path that reaches it
+    __slots__ = ("at", "poly", "zero")
 
 
-@dataclass
-class LeafNode:
-    goal: NormalForm
-    poly: LaurentPoly
-    zero: bool
+class LeafNode(Record):
+    __slots__ = ("goal", "poly", "zero")  # NormalForm, LaurentPoly, bool
 
 
-@dataclass
-class EliminationNode:
-    index: str
-    annihilator: Annihilator
-    goal: NormalForm
-    subgoals: list  # [(value, ProofNode), ...] for value in 0..order-1
+class EliminationNode(Record):
+    # subgoals is [(value, ProofNode), ...] for value in 0..order-1
+    __slots__ = ("index", "annihilator", "goal", "subgoals")
 
     @property
     def order(self) -> int:
@@ -159,15 +151,9 @@ REFUTED = "REFUTED"
 ABORTED = "ABORTED"
 
 
-@dataclass
-class Certificate:
-    identity: Identity
-    elimination: tuple
-    root: ProofNode | None
-    leaves: list
-    verdict: str
-    ms: int
-    reason: str = ""
+class Certificate(Record):
+    __slots__ = ("identity", "elimination", "root", "leaves", "verdict", "ms", "reason")
+    _defaults = {"reason": ""}
 
     @property
     def witness(self) -> LeafRecord | None:
@@ -279,7 +265,7 @@ def prove(
     def build(nf: NormalForm, remaining: tuple, depth: int) -> ProofNode:
         if not remaining or nf.is_zero:
             poly = _leaf_poly(nf, pins)
-            return LeafNode(goal=nf, poly=poly, zero=poly.is_zero)
+            return LeafNode(nf, poly, poly.is_zero)
         index, rest = remaining[0], remaining[1:]
         ann = annihilator_for(nf, index, max_order)
         subgoals = []
@@ -287,7 +273,7 @@ def prove(
             child_nf = nf.substitute_index(index, value)
             child = recurse(child_nf, rest, depth + 1)
             subgoals.append((value, child))
-        return EliminationNode(index=index, annihilator=ann, goal=nf, subgoals=subgoals)
+        return EliminationNode(index, ann, nf, subgoals)
 
     try:
         root: ProofNode | None = recurse(identity_goal(identity), elim, 0)
@@ -300,15 +286,7 @@ def prove(
         verdict = ABORTED
         reason = str(exc)
     ms = int((time.perf_counter() - start) * 1000)
-    return Certificate(
-        identity=identity,
-        elimination=elim,
-        root=root,
-        leaves=leaves,
-        verdict=verdict,
-        ms=ms,
-        reason=reason,
-    )
+    return Certificate(identity, elim, root, leaves, verdict, ms, reason)
 
 
 def _leaf_records(node: ProofNode, path: tuple) -> Iterator[LeafRecord]:
@@ -318,7 +296,7 @@ def _leaf_records(node: ProofNode, path: tuple) -> Iterator[LeafRecord]:
     record's `at` is its own path; its poly is the LeafNode's.
     """
     if isinstance(node, LeafNode):
-        yield LeafRecord(at=path, poly=node.poly, zero=node.zero)
+        yield LeafRecord(path, node.poly, node.zero)
         return
     for value, child in node.subgoals:
         yield from _leaf_records(child, path + ((node.index, value),))
@@ -358,13 +336,9 @@ def _leaf_poly(nf: NormalForm, pins: Mapping[str, Fraction]) -> LaurentPoly:
 # the numeric oracle
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    trial: int
-    scalars: tuple  # ((symbol, Fraction), ...)
-    indices: tuple  # ((index, int), ...)
-    lhs: Fraction
-    rhs: Fraction
+class Counterexample(Record):
+    # scalars is ((symbol, Fraction), ...), indices ((index, int), ...)
+    __slots__ = ("trial", "scalars", "indices", "lhs", "rhs")
 
     def describe(self) -> str:
         scalars = ", ".join(f"{s}={v}" for s, v in self.scalars)
@@ -372,11 +346,8 @@ class Counterexample:
         return f"trial {self.trial}: {scalars}; {indices}; lhs={self.lhs} rhs={self.rhs}"
 
 
-@dataclass(frozen=True)
-class FuzzResult:
-    identity: Identity
-    trials: int
-    counterexample: Counterexample | None
+class FuzzResult(Record):
+    __slots__ = ("identity", "trials", "counterexample")
 
     @property
     def ok(self) -> bool:

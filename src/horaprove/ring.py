@@ -70,6 +70,55 @@ class ExponentOverflowError(OverflowError):
     """An exponent left the packed range: 0 <= e < 2^31, or -2^30 <= e < 2^30 for q."""
 
 
+class Record:
+    """Base of the package's immutable records.
+
+    A record's fields are its __slots__, in order.  The first _compared of
+    them (all when None) decide equality, which also needs the same class,
+    and the hash.  A field named in _defaults may be left out when building
+    one.  repr is Name(field=value, ...) over every field.
+    """
+
+    __slots__ = ()
+    _compared = None
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        # a slot's own setter costs less to call than object.__setattr__
+        cls._setters = tuple(cls.__dict__[n].__set__ for n in cls.__slots__ if n != "__dict__")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._setters):
+            names = self.__slots__
+            given = dict(zip(names, args))
+            values = {**self._defaults, **given, **kwargs}
+            if len(given) < len(args) or given.keys() & kwargs or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}{names} cannot take {args!r}, {kwargs!r}")
+            args = [values[name] for name in names]
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__[: self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 def _pack(exps: Iterable[int]) -> int:
     """The packed key of an exponent vector; raises if a field is out of range."""
     key = 0

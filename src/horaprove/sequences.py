@@ -26,7 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from . import linalg
 from .cfinite import GEOQ_BASE, ORDER_TWO_BASE, X_MINUS_ONE, Annihilator, fundamental
 from .ring import LaurentPoly, Rational, ZeroQError, from_int, q_power, symbol
 
@@ -251,6 +250,7 @@ def slope_annihilator(kind: SequenceKind, m: int) -> Annihilator:
     """
     if m == 0:
         return X_MINUS_ONE
+    from . import linalg  # only the closure algebra needs it
     coeffs = (GEOQ_BASE if kind is SequenceKind.GEOQ else ORDER_TWO_BASE).coeffs
     mat = linalg.companion(coeffs)
     if m < 0:

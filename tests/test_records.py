@@ -1,0 +1,139 @@
+"""The package's immutable records: equality, hashing, construction, repr."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from horaprove import corpus_path, fuzz, parse_file, prove
+from horaprove.lang import Identity, IntLit, LetDecl, NameRef, Product, ScalarRef, Sum
+from horaprove.prover import Certificate
+from horaprove.ring import Record
+
+# a false law with a let, a pin, a power, a product, a q power and every family,
+# so parsing, proving and fuzzing it builds an instance of every record class
+FALSE_LAW = (
+    "let e = p^2 - 4*q\n"
+    "forall n, m: W(n+m)^2*e + 2 == -u(n)*V(m)*q^(n) with a := 1/2\n"
+)
+
+
+def corpus_identities(name: str) -> tuple:
+    return parse_file(corpus_path(name).read_text(encoding="utf-8")).identities
+
+
+def walk(value):
+    """value and every record, tuple or list reachable from it."""
+    yield value
+    if isinstance(value, Record):
+        for name in value.__slots__:
+            if name != "__dict__":
+                yield from walk(getattr(value, name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from walk(item)
+
+
+def one_of_each_record() -> dict:
+    """class -> an instance, over every record the package builds."""
+    source = parse_file(FALSE_LAW)
+    (identity,) = source.identities
+    found = {}
+    for value in walk((source, prove(identity), fuzz(identity, 20, 1, 5))):
+        if isinstance(value, Record):
+            found.setdefault(type(value), value)
+    return found
+
+
+def test_every_record_class_is_built_by_the_false_law():
+    assert set(one_of_each_record()) == set(Record.__subclasses__())
+
+
+@pytest.mark.parametrize("record", one_of_each_record().values(), ids=lambda r: type(r).__name__)
+def test_no_field_can_be_assigned_or_deleted(record):
+    for name in record.__slots__:
+        if name == "__dict__":
+            continue
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_identity_equality_ignores_lets_source_and_position():
+    (base,) = parse_file(FALSE_LAW).identities
+    moved = Identity(base.index_vars, base.lhs, base.rhs, base.pins, (), "other text", 9, 4)
+    assert moved == base and hash(moved) == hash(base)
+    unpinned = Identity(base.index_vars, base.lhs, base.rhs, (), base.lets, base.source)
+    assert unpinned != base
+    swapped = Identity(base.index_vars, base.rhs, base.lhs, base.pins)
+    assert swapped != base
+
+
+def test_let_equality_ignores_position():
+    decl = LetDecl("e", IntLit(2), 3, 7)
+    assert decl == LetDecl("e", IntLit(2)) and hash(decl) == hash(LetDecl("e", IntLit(2)))
+    assert decl != LetDecl("f", IntLit(2), 3, 7)
+    assert decl != LetDecl("e", IntLit(3), 3, 7)
+
+
+def test_equal_fields_of_another_class_differ():
+    terms = ((1, ScalarRef("p")), (1, ScalarRef("q")))
+    assert Sum(terms) != Product(terms)
+    assert Product(terms) != Sum(terms)
+    assert ScalarRef("p") != NameRef("p")
+    assert Sum(terms) != terms
+
+
+PARSED_TWICE = tuple(
+    zip(
+        corpus_identities("paper.fib") + corpus_identities("mutations.fib"),
+        corpus_identities("paper.fib") + corpus_identities("mutations.fib"),
+    )
+)
+
+
+@given(st.sampled_from(PARSED_TWICE))
+@settings(max_examples=40, deadline=None)
+def test_equal_records_hash_equal(pair):
+    first, second = pair
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    for left, right in ((first.lhs, second.lhs), (first.rhs, second.rhs)):
+        assert left == right and hash(left) == hash(right)
+
+
+def test_keyword_construction_and_defaults():
+    identity = Identity(index_vars=("n",), lhs=IntLit(1), rhs=IntLit(1))
+    assert (identity.pins, identity.lets, identity.source, identity.line, identity.col) == (
+        (), (), "", 0, 0,
+    )
+    assert identity == Identity(("n",), IntLit(1), rhs=IntLit(1), source="1 == 1")
+    decl = LetDecl(name="e", value=IntLit(2))
+    assert (decl.line, decl.col) == (0, 0)
+    cert = Certificate(
+        identity=identity, elimination=("n",), root=None, leaves=[], verdict="ABORTED", ms=0
+    )
+    assert cert.reason == ""
+    assert Certificate(identity, ("n",), None, [], "ABORTED", 0, reason="cap").reason == "cap"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LetDecl("e"),  # a field with no default left out
+        lambda: LetDecl("e", IntLit(2), name="f"),  # a field given twice
+        lambda: LetDecl("e", IntLit(2), width=1),  # no such field
+        lambda: IntLit(1, 2),  # too many fields
+    ],
+)
+def test_bad_fields_raise_type_error(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_repr_names_every_field():
+    text = "LetDecl(name='e', value=IntLit(value=2), line=0, col=0)"
+    assert repr(LetDecl("e", IntLit(2))) == text
+    assert repr(Sum(((1, ScalarRef("p")),))) == "Sum(terms=((1, ScalarRef(name='p')),))"

@@ -6,13 +6,17 @@ error.  The module is loaded read-only: loading it wraps nothing, and a
 test that installs it uninstalls it again.  perfbench/passrun.py times
 `prove` and `fuzz` by rebinding them in `cli`, reads
 `horaprove.FuzzResult` and `horaprove.corpus_path`, and reads each
-verdict back from the report lines that `cli` prints.
+verdict back from the report lines that `cli` prints.  Its set-up time is
+the cost of `import horaprove`, which must stay free of modules that only
+the closure algebra or the standard library's heavier helpers need.
 """
 
 import contextlib
 import importlib.util
 import io
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,7 +24,8 @@ import horaprove
 from conftest import by_fragment
 from horaprove import cli, corpus_path, parse_file, prove, prover
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def load(name: str):
@@ -57,6 +62,31 @@ def test_package_names_the_harness_uses_resolve():
     assert cli.fuzz is prover.fuzz
     assert isinstance(horaprove.FuzzResult, type)
     assert callable(horaprove.corpus_path)
+
+
+def test_every_shipped_corpus_name_resolves():
+    shipped = sorted(path.name for path in (ROOT / "src" / "horaprove" / "corpus").glob("*.fib"))
+    assert shipped == ["horadam_extra.fib", "mutations.fib", "paper.fib"]
+    for name in shipped:
+        assert corpus_path(name).is_file(), name
+    assert corpus_path() == corpus_path("paper.fib")
+
+
+def test_import_loads_no_heavy_module():
+    """A bare `import horaprove` loads neither dataclasses nor linalg.
+
+    dataclasses pulls in inspect (and ast, dis, tokenize) and execs code for
+    every decorated class; importlib.resources is as heavy when site has not
+    loaded it; linalg serves only the closure algebra.  -S keeps site from
+    importing any of them first.
+    """
+    heavy = ("dataclasses", "inspect", "importlib.resources", "horaprove.linalg")
+    code = f"import sys, horaprove; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_ring_layers_stay_traceable():
