@@ -31,15 +31,20 @@ is the sum-of-monomials view of an expression: a map from a multiset of
 atoms (at most one of them of the GEOQ family, with no constant part) to
 an exact scalar coefficient in the ring.  Identity index variables never
 appear in scalars, only inside atom index forms, which makes eliminating
-one index at a time well-defined.  Each atom carries its sort key and
-hash, computed once when it is built, and substitute_index instantiates
-each distinct atom of a normal form once, however many monomials share
-it.
+one index at a time well-defined.
+
+Atoms are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): each distinct (kind, index form) is one
+live SeqTerm object, built once with its sort key, so atoms compare and
+hash by identity.  substitute_index instantiates an atom at a given index
+value once per process (a bounded cache), however many monomials and
+subgoals share it.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -171,29 +176,41 @@ class NameRef(Record):
     __slots__ = ("name",)
 
 
-# An atom computes its order_key, its place in a monomial, and its hash once,
-# at construction: every normal form sorts and hashes the same atoms many
-# times.  The key names the kind and index form, so equality compares keys.
+# Atoms are interned: SeqTerm(kind, index) returns the one live atom whose
+# order_key, its place in a monomial, names that kind and index form, and
+# builds it only when there is none.  So equal atoms are one object, equality
+# and hash are the identity tests done in C, and an atom is a cheap key for
+# per-atom caches.  The table holds its atoms weakly: an atom that nothing
+# else references leaves it.  A set of atoms iterates in an address-dependent
+# order, so no output is written from one: every output sorts atoms by
+# order_key.
+_ATOMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # order_key -> atom
+_KIND_NAMES = {kind: kind.name for kind in SequenceKind}  # Enum.name is a Python-level property
 
 
 class SeqTerm(Record):
-    __slots__ = ("kind", "index", "order_key", "_hash")
+    __slots__ = ("kind", "index", "order_key", "__weakref__")
+
+    def __new__(cls, kind: SequenceKind, index: LinForm):
+        form = index.coeffs, index.const
+        key = (1, "", form) if kind is GEOQ else (0, _KIND_NAMES[kind], form)
+        atom = _ATOMS.get(key)
+        if atom is None:
+            atom = object.__new__(cls)
+            object.__setattr__(atom, "kind", kind)
+            object.__setattr__(atom, "index", index)
+            object.__setattr__(atom, "order_key", key)
+            _ATOMS[key] = atom
+        return atom
 
     def __init__(self, kind: SequenceKind, index: LinForm):
-        form = index.coeffs, index.const
-        key = (1, "", form) if kind is GEOQ else (0, kind.name, form)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "order_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        pass  # __new__ found or built the atom
 
-    def __eq__(self, other):
-        if other.__class__ is not SeqTerm:
-            return NotImplemented
-        return self.order_key == other.order_key
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return SeqTerm, (self.kind, self.index)
 
     def __repr__(self) -> str:
         return f"SeqTerm(kind={self.kind!r}, index={self.index!r})"
@@ -755,20 +772,18 @@ class NormalForm:
         new constant part into the scalar (as q^const) and disappears
         entirely if its index loses all variables.
 
-        Each distinct atom is instantiated once per call, however many
-        monomials share it, and an atom free of var is its own image.
+        Each atom's image at var = value comes from a bounded per-process
+        cache, so an atom shared by many monomials or subgoals is
+        instantiated once; an atom free of var is its own image.
         """
-        images: dict = {}  # atom -> (the atoms it becomes, its q exponent)
         out: dict = {}
         for atoms, scalar in self._terms.items():
             new_atoms = []
             k = 0
             for atom in atoms:
-                image = images.get(atom)
-                if image is None:
-                    image = images[atom] = _substitute_atom(atom, var, value)
-                new_atoms += image[0]
-                k += image[1]
+                image, shift = _substitute_atom(atom, var, value)
+                new_atoms += image
+                k += shift
             key = tuple(sorted(new_atoms, key=_atom_order))
             s = scalar * q_power(k) if k else scalar
             got = out.get(key)
@@ -808,6 +823,11 @@ def _merge_atoms(atoms: tuple) -> tuple:
     return tuple(sorted(merged, key=_atom_order))
 
 
+# distinct (atom, index variable, value) triples whose images are kept
+SUBSTITUTE_CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=SUBSTITUTE_CACHE_SIZE)
 def _substitute_atom(atom: SeqTerm, var: str, value: int) -> tuple:
     """(atoms, k): the atom at var = value is the atoms times the scalar q^k."""
     new = atom.index.substitute(var, value)
@@ -829,9 +849,8 @@ def _q_power(lin: LinForm) -> tuple:
 
 
 # Certificates render the same few atoms over and over, so each distinct
-# atom is rendered once.  An atom is named by its order_key, a tuple of
-# strings and ints that compares without calling the atom's Python-level
-# __eq__, so the cache is keyed by it.
+# atom is rendered once.  The cache is keyed by the atom's order_key, not by
+# the atom, so it keeps no atom alive in the intern table.
 @lru_cache(maxsize=RENDER_CACHE_SIZE)
 def _render_atom(order_key: tuple) -> str:
     """The text of the atom whose order_key this is."""

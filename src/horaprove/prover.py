@@ -42,6 +42,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .cfinite import Annihilator, class_order, from_root_classes, root_class
@@ -92,17 +93,28 @@ def annihilator_for(nf: NormalForm, index: str, max_order: int = DEFAULT_MAX_ORD
     are their union.  Each conjugate class of roots contributes one factor,
     so the order is known, and checked against the cap, before any
     polynomial is built.
+
+    A monomial's classes along an index come from a bounded per-process
+    cache keyed by its atom tuple, so a monomial that many subgoals share
+    is analysed once; the union needs no order, since from_root_classes
+    sorts the classes.
     """
     classes = set()
-    for atoms, _scalar in nf.monomials():
-        classes.update(root_class(i, j) for i, j in _monomial_roots(atoms, index))
+    for atoms in nf.support():
+        classes |= _monomial_classes(atoms, index)
     if not classes:
         raise ValueError("the zero goal needs no annihilator")
     _check_order(class_order(classes), max_order, index)
     return from_root_classes(classes)
 
 
-def _monomial_roots(atoms: tuple, index: str) -> set:
+# distinct (atom tuple, index) pairs whose root classes are kept
+ROOT_CLASS_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=ROOT_CLASS_CACHE_SIZE)
+def _monomial_classes(atoms: tuple, index: str) -> frozenset:
+    """The conjugate root classes of one monomial along the index."""
     roots = {(0, 0)}
     for atom in atoms:
         m = atom.index.coefficient(index)
@@ -111,7 +123,7 @@ def _monomial_roots(atoms: tuple, index: str) -> set:
         else:
             atom_roots = ((m, 0), (0, m)) if m else ((0, 0),)
         roots = {(i + di, j + dj) for i, j in roots for di, dj in atom_roots}
-    return roots
+    return frozenset(root_class(i, j) for i, j in roots)
 
 
 def _check_order(order: int, max_order: int, index: str):

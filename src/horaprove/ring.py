@@ -73,10 +73,12 @@ class ExponentOverflowError(OverflowError):
 class Record:
     """Base of the package's immutable records.
 
-    A record's fields are its __slots__, in order.  The first _compared of
-    them (all when None) decide equality, which also needs the same class,
-    and the hash.  A field named in _defaults may be left out when building
-    one.  repr is Name(field=value, ...) over every field.
+    A record's fields are its __slots__, in order, but for __dict__ and
+    __weakref__.  The first _compared of them (all when None) decide
+    equality, which also needs the same class, and the hash.  A field named
+    in _defaults may be left out when building one.  repr is
+    Name(field=value, ...) over every field.  Copying and unpickling
+    rebuild a record through its constructor, from its fields.
     """
 
     __slots__ = ()
@@ -84,12 +86,13 @@ class Record:
     _defaults: dict = {}
 
     def __init_subclass__(cls):
+        cls._fields = tuple(n for n in cls.__slots__ if n not in ("__dict__", "__weakref__"))
         # a slot's own setter costs less to call than object.__setattr__
-        cls._setters = tuple(cls.__dict__[n].__set__ for n in cls.__slots__ if n != "__dict__")
+        cls._setters = tuple(cls.__dict__[n].__set__ for n in cls._fields)
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._setters):
-            names = self.__slots__
+            names = self._fields
             given = dict(zip(names, args))
             values = {**self._defaults, **given, **kwargs}
             if len(given) < len(args) or given.keys() & kwargs or values.keys() != set(names):
@@ -104,7 +107,7 @@ class Record:
     __delattr__ = __setattr__
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__[: self._compared])
+        return tuple(getattr(self, name) for name in self._fields[: self._compared])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -114,8 +117,11 @@ class Record:
     def __hash__(self):
         return hash(self._key())
 
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -177,6 +183,10 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    def __reduce__(self):
+        # copies and unpickled values are rebuilt through the constructor
+        return LaurentPoly, (self.terms(),)
 
     # -- constructors ------------------------------------------------
 

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import strategies as st
 
 from horaprove import corpus_path, parse_file
+from horaprove.lang import NormalForm, SeqTerm
 from horaprove.prover import EliminationNode
-from horaprove.ring import SYMBOLS
+from horaprove.ring import SYMBOLS, Record
 from horaprove.sequences import numeric_term
 
 
@@ -41,6 +42,21 @@ def walk(node):
     if isinstance(node, EliminationNode):
         for _value, child in node.subgoals:
             yield from walk(child)
+
+
+def atoms_in(value):
+    """Every atom reachable from a record, tuple, list or normal form, in a fixed order."""
+    if isinstance(value, SeqTerm):
+        yield value
+    elif isinstance(value, Record):
+        for name in value._fields:
+            yield from atoms_in(getattr(value, name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from atoms_in(item)
+    elif isinstance(value, NormalForm):
+        for atoms, _scalar in value.monomials():
+            yield from atoms
 
 
 def rational_assignments():

@@ -417,7 +417,7 @@ monomial_texts = st.builds(
 
 
 class TestSubstitutionCaching:
-    """Atoms carry their key and hash; substitute_index builds each image once."""
+    """Atoms are interned with their key; substitute_index caches each atom's image."""
 
     @given(
         st.lists(monomial_texts, min_size=1, max_size=6),
@@ -447,7 +447,7 @@ class TestSubstitutionCaching:
         ((atoms, scalar),) = instantiated.monomials()
         assert scalar == one()
         for left, right in zip(parsed, atoms):
-            assert left == right
+            assert left is right
             assert hash(left) == hash(right)
             assert left.order_key == right.order_key == old_atom_order(left)
 

@@ -1,10 +1,14 @@
-"""The package's immutable records: equality, hashing, construction, repr."""
+"""The package's immutable records: equality, hashing, construction, repr, copying."""
+
+import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horaprove import corpus_path, fuzz, parse_file, prove
+from conftest import U_BASIS_3, atoms_in
+from horaprove import corpus_path, fuzz, parse_file, parse_identity, prove
 from horaprove.lang import Identity, IntLit, LetDecl, NameRef, Product, ScalarRef, Sum
 from horaprove.prover import Certificate
 from horaprove.ring import Record
@@ -137,3 +141,26 @@ def test_repr_names_every_field():
     text = "LetDecl(name='e', value=IntLit(value=2), line=0, col=0)"
     assert repr(LetDecl("e", IntLit(2))) == text
     assert repr(Sum(((1, ScalarRef("p")),))) == "Sum(terms=((1, ScalarRef(name='p')),))"
+
+
+COPIERS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+# the false law refutes; the u-basis law proves, and its proof tree shares subtrees
+COPIED_LAWS = {"false-law": FALSE_LAW, "u-basis-law": U_BASIS_3}
+
+
+@pytest.mark.parametrize("law", COPIED_LAWS.values(), ids=COPIED_LAWS.keys())
+@pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
+def test_copies_equal_the_original_and_share_its_atoms(copier, law):
+    identity = parse_identity(law)
+    cert = prove(identity)
+    for original in (identity, cert):
+        copied = copier(original)
+        assert copied == original
+        pairs = list(zip(atoms_in(original), atoms_in(copied), strict=True))
+        assert pairs
+        assert all(left is right for left, right in pairs)
+    assert copier(cert).to_json_dict() == cert.to_json_dict()
