@@ -20,7 +20,9 @@ at a time from the normal form of lhs - rhs:
      reuses its proof tree.
   3. With no indices left, every atom has a constant index: expand it to an
      exact ring element and check that the leaf polynomial is zero (after
-     substituting any pinned scalars).
+     substituting any pinned scalars).  Leaves across a file repeat the
+     same products of terms, so the product of a monomial's first two
+     terms comes from a bounded per-process cache.
 
 The certificate records the annihilator used at every elimination, every
 instantiated subgoal, and every leaf polynomial, one per path even where
@@ -330,18 +332,44 @@ def _validated_order(identity: Identity, elimination_order: Sequence[str] | None
 
 
 def _leaf_poly(nf: NormalForm, pins: Mapping[str, Fraction]) -> LaurentPoly:
-    """Expand an index-free goal to a single exact ring element."""
+    """Expand an index-free goal to a single exact ring element.
+
+    The monomials are summed in the goal's term-dict order, with no sort:
+    the sum is one canonical ring element, and render sorts its terms.
+    Every atom's term is asked of symbolic_term.  The product of a
+    monomial's first two terms comes from a bounded per-process cache
+    keyed by the two terms, since the same products recur across the
+    leaves of a file.  The scalar and then any further terms are
+    multiplied in uncached, so no partial product larger than a pair is
+    kept.
+    """
     total = zero()
-    for atoms, scalar in nf.monomials():
-        term = scalar
+    for atoms, scalar in nf._terms.items():  # the goal's own dict: monomials() would sort it
+        factors = []
         for atom in atoms:
-            if not atom.index.is_constant:
+            index = atom.index
+            if index.coeffs:
                 raise AssertionError("sequence atom with live index reached a leaf")
-            term = term * symbolic_term(atom.kind, atom.index.const)
+            factors.append(symbolic_term(atom.kind, index.const))
+        term = scalar
+        if factors:
+            head = factors[0] if len(factors) == 1 else _term_product(factors[0], factors[1])
+            term = scalar * head
+            for factor in factors[2:]:
+                term = term * factor
         total = total + term
     if pins:
         total = total.pin_substitute(pins)
     return total
+
+
+# distinct pairs of leaf terms whose product is kept
+TERM_PRODUCT_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=TERM_PRODUCT_CACHE_SIZE)
+def _term_product(left: LaurentPoly, right: LaurentPoly) -> LaurentPoly:
+    return left * right
 
 
 # ---------------------------------------------------------------------------

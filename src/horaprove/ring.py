@@ -239,9 +239,14 @@ class LaurentPoly:
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not LaurentPoly:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if other is _ZERO:
+            return self
+        if self is _ZERO:
+            return other
         out = dict(self._terms)
         for key, coeff in other._terms.items():
             s = out.get(key, 0) + coeff
@@ -269,9 +274,10 @@ class LaurentPoly:
         return other + (-self)
 
     def __mul__(self, other) -> "LaurentPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not LaurentPoly:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if other is _ONE:
             return self
         if self is _ONE:
@@ -492,7 +498,8 @@ def one() -> LaurentPoly:
 
 
 def from_int(n: int) -> LaurentPoly:
-    # the shared zero and one, so that __mul__'s `is _ONE` test sees a 1
+    # the shared zero and one, so that __add__'s `is _ZERO` and __mul__'s
+    # `is _ONE` tests see a built or coerced 0 or 1
     if n == 0:
         return _ZERO
     if n == 1:

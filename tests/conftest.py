@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -8,6 +9,9 @@ from horaprove.lang import NormalForm, SeqTerm
 from horaprove.prover import EliminationNode
 from horaprove.ring import SYMBOLS, Record
 from horaprove.sequences import numeric_term
+
+
+MULTI_INDEX = Path(__file__).resolve().parents[1] / "perfbench/workloads/multi_index.fib"
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,10 @@
 Every SeqTerm with a given kind and index form is one live object, held
 weakly by lang's intern table, so equality and hashing are identity tests.
 Per-atom elimination work (an atom's image under substitute_index, a
-monomial's root classes along an index) is cached for the whole process;
-these tests check that the caches are bounded, that they hold no atom
-alive once cleared, and that no certificate depends on what was proved
-before it.
+monomial's root classes along an index) and the product of two leaf terms
+are cached for the whole process; these tests check that the caches are
+bounded, that they hold no atom alive once cleared, and that no
+certificate depends on what was proved before it.
 """
 
 import functools
@@ -14,20 +14,17 @@ import gc
 import importlib
 import pkgutil
 import weakref
-from pathlib import Path
 
 import horaprove
-from conftest import atoms_in
+from conftest import MULTI_INDEX, atoms_in
 from horaprove import corpus_path, lang, parse_file, parse_identity, prove, prover
 from horaprove.lang import LinForm, SeqTerm, normalize
 from horaprove.sequences import SequenceKind
 
-MULTI_INDEX = Path(__file__).resolve().parents[1] / "perfbench/workloads/multi_index.fib"
-
-
 def clear_atom_caches():
     lang._substitute_atom.cache_clear()
     prover._monomial_classes.cache_clear()
+    prover._term_product.cache_clear()
 
 
 class TestInterning:
@@ -98,6 +95,7 @@ def test_every_module_cache_is_bounded():
         "horaprove.lang._substitute_atom",
         "horaprove.lang._render_atom",
         "horaprove.prover._monomial_classes",
+        "horaprove.prover._term_product",
         "horaprove.cfinite._from_class_set",
         "horaprove.sequences.symbolic_term",
     } <= caches.keys()

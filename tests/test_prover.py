@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import U_BASIS_3, by_fragment, eval_normal_form, rational_assignments, walk
+from conftest import (
+    MULTI_INDEX,
+    U_BASIS_3,
+    by_fragment,
+    eval_normal_form,
+    rational_assignments,
+    walk,
+)
+from horaprove import corpus_path
 from horaprove.cfinite import Annihilator
 from horaprove.lang import (
     IntLit,
@@ -40,7 +48,7 @@ from horaprove.prover import (
     fuzz,
     prove,
 )
-from horaprove.ring import SYMBOLS, from_int, one, q_power, symbol
+from horaprove.ring import SYMBOLS, ExponentOverflowError, from_int, one, q_power, symbol, zero
 from horaprove.sequences import SequenceKind, numeric_term, symbolic_term
 
 p, a, b, q = symbol("p"), symbol("a"), symbol("b"), symbol("q")
@@ -220,6 +228,28 @@ class TestProve:
         assert cert.root is None and cert.leaves == []
         assert "of q is outside the ring's range" in cert.reason
 
+    def test_overflow_in_leaf_expansion_names_the_first_exponent_out_of_range(self, monkeypatch):
+        # both monomials overflow at the leaf; the reason must not depend on
+        # the order in which the leaf's monomials are summed
+        raised = []
+
+        def leaf_poly(nf, pins):
+            try:
+                return _leaf_poly(nf, pins)
+            except ExponentOverflowError:
+                raised.append(nf)
+                raise
+
+        monkeypatch.setattr(prover, "_leaf_poly", leaf_poly)
+        cert = prove(parse_identity(
+            "forall n: q^(1073741000)*W(n+3000) + q^(1073741500)*u(n+2000)*W(n+1000) == 0"
+        ))
+        assert cert.verdict == ABORTED and len(raised) == 1
+        assert cert.reason == (
+            "exponent 1073741824 of q is outside the ring's range "
+            "-1073741824 <= e < 1073741824"
+        )
+
     def test_sixth_power_of_a_slope_three_law(self):
         # its leaves multiply terms like W(20)^6, of hundreds of monomials
         assert len((symbolic_term(SequenceKind.W, 20) ** 6).terms()) > 300
@@ -252,6 +282,70 @@ class TestProve:
         assert [leaf.at for leaf in cert.leaves] == [
             (("m", x), ("n", y)) for x in range(2) for y in range(2)
         ]
+
+
+def reference_leaf_poly(goal, pins):
+    """Leaf expansion with no shortcut: sorted monomials, a plain left fold, no cache."""
+    total = zero()
+    for atoms, scalar in goal.monomials():
+        term = scalar
+        for atom in atoms:
+            term = term * symbolic_term(atom.kind, atom.index.const)
+        total = total + term
+    return total.pin_substitute(pins) if pins else total
+
+
+@st.composite
+def leaf_goals(draw):
+    """Index-free goals of up to four monomials, each of 0-4 atoms at constant indices."""
+    kinds = st.sampled_from((SequenceKind.W, SequenceKind.V, SequenceKind.U))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        atoms = tuple(
+            SeqTerm(draw(kinds), LinForm.make({}, draw(st.integers(-4, 9))))
+            for _ in range(draw(st.integers(0, 4)))
+        )
+        scalar = from_int(draw(st.integers(-3, 3)))
+        scalar = scalar * p ** draw(st.integers(0, 2)) * q_power(draw(st.integers(-2, 2)))
+        terms[atoms] = scalar
+    return NormalForm(terms)
+
+
+def pin_maps(values):
+    """Pins of up to three symbols, q never pinned to 0."""
+    return st.dictionaries(st.sampled_from(SYMBOLS), values, max_size=3).filter(
+        lambda pins: pins.get("q", 1) != 0
+    )
+
+
+class TestLeafExpansion:
+    def test_every_corpus_leaf_expands_as_the_reference_does(self):
+        names = ("paper.fib", "mutations.fib", "horadam_extra.fib")
+        leaves = 0
+        for source in [corpus_path(name) for name in names] + [MULTI_INDEX]:
+            for identity in parse_file(source.read_text(encoding="utf-8")).identities:
+                pins = identity.pin_map()
+                for node in walk(prove(identity).root):
+                    if isinstance(node, LeafNode):
+                        expected = reference_leaf_poly(node.goal, pins)
+                        assert node.poly == expected and _leaf_poly(node.goal, pins) == expected
+                        leaves += 1
+        # leaf paths: paper.fib 86, mutations.fib 172, multi_index.fib 98
+        assert leaves == 86 + 172 + 98
+
+    @given(
+        leaf_goals(),
+        st.one_of(
+            pin_maps(st.integers(-3, 3).map(Fraction)),
+            pin_maps(st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_goals_expand_as_the_reference_does(self, goal, pins):
+        expected = reference_leaf_poly(goal, pins)
+        assert _leaf_poly(goal, pins) == expected
+        # the second expansion reads its two-term products from the cache
+        assert _leaf_poly(goal, pins) == expected
 
 
 class TestSharedSubgoals:

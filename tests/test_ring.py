@@ -82,6 +82,26 @@ class TestConstruction:
         assert 2 * p == p + p
         assert p - 1 == p + from_int(-1)
         assert 1 - p == one() - p
+        x = p * q - 3 * a
+        assert x + 3 == 3 + x == x + from_int(3)
+        assert 3 * x == x * 3 == x + x + x
+
+    def test_adding_the_shared_zero_returns_the_other_operand(self):
+        x = p * q - 3 * a
+        assert zero() + x is x and x + zero() is x
+        assert from_int(0) + x is x and 0 + x is x
+
+    @pytest.mark.parametrize("foreign", [1.5, Fraction(1, 2), "p", None])
+    def test_foreign_operands_raise_type_error(self, foreign):
+        x = p * q - 3 * a
+        with pytest.raises(TypeError):
+            x + foreign
+        with pytest.raises(TypeError):
+            foreign + x
+        with pytest.raises(TypeError):
+            x * foreign
+        with pytest.raises(TypeError):
+            foreign * x
 
 
 class TestArithmetic:
