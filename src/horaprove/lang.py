@@ -31,7 +31,8 @@ is the sum-of-monomials view of an expression: a map from a multiset of
 atoms (at most one of them of the GEOQ family, with no constant part) to
 an exact scalar coefficient in the ring.  Identity index variables never
 appear in scalars, only inside atom index forms, which makes eliminating
-one index at a time well-defined.
+one index at a time well-defined.  Normalizing builds a NormalForm only
+where an atom occurs: a subtree without one is a ring element.
 
 Atoms are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): each distinct (kind, index form) is one
@@ -150,9 +151,6 @@ class LinForm(Record):
         for v, c in other.coeffs:
             coeffs[v] = coeffs.get(v, 0) + c
         return LinForm.make(coeffs, self.const + other.const)
-
-    def drop_const(self) -> "LinForm":
-        return LinForm(self.coeffs, 0)
 
     def value(self, index_values: Mapping[str, int]) -> int:
         return self.const + sum(c * index_values[v] for v, c in self.coeffs)
@@ -701,14 +699,8 @@ class NormalForm:
         return self
 
     @classmethod
-    def zero(cls) -> "NormalForm":
-        return cls._raw({})
-
-    @classmethod
     def from_scalar(cls, scalar: LaurentPoly) -> "NormalForm":
-        if scalar.is_zero:
-            return cls.zero()
-        return cls._raw({(): scalar})
+        return cls._raw({} if scalar.is_zero else {(): scalar})
 
     @property
     def is_zero(self) -> bool:
@@ -764,6 +756,12 @@ class NormalForm:
                 else:
                     out[atoms] = s
         return NormalForm._raw(out)
+
+    def scaled(self, s: LaurentPoly) -> "NormalForm":
+        """This form times s; with no zero divisors, no coefficient vanishes unless s is 0."""
+        if s.is_zero:
+            return NormalForm._raw({})
+        return NormalForm._raw({atoms: c * s for atoms, c in self._terms.items()})
 
     def substitute_index(self, var: str, value: int) -> "NormalForm":
         """Instantiate one index variable at an integer value.
@@ -844,7 +842,7 @@ def _q_power(lin: LinForm) -> tuple:
     The atoms are q^(lin without its constant), or none when lin is
     constant; k is lin's constant.
     """
-    atoms = () if lin.is_constant else (SeqTerm(GEOQ, lin.drop_const()),)
+    atoms = () if lin.is_constant else (SeqTerm(GEOQ, LinForm(lin.coeffs, 0)),)
     return atoms, lin.const
 
 
@@ -878,23 +876,24 @@ def _render_monomial(atoms: tuple, scalar: LaurentPoly):
 def normalize(expr: Expr, bindings: Mapping[str, Expr] | None = None) -> NormalForm:
     """Expand an expression into its canonical sum-of-monomials form.
 
-    bindings maps let names to their bodies, in source order.
+    bindings maps let names to their bodies, in source order.  A subtree
+    with no atom, such as every let body, normalizes to a ring element.
     """
-    return _normalize(expr, let_values(bindings, _normalize))
+    return _form(_normalize(expr, let_values(bindings, _normalize)))
 
 
-def _normalize(expr: Expr, values: Mapping[str, NormalForm]) -> NormalForm:
+def _normalize(expr: Expr, values: Mapping) -> LaurentPoly | NormalForm:
+    """expr's value: a LaurentPoly where no atom occurs, else a NormalForm."""
     if isinstance(expr, IntLit):
-        return NormalForm.from_scalar(from_int(expr.value))
+        return from_int(expr.value)
     if isinstance(expr, ScalarRef):
-        return NormalForm.from_scalar(symbol(expr.name))
+        return symbol(expr.name)
     if isinstance(expr, NameRef):
         return values[expr.name]
     if isinstance(expr, SeqTerm):
-        if expr.kind is not GEOQ:
-            return NormalForm({(expr,): one()})
-        atoms, k = _q_power(expr.index)
-        return NormalForm._raw({atoms: q_power(k) if k else one()})
+        atoms, k = _q_power(expr.index) if expr.kind is GEOQ else ((expr,), 0)
+        scalar = q_power(k) if k else one()
+        return NormalForm._raw({atoms: scalar}) if atoms else scalar
     if isinstance(expr, Sum):
         (sign, first), *rest = expr.terms
         total = _normalize(first, values)
@@ -902,27 +901,40 @@ def _normalize(expr: Expr, values: Mapping[str, NormalForm]) -> NormalForm:
             total = -total
         for sign, term in rest:
             nf = _normalize(term, values)
+            if nf.__class__ is not total.__class__:
+                total, nf = _form(total), _form(nf)
             total = total + nf if sign > 0 else total - nf
         return total
     if isinstance(expr, Product):
         first, *rest = expr.factors
         total = _normalize(first, values)
         for factor in rest:
-            total = total * _normalize(factor, values)
+            total = _times(total, _normalize(factor, values))
         return total
     if isinstance(expr, Pow):
-        result = NormalForm.from_scalar(one())
-        base = _normalize(expr.base, values)
+        result, base = one(), _normalize(expr.base, values)
         for _ in range(expr.exponent):
-            result = result * base
+            result = _times(result, base)
         return result
     raise TypeError(f"unexpected node {expr!r}")
 
 
+def _times(x, y):
+    """x * y, where each is a scalar (a LaurentPoly) or a NormalForm."""
+    if x.__class__ is y.__class__:
+        return x * y
+    return x.scaled(y) if y.__class__ is LaurentPoly else y.scaled(x)
+
+
+def _form(value) -> NormalForm:
+    return value if value.__class__ is NormalForm else NormalForm.from_scalar(value)
+
+
 def identity_goal(identity: Identity) -> NormalForm:
-    """Normal form of lhs - rhs: the thing that must vanish."""
+    """Normal form of lhs - rhs, the thing that must vanish; scalar
+    subtrees and let bodies are ring elements until they meet an atom."""
     values = let_values(identity.bindings(), _normalize)
-    return _normalize(identity.lhs, values) - _normalize(identity.rhs, values)
+    return _form(_normalize(identity.lhs, values)) - _form(_normalize(identity.rhs, values))
 
 
 def let_values(bindings: Mapping[str, Expr] | None, value: Callable) -> dict:

@@ -259,38 +259,12 @@ def prove(
     # indices, as when a law symmetric in i and j swaps their values; one
     # goal's instances along a single index are seldom equal (never in the
     # shipped corpora), so only goals below two eliminations pay a lookup.
+    # The table is passed down, not closed over, so no reference cycle
+    # keeps it or the proof alive once prove returns.
     proved: dict = {}
-
-    def recurse(nf: NormalForm, remaining: tuple, depth: int) -> ProofNode:
-        if depth < 2:
-            return build(nf, remaining, depth)
-        key = nf.support(), remaining
-        nodes = proved.get(key)
-        if nodes is None:
-            nodes = proved[key] = []
-        else:
-            for node in nodes:
-                if node.goal == nf:
-                    return node
-        node = build(nf, remaining, depth)
-        nodes.append(node)
-        return node
-
-    def build(nf: NormalForm, remaining: tuple, depth: int) -> ProofNode:
-        if not remaining or nf.is_zero:
-            poly = _leaf_poly(nf, pins)
-            return LeafNode(nf, poly, poly.is_zero)
-        index, rest = remaining[0], remaining[1:]
-        ann = annihilator_for(nf, index, max_order)
-        subgoals = []
-        for value in range(ann.order):
-            child_nf = nf.substitute_index(index, value)
-            child = recurse(child_nf, rest, depth + 1)
-            subgoals.append((value, child))
-        return EliminationNode(index, ann, nf, subgoals)
-
     try:
-        root: ProofNode | None = recurse(identity_goal(identity), elim, 0)
+        goal = identity_goal(identity)
+        root: ProofNode | None = _recurse(goal, elim, 0, pins, max_order, proved)
         leaves = list(_leaf_records(root, ()))
         verdict = PROVED if all(leaf.zero for leaf in leaves) else REFUTED
         reason = ""
@@ -301,6 +275,40 @@ def prove(
         reason = str(exc)
     ms = int((time.perf_counter() - start) * 1000)
     return Certificate(identity, elim, root, leaves, verdict, ms, reason)
+
+
+def _recurse(
+    nf: NormalForm, remaining: tuple, depth: int, pins: dict, max_order: int, proved: dict
+) -> ProofNode:
+    if depth < 2:
+        return _build(nf, remaining, depth, pins, max_order, proved)
+    key = nf.support(), remaining
+    nodes = proved.get(key)
+    if nodes is None:
+        nodes = proved[key] = []
+    else:
+        for node in nodes:
+            if node.goal == nf:
+                return node
+    node = _build(nf, remaining, depth, pins, max_order, proved)
+    nodes.append(node)
+    return node
+
+
+def _build(
+    nf: NormalForm, remaining: tuple, depth: int, pins: dict, max_order: int, proved: dict
+) -> ProofNode:
+    if not remaining or nf.is_zero:
+        poly = _leaf_poly(nf, pins)
+        return LeafNode(nf, poly, poly.is_zero)
+    index, rest = remaining[0], remaining[1:]
+    ann = annihilator_for(nf, index, max_order)
+    subgoals = []
+    for value in range(ann.order):
+        child_nf = nf.substitute_index(index, value)
+        child = _recurse(child_nf, rest, depth + 1, pins, max_order, proved)
+        subgoals.append((value, child))
+    return EliminationNode(index, ann, nf, subgoals)
 
 
 def _leaf_records(node: ProofNode, path: tuple) -> Iterator[LeafRecord]:

@@ -190,12 +190,13 @@ class LaurentPoly:
 
     # -- constructors ------------------------------------------------
 
-    @classmethod
-    def _raw(cls, terms: dict) -> "LaurentPoly":
-        # terms must already be canonical (packed keys, no zero coefficients)
-        self = cls.__new__(cls)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", None)
+    @staticmethod
+    def _raw(terms: dict) -> "LaurentPoly":
+        # terms must already be canonical (packed keys, no zero coefficients);
+        # a slot's own setter costs less to call than object.__setattr__
+        self = _new(LaurentPoly)
+        _set_terms(self, terms)
+        _set_hash(self, None)
         return self
 
     @classmethod
@@ -324,7 +325,7 @@ class LaurentPoly:
         h = self._hash
         if h is None:
             h = hash(frozenset(self._terms.items()))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     # -- units -------------------------------------------------------
@@ -436,6 +437,11 @@ class LaurentPoly:
         return f"LaurentPoly({self.render()})"
 
 
+_new = object.__new__
+_set_terms = LaurentPoly._terms.__set__
+_set_hash = LaurentPoly._hash.__set__
+
+
 def _coerce(value) -> LaurentPoly:
     if isinstance(value, LaurentPoly):
         return value
@@ -515,4 +521,6 @@ def symbol(name: str) -> LaurentPoly:
 
 
 def q_power(k: int) -> LaurentPoly:
-    return LaurentPoly._raw({_pack(k if j == _Q else 0 for j in range(_NSYM)): 1})
+    if not -_BIAS <= k < _BIAS:
+        _pack((0, 0, 0, 0, 0, k))  # raises
+    return LaurentPoly._raw({_UNIT + (k << _SHIFTS[_Q]): 1})

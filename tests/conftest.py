@@ -5,10 +5,20 @@ import pytest
 from hypothesis import strategies as st
 
 from horaprove import corpus_path, parse_file
-from horaprove.lang import NormalForm, SeqTerm
+from horaprove.lang import (
+    IntLit,
+    LinForm,
+    NameRef,
+    NormalForm,
+    Pow,
+    Product,
+    ScalarRef,
+    SeqTerm,
+    Sum,
+)
 from horaprove.prover import EliminationNode
 from horaprove.ring import SYMBOLS, Record
-from horaprove.sequences import numeric_term
+from horaprove.sequences import SequenceKind, numeric_term
 
 
 MULTI_INDEX = Path(__file__).resolve().parents[1] / "perfbench/workloads/multi_index.fib"
@@ -84,3 +94,39 @@ def eval_normal_form(nf, scalars, indices) -> Fraction:
             term *= numeric_term(atom.kind, atom.index.value(indices), scalars)
         total += term
     return total
+
+
+# Random syntax trees with every node kind, for the compiled evaluator and the
+# normalizer.  Index forms have 0, 1 or 2 variables, since the compiler
+# special-cases each count; a GEOQ term of a constant form is a scalar q^(k).
+TREE_INDICES = ("m", "n")
+tree_forms = st.builds(
+    lambda names, coeffs, const: LinForm.make(dict(zip(names, coeffs)), const),
+    st.sampled_from(((), ("m",), ("n",), TREE_INDICES)),
+    st.tuples(*[st.integers(-3, 3).filter(bool)] * len(TREE_INDICES)),
+    st.integers(-4, 4),
+)
+
+
+def trees(names: tuple, max_leaves: int):
+    """Trees whose NameRef leaves name one of `names` (let names)."""
+    leaves = [
+        st.builds(IntLit, st.integers(-5, 5)),
+        st.builds(ScalarRef, st.sampled_from(SYMBOLS)),
+        st.builds(SeqTerm, st.sampled_from(tuple(SequenceKind)), tree_forms),
+    ]
+    if names:
+        leaves.append(st.builds(NameRef, st.sampled_from(names)))
+    return st.recursive(
+        st.one_of(leaves),
+        lambda children: st.one_of(
+            st.builds(
+                Sum,
+                st.lists(st.tuples(st.sampled_from((1, -1)), children), min_size=1, max_size=3)
+                .map(tuple),
+            ),
+            st.builds(Product, st.lists(children, min_size=2, max_size=3).map(tuple)),
+            st.builds(Pow, children, st.integers(0, 3)),
+        ),
+        max_leaves=max_leaves,
+    )

@@ -6,16 +6,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import eval_normal_form
+from conftest import MULTI_INDEX, eval_normal_form, trees
+from horaprove import corpus_path
 from horaprove.lang import (
     MAX_NESTING,
     RESERVED,
     Identity,
+    IntLit,
     LetDecl,
     LinForm,
+    NameRef,
     NonIntegerExponentError,
     NormalForm,
     ParseError,
+    Pow,
     Product,
     SLOPE_CAP,
     ScalarRef,
@@ -469,3 +473,123 @@ class TestSubstitutionCaching:
     def test_substitute_leaves_a_form_without_the_variable_as_it_is(self):
         lin = LinForm.make({"n": 2}, 1)
         assert lin.substitute("m", 4) is lin
+
+
+# ---------------------------------------------------------------------------
+# scalar subtrees normalize in the ring
+
+GEOQ = SequenceKind.GEOQ
+
+
+def reference_normalize(expr, values):
+    """Normalization by NormalForm algebra alone: every subtree, scalar or
+    not, becomes a NormalForm before it is added or multiplied."""
+    if isinstance(expr, IntLit):
+        return NormalForm.from_scalar(from_int(expr.value))
+    if isinstance(expr, ScalarRef):
+        return NormalForm.from_scalar(symbol(expr.name))
+    if isinstance(expr, NameRef):
+        return values[expr.name]
+    if isinstance(expr, SeqTerm):
+        if expr.kind is not GEOQ:
+            return NormalForm({(expr,): one()})
+        lin = expr.index
+        atoms = () if lin.is_constant else (SeqTerm(GEOQ, LinForm(lin.coeffs, 0)),)
+        return NormalForm({atoms: q_power(lin.const)})
+    if isinstance(expr, Sum):
+        (sign, first), *rest = expr.terms
+        total = reference_normalize(first, values)
+        if sign < 0:
+            total = -total
+        for sign, term in rest:
+            nf = reference_normalize(term, values)
+            total = total + nf if sign > 0 else total - nf
+        return total
+    if isinstance(expr, Product):
+        first, *rest = expr.factors
+        total = reference_normalize(first, values)
+        for factor in rest:
+            total = total * reference_normalize(factor, values)
+        return total
+    if isinstance(expr, Pow):
+        result = NormalForm.from_scalar(one())
+        base = reference_normalize(expr.base, values)
+        for _ in range(expr.exponent):
+            result = result * base
+        return result
+    raise TypeError(f"unexpected node {expr!r}")
+
+
+def reference_goal(identity):
+    values = let_values(identity.bindings(), reference_normalize)
+    return reference_normalize(identity.lhs, values) - reference_normalize(identity.rhs, values)
+
+
+def assert_normalizes_as_the_reference(identity):
+    goal = identity_goal(identity)
+    assert type(goal) is NormalForm
+    assert goal == reference_goal(identity)
+    assert goal.render() == reference_goal(identity).render()
+    values = let_values(identity.bindings(), reference_normalize)
+    for side in (identity.lhs, identity.rhs):
+        got = normalize(side, identity.bindings())
+        assert type(got) is NormalForm
+        assert got == reference_normalize(side, values)
+
+
+class TestScalarSubtrees:
+    """Scalar subtrees stay ring elements, yet every goal equals the
+    NormalForm-only reference."""
+
+    @pytest.mark.parametrize("name", ["paper.fib", "mutations.fib", "multi_index.fib"])
+    def test_every_corpus_goal_normalizes_as_the_reference(self, name):
+        path = MULTI_INDEX if name == "multi_index.fib" else corpus_path(name)
+        identities = parse_file(path.read_text(encoding="utf-8")).identities
+        assert identities
+        for identity in identities:
+            assert_normalizes_as_the_reference(identity)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "forall n: 0*W(n) == W(n)*0",
+            "forall n: 0*p*W(n) + (p - p)*u(n) == 0",
+            "forall n: (p + W(n))^0 == W(n)^0*q^(3)",
+            "forall n: q^(2)*q^(-2) == q^(0)",
+            "forall n: p*q - q*p == 0",
+            "forall n: (p^2 - q)*(q^2 - p^2*q)*q^3 == W(n)*(p - 1)^2",
+            "let e = p*a*b - q*a^2 - b^2\nlet f = e^2 - q^(-1)\n"
+            "forall n: e*q^(n+1)*(p^3 - p*q) == f*V(n) - e",
+            "forall n, j: u(n-j)*(b*W(n+j) - q*a*W(n+j-1)) == (p + q^(j))*u(n)",
+        ],
+    )
+    def test_edge_goals_normalize_as_the_reference(self, text):
+        (identity,) = parse_file(text).identities
+        assert_normalizes_as_the_reference(identity)
+
+    @given(
+        trees(("e0", "e1"), 6),
+        trees(("e0", "e1"), 6),
+        st.tuples(trees((), 3), trees(("e0",), 3)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_trees_normalize_as_the_reference(self, lhs, rhs, bodies):
+        # e1 reads e0, and both sides read both: a let chain of two
+        lets = tuple(zip(("e0", "e1"), bodies))
+        assert_normalizes_as_the_reference(Identity(("m", "n"), lhs, rhs, (), lets))
+
+    @given(
+        st.lists(monomial_texts, min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(-3, 3), st.sampled_from(SYMBOLS), st.integers(-2, 2))),
+    )
+    @example(["W(i)*q^(j)", "2*u(k)"], [])
+    @example(["W(i)"], [(2, "p", 1), (-2, "p", 1)])
+    @settings(max_examples=80, deadline=None)
+    def test_scaled_is_the_product_by_the_scalar_form(self, monomials, scalar_terms):
+        nf = normalize(parse_identity(f"forall i, j, k: {' - '.join(monomials)} == 0").lhs)
+        s = zero()  # sum of c*x^e, x^e a q power when x is q
+        for c, x, e in scalar_terms:
+            s = s + from_int(c) * (q_power(e) if x == "q" else symbol(x) ** abs(e))
+        got = nf.scaled(s)
+        assert got == nf * NormalForm.from_scalar(s)
+        assert got.is_zero == (s.is_zero or nf.is_zero)

@@ -1,5 +1,6 @@
 """The decision procedure, its certificates, and the numeric oracle."""
 
+import gc
 import json
 import random
 from fractions import Fraction
@@ -10,24 +11,20 @@ from hypothesis import strategies as st
 
 from conftest import (
     MULTI_INDEX,
+    TREE_INDICES,
     U_BASIS_3,
     by_fragment,
     eval_normal_form,
     rational_assignments,
+    trees,
     walk,
 )
 from horaprove import corpus_path
 from horaprove.cfinite import Annihilator
 from horaprove.lang import (
-    IntLit,
     LinForm,
-    NameRef,
     NormalForm,
-    Pow,
-    Product,
-    ScalarRef,
     SeqTerm,
-    Sum,
     identity_goal,
     normalize,
     parse_file,
@@ -348,6 +345,24 @@ class TestLeafExpansion:
         assert _leaf_poly(goal, pins) == expected
 
 
+def test_proving_leaves_no_cyclic_garbage(corpus_identities, mutant_identities):
+    """Reference counting frees every proof once its certificate is dropped.
+
+    A reference cycle per call would keep the call's table of proved goals,
+    its nodes and their normal forms alive until the cyclic collector ran.
+    """
+    multi_index = parse_file(MULTI_INDEX.read_text(encoding="utf-8")).identities
+    identities = (*corpus_identities, *mutant_identities, *multi_index)
+    gc.collect()
+    gc.disable()
+    try:
+        for identity in identities:
+            prove(identity)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestSharedSubgoals:
     def test_every_path_keeps_its_leaf_in_dfs_order(self):
         cert = prove(parse_identity(U_BASIS_3))
@@ -620,41 +635,6 @@ class TestEvaluateExpr:
         w = numeric_term(SequenceKind.W, 2, scalars)
         v = numeric_term(SequenceKind.V, 2, scalars)
         assert evaluate_expr(idn.lhs, scalars, {"n": 2}, {}) == -((w - v) ** 3)
-
-
-# Random syntax trees with every node kind, for the compiled evaluator.  Index
-# forms have 0, 1 or 2 variables, since the compiler special-cases each count.
-TREE_INDICES = ("m", "n")
-tree_forms = st.builds(
-    lambda names, coeffs, const: LinForm.make(dict(zip(names, coeffs)), const),
-    st.sampled_from(((), ("m",), ("n",), TREE_INDICES)),
-    st.tuples(*[st.integers(-3, 3).filter(bool)] * len(TREE_INDICES)),
-    st.integers(-4, 4),
-)
-
-
-def trees(names: tuple, max_leaves: int):
-    """Trees whose NameRef leaves name one of `names` (let names)."""
-    leaves = [
-        st.builds(IntLit, st.integers(-5, 5)),
-        st.builds(ScalarRef, st.sampled_from(SYMBOLS)),
-        st.builds(SeqTerm, st.sampled_from(tuple(SequenceKind)), tree_forms),
-    ]
-    if names:
-        leaves.append(st.builds(NameRef, st.sampled_from(names)))
-    return st.recursive(
-        st.one_of(leaves),
-        lambda children: st.one_of(
-            st.builds(
-                Sum,
-                st.lists(st.tuples(st.sampled_from((1, -1)), children), min_size=1, max_size=3)
-                .map(tuple),
-            ),
-            st.builds(Product, st.lists(children, min_size=2, max_size=3).map(tuple)),
-            st.builds(Pow, children, st.integers(0, 3)),
-        ),
-        max_leaves=max_leaves,
-    )
 
 
 class TestCompiledEvaluator:

@@ -1,5 +1,7 @@
 """Exact Laurent-polynomial arithmetic over the six scalar symbols."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -73,9 +75,23 @@ class TestConstruction:
             symbol("x")
 
     def test_immutable(self):
-        poly = p + q
-        with pytest.raises(AttributeError):
-            poly._terms = {}
+        # every value, built by the constructor or by arithmetic, refuses assignment
+        for poly in (p + q, p * q - 3 * a, -q_power(-2), zero(), one(), LaurentPoly({})):
+            for name in ("_terms", "_hash", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(poly, name, {})
+
+    @pytest.mark.parametrize(
+        "copier",
+        [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_equal_the_original(self, copier):
+        for poly in (p * q - 3 * a, -q_power(-2) * b, q_power(2**30 - 1), zero(), one()):
+            hash(poly)  # the original's hash is cached; the copy computes its own
+            copied = copier(poly)
+            assert copied == poly and hash(copied) == hash(poly)
+            assert copied.render() == poly.render()
 
     def test_int_coercion_both_sides(self):
         assert 1 + p == p + one()
@@ -226,6 +242,18 @@ class TestPackedExponents:
         else:
             with pytest.raises(ValueError):
                 monomial(**{name: lo - 1})
+
+    def test_q_power_builds_to_the_ends_of_the_range_and_raises_past_them(self):
+        lo, hi = RANGES["q"]
+        for k in (lo, lo + 1, -1, 0, 1, hi - 1):
+            assert q_power(k) == LaurentPoly({(0, 0, 0, 0, 0, k): 1})
+            assert q_power(k).terms() == {(0, 0, 0, 0, 0, k): 1}
+        for k in (hi, lo - 1, 2**40, -(2**40)):
+            with pytest.raises(ExponentOverflowError) as caught:
+                q_power(k)
+            assert str(caught.value) == (
+                f"exponent {k} of q is outside the ring's range -1073741824 <= e < 1073741824"
+            )
 
     def test_q_sums_to_the_bounds_exactly(self):
         assert q_power(-(2**29)) * q_power(-(2**29)) == q_power(-(2**30))
