@@ -26,7 +26,6 @@ from .lang import (
     normalize,
     parse_file,
     parse_identity,
-    render_identity,
 )
 from .prover import (
     ABORTED,
@@ -99,7 +98,6 @@ __all__ = [
     "parse_identity",
     "prove",
     "q_power",
-    "render_identity",
     "symbol",
     "symbolic_term",
     "zero",

@@ -152,9 +152,6 @@ class LinForm(Record):
             coeffs[v] = coeffs.get(v, 0) + c
         return LinForm.make(coeffs, self.const + other.const)
 
-    def value(self, index_values: Mapping[str, int]) -> int:
-        return self.const + sum(c * index_values[v] for v, c in self.coeffs)
-
     def render(self) -> str:
         terms = [(c, v if abs(c) == 1 else f"{abs(c)}*{v}") for v, c in self.coeffs]
         if self.const:
@@ -254,10 +251,6 @@ class SourceFile(Record):
     @property
     def identities(self) -> tuple:
         return tuple(i for i in self.items if isinstance(i, Identity))
-
-    @property
-    def lets(self) -> tuple:
-        return tuple(i for i in self.items if isinstance(i, LetDecl))
 
 
 # ---------------------------------------------------------------------------
@@ -673,24 +666,11 @@ class NormalForm:
     """Sum of monomials: multiset of atoms -> exact scalar coefficient.
 
     Canonical: atom tuples are sorted, at most one GEOQ atom per monomial
-    (with zero constant part), and no zero scalars.
+    (with zero constant part), and no zero scalars.  Only normalization and
+    the form's own operations build one, and each keeps it canonical.
     """
 
     __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple, LaurentPoly] | None = None):
-        canon: dict = {}
-        for atoms, scalar in (terms or {}).items():
-            if scalar.is_zero:
-                continue
-            key = tuple(sorted(atoms, key=_atom_order))
-            got = canon.get(key)
-            s = scalar if got is None else got + scalar
-            if s.is_zero:
-                canon.pop(key, None)
-            else:
-                canon[key] = s
-        self._terms = canon
 
     @classmethod
     def _raw(cls, terms: dict) -> "NormalForm":
@@ -948,59 +928,3 @@ def let_values(bindings: Mapping[str, Expr] | None, value: Callable) -> dict:
     for name, body in (bindings or {}).items():
         values[name] = value(body, values)
     return values
-
-
-# ---------------------------------------------------------------------------
-# rendering parsed items back to source text
-
-
-_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
-
-
-def render_expr(expr: Expr) -> str:
-    return _render_expr(expr, _PREC_ADD)
-
-
-def _render_expr(expr: Expr, min_prec: int) -> str:
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, (ScalarRef, NameRef)):
-        return expr.name
-    if isinstance(expr, SeqTerm):
-        return _render_atom(expr.order_key)
-    if isinstance(expr, Sum):
-        # a term that is itself a Sum came from parentheses and keeps them
-        text = render_sum((sign, _render_expr(term, _PREC_MUL)) for sign, term in expr.terms)
-        return text if min_prec <= _PREC_ADD else f"({text})"
-    if isinstance(expr, Product):
-        text = "*".join(_render_expr(factor, _PREC_POW) for factor in expr.factors)
-        return text if min_prec <= _PREC_MUL else f"({text})"
-    if isinstance(expr, Pow):
-        text = _render_expr(expr.base, _PREC_ATOM) + f"^{expr.exponent}"
-        return text if min_prec <= _PREC_POW else f"({text})"
-    raise TypeError(f"unexpected node {expr!r}")
-
-
-def render_identity(identity: Identity) -> str:
-    head = "forall " + ", ".join(identity.index_vars)
-    body = f"{head}: {render_expr(identity.lhs)} == {render_expr(identity.rhs)}"
-    if identity.pins:
-        pins = ", ".join(f"{name} := {_render_fraction(v)}" for name, v in identity.pins)
-        body += f" with {pins}"
-    return body
-
-
-def _render_fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def render_file(src: SourceFile) -> str:
-    lines = []
-    for item in src.items:
-        if isinstance(item, LetDecl):
-            lines.append(f"let {item.name} = {render_expr(item.value)}")
-        else:
-            lines.append(render_identity(item))
-    return "\n".join(lines) + "\n"

@@ -509,7 +509,7 @@ def _compile(expr: Expr) -> Compiled:
 
     Every per-node decision is taken here: a call dispatches on no node
     type, and a term's closure holds its kind and its index form's constant
-    and (variable, coefficient) pairs, so it never calls LinForm.value.
+    and (variable, coefficient) pairs.
     """
     if isinstance(expr, IntLit):
         pair = expr.value, 0

@@ -151,26 +151,6 @@ def _product_overflow(k1: int, k2: int):
     raise AssertionError("a guard bit was set by in-range exponents")
 
 
-def _canonical(terms: Mapping[Exponents, int]) -> dict:
-    out = {}
-    for exps, coeff in terms.items():
-        if coeff == 0:
-            continue
-        exps = tuple(exps)
-        if len(exps) != _NSYM:
-            raise ValueError(f"exponent vector must have {_NSYM} entries: {exps!r}")
-        for i, e in enumerate(exps):
-            if e < 0 and i != _Q:
-                raise ValueError(f"negative exponent on {SYMBOLS[i]} is not allowed")
-        key = _pack(exps)
-        s = out.get(key, 0) + coeff
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    return out
-
-
 class LaurentPoly:
     """Immutable element of Z[p, a, b, c, d][q, q^-1]."""
 
@@ -178,8 +158,24 @@ class LaurentPoly:
 
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
         """terms maps exponent tuples, ordered as SYMBOLS, to coefficients."""
-        object.__setattr__(self, "_terms", _canonical(terms or {}))
-        object.__setattr__(self, "_hash", None)
+        out = {}
+        for exps, coeff in (terms or {}).items():
+            if coeff == 0:
+                continue
+            exps = tuple(exps)
+            if len(exps) != _NSYM:
+                raise ValueError(f"exponent vector must have {_NSYM} entries: {exps!r}")
+            for i, e in enumerate(exps):
+                if e < 0 and i != _Q:
+                    raise ValueError(f"negative exponent on {SYMBOLS[i]} is not allowed")
+            key = _pack(exps)
+            s = out.get(key, 0) + coeff
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        _set_terms(self, out)
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")

@@ -17,7 +17,7 @@ from horaprove.lang import (
     Sum,
 )
 from horaprove.prover import EliminationNode
-from horaprove.ring import SYMBOLS, Record
+from horaprove.ring import SYMBOLS, Record, zero
 from horaprove.sequences import SequenceKind, numeric_term
 
 
@@ -73,6 +73,20 @@ def atoms_in(value):
             yield from atoms
 
 
+def canonical_form(terms) -> NormalForm:
+    """The normal form of a map from atom tuples, in any order, to scalars.
+
+    The reference for normalization and substitution: it sorts each tuple
+    by the atoms' order_key, sums the scalars of tuples that sort equal and
+    drops zero sums.
+    """
+    canon: dict = {}
+    for atoms, scalar in terms.items():
+        key = tuple(sorted(atoms, key=lambda atom: atom.order_key))
+        canon[key] = canon.get(key, zero()) + scalar
+    return NormalForm._raw({atoms: s for atoms, s in canon.items() if not s.is_zero})
+
+
 def rational_assignments():
     """Exact rational values for every scalar symbol, q nonzero."""
     base = {s: st.fractions(min_value=-6, max_value=6, max_denominator=4) for s in SYMBOLS}
@@ -91,7 +105,8 @@ def eval_normal_form(nf, scalars, indices) -> Fraction:
     for atoms, scalar in nf.monomials():
         term = scalar.evaluate(scalars)
         for atom in atoms:
-            term *= numeric_term(atom.kind, atom.index.value(indices), scalars)
+            index = atom.index.const + sum(c * indices[v] for v, c in atom.index.coeffs)
+            term *= numeric_term(atom.kind, index, scalars)
         total += term
     return total
 

@@ -17,6 +17,7 @@ from horaprove import cli, corpus_path, parse_file, parse_identity, prove
 from horaprove.cli import main
 from horaprove.prover import DEFAULT_MAX_ORDER, Counterexample, FuzzResult
 from horaprove.ring import SYMBOLS
+from reachability import Q_PRODUCT_OVERFLOW
 
 PAPER = str(corpus_path("paper.fib"))
 MUTATIONS = str(corpus_path("mutations.fib"))
@@ -115,6 +116,28 @@ class TestVerify:
         assert f"{path}:3: ABORTED" in captured.out
         assert "exponent -1500000000 of q is outside the ring's range" in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+    def test_the_least_order_cap_is_accepted(self, capsys):
+        assert main(["verify", PAPER, "--max-order", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "must be at least" not in captured.err
+        assert "exceeds the cap 1)" in captured.out
+        total = captured.out.splitlines()[-1]
+        assert total == "total: 19 identities, 1 proved, 0 refuted, 18 aborted"
+
+    def test_q_powers_whose_product_leaves_the_ring_abort(self, tmp_path, capsys):
+        # q^(10^9) is in range, but the product of two is q^(2*10^9): the
+        # packed sum sets q's guard bit, and ring._product_overflow names q
+        path = tmp_path / "overflow.fib"
+        path.write_text(Q_PRODUCT_OVERFLOW, encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(
+            rf"{re.escape(str(path))}:1: ABORTED \(\d+ ms\) \(exponent 2000000000 of q is "
+            r"outside the ring's range -1073741824 <= e < 1073741824\)",
+            captured.out.splitlines()[0],
+        )
+        assert "Traceback" not in captured.err
 
     def test_default_cap_is_the_provers(self, capsys):
         assert cli._build_parser().parse_args(["verify", PAPER]).max_order == DEFAULT_MAX_ORDER
@@ -326,6 +349,15 @@ class TestFuzzCommand:
         assert main(["fuzz", PAPER, "--range", "0"]) == 2
         assert "--range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, trials", [("--trials", 1), ("--range", 200)])
+    def test_the_least_trials_and_range_are_accepted(self, flag, trials, capsys):
+        assert main(["fuzz", PAPER, flag, "1"]) == 0
+        captured = capsys.readouterr()
+        assert "must be at least" not in captured.err
+        lines = captured.out.splitlines()
+        assert lines[0] == f"{PAPER}:10: PASS ({trials} trials)"
+        assert lines[-1] == "total: 19 identities fuzzed"
+
 
 N_LONG = 1200
 LONG_INPUTS = {
@@ -444,6 +476,15 @@ class TestInvocation:
         path.write_text("forall n: W(n+2) == p*W(n+1) - q*W(n)\n", encoding="utf-8")
         assert main(["fuzz", str(path)]) == 0
         assert capsys.readouterr().out.splitlines()[0] == f"{path}:1: PASS (200 trials)"
+
+    @pytest.mark.parametrize("argv, code", [(["verify", TEMPLATE], 0), (["verify", MUTATIONS], 1),
+                                            (["fuzz", "no-such-file.fib"], 2)])
+    def test_console_script_exits_with_mains_code(self, argv, code, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["horaprove", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            cli.entrypoint()
+        assert exit_.value.code == code
+        capsys.readouterr()
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -14,6 +14,7 @@ from conftest import (
     TREE_INDICES,
     U_BASIS_3,
     by_fragment,
+    canonical_form,
     eval_normal_form,
     rational_assignments,
     trees,
@@ -305,7 +306,7 @@ def leaf_goals(draw):
         scalar = from_int(draw(st.integers(-3, 3)))
         scalar = scalar * p ** draw(st.integers(0, 2)) * q_power(draw(st.integers(-2, 2)))
         terms[atoms] = scalar
-    return NormalForm(terms)
+    return canonical_form(terms)
 
 
 def pin_maps(values):
