@@ -6,20 +6,14 @@ errors: unreadable files, parse failures, bad flags, an order-cap abort, or
 an unexpected error in one identity (reported, and the run goes on).
 
 Input files are read as UTF-8; a leading byte-order mark is dropped.
-
-Certificates are written by _json_text, a short recursive writer whose
-output is byte for byte that of json.dumps(value, indent=2).  json.dumps
-runs CPython's pure-Python encoder whenever indent is set; the writer
-makes one pass over the certificate's dicts, lists, strings, ints, bools
-and None, escapes each string with the C encode_basestring_ascii, and
-raises TypeError on any other type (a float included) or a non-str key.
+Each certificate is the bytes of Certificate.json_text, which is ASCII,
+and a line feed (LF on every platform).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from .lang import Identity, ParseError, parse_file
@@ -60,53 +54,6 @@ def _load(path: str):
     except ParseError as exc:
         print(f"{path}:{exc}", file=sys.stderr)
         return None
-
-
-def _json_text(value) -> str:
-    """value as json.dumps(value, indent=2) writes it, byte for byte."""
-    parts: list = []
-    _write_json(value, "\n", parts.append)
-    return "".join(parts)
-
-
-def _write_json(value, newline: str, put):
-    """put() the pieces of value's JSON; newline is "\n" plus its indent."""
-    if isinstance(value, str):
-        put(_json_string(value))
-    elif value is None:
-        put("null")
-    elif value is True:
-        put("true")
-    elif value is False:
-        put("false")
-    elif isinstance(value, int):
-        put(int.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            put("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            put(sep + _json_string(key) + ": ")
-            _write_json(item, inner, put)
-            sep = "," + inner
-        put(newline + "}")
-    elif isinstance(value, list):
-        if not value:
-            put("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            put(sep)
-            _write_json(item, inner, put)
-            sep = "," + inner
-        put(newline + "]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _report_crash(path: str, identity: Identity, exc: Exception):
@@ -174,7 +121,7 @@ def cmd_verify(args) -> int:
             if cert_dir is not None:
                 cert_path = cert_dir / f"{stem}-{i:03d}.json"
                 try:
-                    cert_path.write_text(_json_text(cert.to_json_dict()) + "\n", encoding="utf-8")
+                    cert_path.write_bytes(cert.json_text().encode() + b"\n")
                 except OSError as exc:
                     print(f"error: {cert_path}: {exc}", file=sys.stderr)
                     return EXIT_ERROR

@@ -257,51 +257,49 @@ class SourceFile(Record):
 # tokenizer
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col", "offset")
-
-    def __init__(self, kind: str, text: str, line: int, col: int, offset: int):
-        self.kind = kind  # NAME INT OP EOF
-        self.text = text
-        self.line = line
-        self.col = col
-        self.offset = offset
-
-
-# One match per token, each with the blanks before it.  Group 1 is a line
-# break, 2 a comment, 3 a decimal run (\d is exactly str.isdecimal), 4 a
-# word run (\w is str.isalnum plus '_'), 5 an operator and 6 any other
+# One match per token, each with the blanks and line breaks before it.
+# Group 1 is a comment, 2 a decimal run (\d is exactly str.isdecimal), 3 a
+# word run (\w is str.isalnum plus '_'), 4 an operator and 5 any other
 # character but a blank, so a scan skips no text but the blanks at its end.
 _SCAN = re.compile(
-    r"[ \t\r]*(?:(\n)|(#[^\n]*)|(\d+)|(\w+)|(==|:=|[()^*+\-,:=/])|([^ \t\r]))", re.DOTALL
+    r"[ \t\r\n]*(?:(#[^\n]*)|(\d+)|(\w+)|(==|:=|[()^*+\-,:=/])|([^ \t\r\n]))"
 ).finditer
-_KINDS = (None, None, None, "INT", "NAME", "OP")
+_KINDS = (None, None, "INT", "NAME", "OP")
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    line, line_start = 1, 0
+def _tokenize(text: str) -> tuple:
+    """(kinds, texts, offsets): three lists with an entry per token.
+
+    A kind is NAME, INT or OP, and the lists end with an EOF token, whose
+    text is "" at offset len(text).  A token's line and column are found
+    from its offset only where one is reported (_position).
+    """
+    kinds, texts, offsets = [], [], []
     for m in _SCAN(text):
         group = m.lastindex
         if group == 1:
-            line += 1
-            line_start = m.end()
             continue
-        if group == 2:
-            continue
-        start = m.start(group)
-        col = start - line_start + 1
         word = m[group]
         # a word must start as a name does; '²', '①' or '½' alone is an error
-        if group == 6 or (group == 4 and not (word[0].isalpha() or word[0] == "_")):
-            raise ParseError(f"unexpected character {word[0]!r}", line, col)
-        tokens.append(_Token(_KINDS[group], word, line, col, start))
-    # the end of input sits after the last line's text, less any comment on it
-    last = text[line_start:]
-    hash_at = last.find("#")
-    col = (len(last) if hash_at < 0 else hash_at) + 1
-    tokens.append(_Token("EOF", "", line, col, len(text)))
-    return tokens
+        if group == 5 or (group == 3 and not (word[0].isalpha() or word[0] == "_")):
+            raise ParseError(f"unexpected character {word[0]!r}", *_position(text, m.start(group)))
+        kinds.append(_KINDS[group])
+        texts.append(word)
+        offsets.append(m.start(group))
+    kinds.append("EOF")
+    texts.append("")
+    offsets.append(len(text))
+    return kinds, texts, offsets
+
+
+def _position(text: str, offset: int) -> tuple:
+    """(line, column) of the token at offset.  The end of input sits after
+    the last line's text, less any comment on it."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    if offset == len(text):
+        hash_at = text.find("#", line_start)
+        offset = offset if hash_at < 0 else hash_at
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
 # ---------------------------------------------------------------------------
@@ -309,90 +307,91 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
+    """Recursive descent over the token lists; pos is the next token's index."""
+
     def __init__(self, text: str):
         self.text = text
-        tokens = _tokenize(text)
-        tokens += tokens[-1:] * 2  # EOF padding: peek(2) never runs off the end
-        self.tokens = tokens
+        # EOF padding: a look two tokens ahead never runs off the end
+        self.kinds, self.texts, self.offsets = (part + part[-1:] * 2 for part in _tokenize(text))
         self.pos = 0
+        self.line, self.line_offset = 1, 0  # the line the last item's keyword is on, its offset
         self.lets: dict = {}  # name -> body, in source order
         self.let_refs: dict = {}  # name -> the let names its body refers to
         self.refs: set = set()  # the let names the item being parsed refers to
         self.items: list = []
         self.nesting = 0  # open expression parentheses
 
-    # token helpers
+    # token helpers: each takes or returns a token's index
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[self.pos + ahead]
+    def error(self, message: str, at: int, kind=ParseError) -> ParseError:
+        return kind(message, *_position(self.text, self.offsets[at]))
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def found(self, at: int) -> str:
+        return "end of input" if self.kinds[at] == "EOF" else repr(self.texts[at])
 
-    def expect(self, text: str, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "EOF":
-            want = what or f"'{text}'"
-            raise ParseError(f"expected {want}, found {_describe(tok)}", tok.line, tok.col)
-        return self.next()
+    def expect(self, text: str) -> int:
+        at = self.pos
+        if self.texts[at] != text:  # EOF's text is "", which is never expected
+            raise self.error(f"expected '{text}', found {self.found(at)}", at)
+        self.pos = at + 1
+        return at
 
-    def expect_name(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "NAME":
-            raise ParseError(f"expected {what}, found {_describe(tok)}", tok.line, tok.col)
-        return self.next()
+    def expect_name(self, what: str) -> int:
+        at = self.pos
+        if self.kinds[at] != "NAME":
+            raise self.error(f"expected {what}, found {self.found(at)}", at)
+        self.pos = at + 1
+        return at
 
     def expect_int(self) -> int:
-        tok = self.peek()
-        if tok.kind != "INT":
-            raise ParseError(f"expected an integer, found {_describe(tok)}", tok.line, tok.col)
-        self.next()
-        return int(tok.text)
+        at = self.pos
+        if self.kinds[at] != "INT":
+            raise self.error(f"expected an integer, found {self.found(at)}", at)
+        self.pos = at + 1
+        return int(self.texts[at])
+
+    def keyword_position(self, at: int) -> tuple:
+        """(line, column) of an item's keyword, counting line breaks on from
+        the last item's: items come in source order."""
+        offset = self.offsets[at]
+        self.line += self.text.count("\n", self.line_offset, offset)
+        self.line_offset = offset
+        return self.line, offset - self.text.rfind("\n", 0, offset)
 
     # file structure
 
     def parse_file(self) -> SourceFile:
-        while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind == "NAME" and tok.text == "let":
+        while self.kinds[self.pos] != "EOF":
+            text = self.texts[self.pos]
+            if text == "let":
                 self.items.append(self.parse_let())
-            elif tok.kind == "NAME" and tok.text == "forall":
+            elif text == "forall":
                 self.items.append(self.parse_identity())
             else:
-                raise ParseError(
-                    f"expected 'let' or 'forall', found {_describe(tok)}",
-                    tok.line,
-                    tok.col,
-                )
+                raise self.error(f"expected 'let' or 'forall', found {text!r}", self.pos)
         return SourceFile(tuple(self.items))
 
     def parse_let(self) -> LetDecl:
-        kw = self.expect("let")
-        name_tok = self.expect_name("a name to bind")
-        name = name_tok.text
+        line, col = self.keyword_position(self.expect("let"))
+        at = self.expect_name("a name to bind")
+        name = self.texts[at]
         if name in RESERVED:
-            raise ParseError(
-                f"cannot bind reserved name {name!r}", name_tok.line, name_tok.col
-            )
+            raise self.error(f"cannot bind reserved name {name!r}", at)
         if name in self.lets:
-            raise ParseError(f"{name!r} is already bound", name_tok.line, name_tok.col)
+            raise self.error(f"{name!r} is already bound", at)
         self.expect("=")
         self.refs = set()
         value = self.parse_expr(index_vars=(), scalar_only=True)
-        decl = LetDecl(name, value, kw.line, kw.col)
         self.lets[name] = value
         self.let_refs[name] = self.refs
-        return decl
+        return LetDecl(name, value, line, col)
 
     def parse_identity(self) -> Identity:
-        kw = self.expect("forall")
-        start = self.pos - 1
+        start = self.expect("forall")
+        line, col = self.keyword_position(start)
         index_vars = [self.parse_index_var(())]
-        while self.peek().text == ",":
-            self.next()
+        while self.texts[self.pos] == ",":
+            self.pos += 1
             index_vars.append(self.parse_index_var(tuple(index_vars)))
         self.expect(":")
         ivars = tuple(index_vars)
@@ -400,14 +399,13 @@ class _Parser:
         lhs = self.parse_expr(ivars)
         self.expect("==")
         rhs = self.parse_expr(ivars)
-        pins = self.parse_pins() if self.peek().text == "with" else ()
-        first = self.tokens[start]
-        last = self.tokens[self.pos - 1]
-        raw = self.text[first.offset : last.offset + len(last.text)]
+        pins = self.parse_pins() if self.texts[self.pos] == "with" else ()
+        last = self.pos - 1
+        raw = self.text[self.offsets[start] : self.offsets[last] + len(self.texts[last])]
         # comments cannot occur inside tokens, so a line-wise cut is exact
-        source = " ".join(line.split("#", 1)[0] for line in raw.splitlines())
+        source = " ".join(row.split("#", 1)[0] for row in raw.splitlines())
         source = " ".join(source.split())
-        return Identity(ivars, lhs, rhs, pins, self.reached_lets(), source, kw.line, kw.col)
+        return Identity(ivars, lhs, rhs, pins, self.reached_lets(), source, line, col)
 
     def reached_lets(self) -> tuple:
         """(name, body) of each let the item just parsed reaches, in source order.
@@ -424,68 +422,56 @@ class _Parser:
         return tuple(reversed(reached))
 
     def parse_index_var(self, taken: tuple) -> str:
-        tok = self.expect_name("an index variable")
-        name = tok.text
+        at = self.expect_name("an index variable")
+        name = self.texts[at]
         if name in RESERVED:
-            raise ParseError(
-                f"index variable cannot shadow reserved name {name!r}", tok.line, tok.col
-            )
+            raise self.error(f"index variable cannot shadow reserved name {name!r}", at)
         if name in self.lets:
-            raise ParseError(
-                f"index variable {name!r} collides with a let-binding", tok.line, tok.col
-            )
+            raise self.error(f"index variable {name!r} collides with a let-binding", at)
         if name in taken:
-            raise ParseError(f"duplicate index variable {name!r}", tok.line, tok.col)
+            raise self.error(f"duplicate index variable {name!r}", at)
         return name
 
     def parse_pins(self) -> tuple:
         self.expect("with")
-        pins = []
-        seen = set()
+        pins: dict = {}
         while True:
-            tok = self.expect_name("a scalar symbol to pin")
-            if tok.text not in SYMBOLS:
-                raise ParseError(
-                    f"only scalar symbols can be pinned, not {tok.text!r}",
-                    tok.line,
-                    tok.col,
-                )
-            if tok.text in seen:
-                raise ParseError(f"duplicate pin for {tok.text!r}", tok.line, tok.col)
-            seen.add(tok.text)
+            at = self.expect_name("a scalar symbol to pin")
+            name = self.texts[at]
+            if name not in SYMBOLS:
+                raise self.error(f"only scalar symbols can be pinned, not {name!r}", at)
+            if name in pins:
+                raise self.error(f"duplicate pin for {name!r}", at)
             self.expect(":=")
-            value = self.parse_rational()
-            if tok.text == "q" and value == 0:
-                raise ParseError("q must be pinned to a nonzero value", tok.line, tok.col)
-            pins.append((tok.text, value))
-            if self.peek().text != ",":
-                break
-            self.next()
-        return tuple(pins)
+            value = pins[name] = self.parse_rational()
+            if name == "q" and value == 0:
+                raise self.error("q must be pinned to a nonzero value", at)
+            if self.texts[self.pos] != ",":
+                return tuple(pins.items())
+            self.pos += 1
 
     def parse_rational(self) -> Fraction:
         sign = 1
-        if self.peek().text == "-":
-            self.next()
+        if self.texts[self.pos] == "-":
+            self.pos += 1
             sign = -1
         num = self.expect_int()
-        if self.peek().text == "/":
-            self.next()
-            den_tok = self.peek()
-            den = self.expect_int()
-            if den == 0:
-                raise ParseError("zero denominator", den_tok.line, den_tok.col)
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+        if self.texts[self.pos] != "/":
+            return Fraction(sign * num)
+        self.pos += 1
+        den = self.expect_int()
+        if den == 0:
+            raise self.error("zero denominator", self.pos - 1)
+        return Fraction(sign * num, den)
 
     # expressions
 
     def parse_expr(self, index_vars: tuple, scalar_only: bool = False) -> Expr:
         terms = [self.parse_term(index_vars, scalar_only)]
-        while self.peek().text in ("+", "-"):
-            op_sign = 1 if self.next().text == "+" else -1
+        while (op := self.texts[self.pos]) == "+" or op == "-":
+            self.pos += 1
             sign, node = self.parse_term(index_vars, scalar_only)
-            terms.append((op_sign * sign, node))
+            terms.append((sign if op == "+" else -sign, node))
         if len(terms) == 1 and terms[0][0] == 1:
             return terms[0][1]
         return Sum(tuple(terms))
@@ -493,152 +479,115 @@ class _Parser:
     def parse_term(self, index_vars: tuple, scalar_only: bool) -> tuple:
         """One signed term as (sign, node); a leading '-' folds into the sign."""
         sign = 1
-        if self.peek().text == "-":
-            self.next()
+        if self.texts[self.pos] == "-":
+            self.pos += 1
             sign = -1
         factors = [self.parse_factor(index_vars, scalar_only)]
-        while self.peek().text == "*":
-            self.next()
+        while self.texts[self.pos] == "*":
+            self.pos += 1
             factors.append(self.parse_factor(index_vars, scalar_only))
         return sign, factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def parse_factor(self, index_vars: tuple, scalar_only: bool) -> Expr:
         node = self.parse_base(index_vars, scalar_only)
-        if self.peek().text == "^":
-            caret = self.next()
-            tok = self.peek()
-            if tok.kind != "INT":
-                raise NonIntegerExponentError(
-                    "power exponents must be non-negative integer literals"
-                    + (" (negative q powers are written q^(-1))" if tok.text == "-" else ""),
-                    tok.line,
-                    tok.col,
-                )
-            self.next()
-            node = Pow(node, int(tok.text))
-        return node
+        if self.texts[self.pos] != "^":
+            return node
+        at = self.pos + 1
+        if self.kinds[at] != "INT":
+            raise self.error(
+                "power exponents must be non-negative integer literals"
+                + (" (negative q powers are written q^(-1))" if self.texts[at] == "-" else ""),
+                at, NonIntegerExponentError,
+            )
+        self.pos = at + 1
+        return Pow(node, int(self.texts[at]))
 
     def parse_base(self, index_vars: tuple, scalar_only: bool) -> Expr:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.next()
-            return IntLit(int(tok.text))
-        if tok.text == "(":
+        at = self.pos
+        kind, name = self.kinds[at], self.texts[at]  # the token's text, a name if kind is NAME
+        if kind == "INT":
+            self.pos = at + 1
+            return IntLit(int(name))
+        if name == "(":
             if self.nesting == MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col
-                )
-            self.next()
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}", at)
+            self.pos = at + 1
             self.nesting += 1
             node = self.parse_expr(index_vars, scalar_only)
             self.expect(")")
             self.nesting -= 1
             return node
-        if tok.kind == "NAME":
-            name = tok.text
-            if name in SEQ_NAMES:
-                if self.peek(1).text != "(":
-                    raise ParseError(
-                        f"{name} is a sequence name; expected {name}(<index form>)",
-                        tok.line,
-                        tok.col,
-                    )
-                if scalar_only:
-                    raise ParseError(
-                        "sequence terms are not allowed in let-bindings",
-                        tok.line,
-                        tok.col,
-                    )
-                self.next()
-                self.expect("(")
-                lin = self.parse_linform(index_vars)
-                self.expect(")")
-                return SeqTerm(SEQ_NAMES[name], lin)
-            if name == "q" and self.peek(1).text == "^" and self.peek(2).text == "(":
-                self.next()
-                self.next()
-                self.next()
-                lin = self.parse_linform(index_vars)
-                self.expect(")")
-                return SeqTerm(GEOQ, lin)
-            if name in SYMBOLS:
-                self.next()
-                return ScalarRef(name)
-            if name in self.lets:
-                self.next()
-                self.refs.add(name)
-                return NameRef(name)
-            if name in index_vars:
-                raise ParseError(
-                    f"index variable {name!r} cannot be used as a scalar",
-                    tok.line,
-                    tok.col,
-                )
-            raise UnknownNameError(f"unknown name {name!r}", tok.line, tok.col)
-        raise ParseError(f"expected an expression, found {_describe(tok)}", tok.line, tok.col)
+        if kind != "NAME":
+            raise self.error(f"expected an expression, found {self.found(at)}", at)
+        if name in SEQ_NAMES:
+            if self.texts[at + 1] != "(":
+                raise self.error(f"{name} is a sequence name; expected {name}(<index form>)", at)
+            if scalar_only:
+                raise self.error("sequence terms are not allowed in let-bindings", at)
+            self.pos = at + 2
+            lin = self.parse_linform(index_vars)
+            self.expect(")")
+            return SeqTerm(SEQ_NAMES[name], lin)
+        if name == "q" and self.texts[at + 1] == "^" and self.texts[at + 2] == "(":
+            self.pos = at + 3
+            lin = self.parse_linform(index_vars)
+            self.expect(")")
+            return SeqTerm(GEOQ, lin)
+        if name in SYMBOLS:
+            self.pos = at + 1
+            return ScalarRef(name)
+        if name in self.lets:
+            self.pos = at + 1
+            self.refs.add(name)
+            return NameRef(name)
+        if name in index_vars:
+            raise self.error(f"index variable {name!r} cannot be used as a scalar", at)
+        raise self.error(f"unknown name {name!r}", at, UnknownNameError)
 
     def parse_linform(self, index_vars: tuple) -> LinForm:
+        kinds, texts = self.kinds, self.texts
+        at = self.pos
+        if texts[at] == "+":
+            raise self.error("index form cannot start with '+'", at)
         coeffs: dict = {}
         const = 0
-        first = True
         while True:
             sign = 1
-            tok = self.peek()
-            if tok.text in ("+", "-"):
-                if first and tok.text == "+":
-                    raise ParseError("index form cannot start with '+'", tok.line, tok.col)
-                self.next()
-                sign = -1 if tok.text == "-" else 1
-            elif not first:
-                break
-            tok = self.peek()
-            if tok.kind == "INT":
-                self.next()
-                value = int(tok.text)
-                if self.peek().text == "*":
-                    self.next()
-                    var_tok = self.expect_name("an index variable")
-                    self._check_index_var(var_tok, index_vars)
-                    coeffs[var_tok.text] = coeffs.get(var_tok.text, 0) + sign * value
-                    self._check_slope(coeffs[var_tok.text], var_tok)
+            if texts[at] in ("+", "-"):  # always so after the first term
+                sign = -1 if texts[at] == "-" else 1
+                at += 1
+            if kinds[at] == "INT":
+                value = sign * int(texts[at])
+                if texts[at + 1] == "*":
+                    self.pos = at + 2
+                    at = self.expect_name("an index variable")
+                    self.add_coefficient(coeffs, at, value, index_vars)
                 else:
-                    const += sign * value
-            elif tok.kind == "NAME":
-                self.next()
-                self._check_index_var(tok, index_vars)
-                coeffs[tok.text] = coeffs.get(tok.text, 0) + sign
-                self._check_slope(coeffs[tok.text], tok)
+                    const += value
+            elif kinds[at] == "NAME":
+                self.add_coefficient(coeffs, at, sign, index_vars)
             else:
-                raise ParseError(
-                    f"expected an index variable or integer, found {_describe(tok)}",
-                    tok.line,
-                    tok.col,
-                )
-            first = False
-            if self.peek().text not in ("+", "-"):
-                break
-        return LinForm.make(coeffs, const)
+                found = self.found(at)
+                raise self.error(f"expected an index variable or integer, found {found}", at)
+            at += 1
+            if texts[at] not in ("+", "-"):
+                self.pos = at
+                return LinForm.make(coeffs, const)
 
-    def _check_index_var(self, tok: _Token, index_vars: tuple):
-        if tok.text not in index_vars:
-            raise UndeclaredIndexError(
-                f"undeclared index variable {tok.text!r}"
+    def add_coefficient(self, coeffs: dict, at: int, amount: int, index_vars: tuple):
+        """Add amount to the coefficient of the index variable token `at` names."""
+        var = self.texts[at]
+        if var not in index_vars:
+            raise self.error(
+                f"undeclared index variable {var!r}"
                 + (f" (declared: {', '.join(index_vars)})" if index_vars else ""),
-                tok.line,
-                tok.col,
+                at,
+                UndeclaredIndexError,
             )
-
-    def _check_slope(self, coeff: int, tok: _Token):
+        coeff = coeffs[var] = coeffs.get(var, 0) + amount
         if abs(coeff) > SLOPE_CAP:
-            raise SlopeCapExceededError(
-                f"index coefficient {coeff} exceeds the slope cap {SLOPE_CAP}",
-                tok.line,
-                tok.col,
-            )
-
-
-def _describe(tok: _Token) -> str:
-    return "end of input" if tok.kind == "EOF" else f"{tok.text!r}"
+            message = f"index coefficient {coeff} exceeds the slope cap {SLOPE_CAP}"
+            raise self.error(message, at, SlopeCapExceededError)
 
 
 def parse_file(text: str) -> SourceFile:
@@ -826,9 +775,11 @@ def _q_power(lin: LinForm) -> tuple:
     return atoms, lin.const
 
 
-# Certificates render the same few atoms over and over, so each distinct
-# atom is rendered once.  The cache is keyed by the atom's order_key, not by
-# the atom, so it keeps no atom alive in the intern table.
+# Certificates render the same few atoms and atom tuples over and over (a
+# corpus pass renders 1,199 monomials over 187 distinct tuples), so each is
+# rendered once.  _render_atom is keyed by an atom's order_key, which keeps
+# no atom alive in the intern table; _render_atoms holds its tuples' atoms
+# there until it drops them.
 @lru_cache(maxsize=RENDER_CACHE_SIZE)
 def _render_atom(order_key: tuple) -> str:
     """The text of the atom whose order_key this is."""
@@ -837,16 +788,23 @@ def _render_atom(order_key: tuple) -> str:
     return f"q^({index})" if family else f"{SequenceKind[kind_name].value}({index})"
 
 
-def _render_monomial(atoms: tuple, scalar: LaurentPoly):
-    sign, scalar_text = scalar.render_factor()
-    factors = [] if scalar_text == "1" else [scalar_text]
+@lru_cache(maxsize=RENDER_CACHE_SIZE)
+def _render_atoms(atoms: tuple) -> str:
+    """A monomial's atom factors, '' for none."""
+    factors = []
     # equal atoms sit side by side and have equal text, and only they do
     for text, run in groupby(map(_render_atom, map(_atom_order, atoms))):
         count = len(list(run))
         factors.append(text if count == 1 else f"{text}^{count}")
-    if not factors:
-        factors.append("1")
-    return sign, "*".join(factors)
+    return "*".join(factors)
+
+
+def _render_monomial(atoms: tuple, scalar: LaurentPoly) -> tuple:
+    sign, text = scalar.render_factor()
+    atoms_text = _render_atoms(atoms)
+    if atoms_text:
+        text = atoms_text if text == "1" else f"{text}*{atoms_text}"
+    return sign, text
 
 
 # ---------------------------------------------------------------------------

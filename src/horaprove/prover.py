@@ -177,61 +177,103 @@ class Certificate(Record):
                 return leaf
         return None
 
-    def to_json_dict(self) -> dict:
-        """The certificate as JSON data.
+    def json_text(self) -> str:
+        """The certificate's JSON text, without a final line break.
 
-        A node or leaf poly that several paths share is rendered once and
-        its JSON written at each of them.
+        It is byte for byte json.dumps(doc, indent=2) of the document
+        to_json_dict returns, written in one pass over the proof tree: each
+        string is escaped by the C encode_basestring_ascii (json.dumps runs
+        CPython's pure-Python encoder whenever indent is set), and a subgoal
+        or leaf poly that several paths share is rendered and escaped once,
+        its text written at each of them.
         """
-        render = _JsonRenderer()
-        out = {
-            "identity": self.identity.source,
-            "elimination": list(self.elimination),
-            "proof": render.node(self.root) if self.root is not None else None,
-            "leaves": [
-                {
-                    "at": {index: value for index, value in leaf.at},
-                    "poly": render.poly(leaf.poly),
-                    "zero": leaf.zero,
-                }
-                for leaf in self.leaves
-            ],
-            "verdict": self.verdict,
-        }
+        # json loads with the first certificate written, not with the package
+        from json.encoder import encode_basestring_ascii as quote
+
+        writer = _JsonWriter(quote)
+        keys = {index: quote(index) for index in self.elimination}
+        leaves = [writer.leaf(leaf, keys) for leaf in self.leaves]
+        members = [
+            '"identity": ' + quote(self.identity.source),
+            '"elimination": ' + _json_block("[]", list(keys.values()), "\n  "),
+            '"proof": ' + ("null" if self.root is None else writer.node(self.root, "\n  ")),
+            '"leaves": ' + _json_block("[]", leaves, "\n  "),
+            '"verdict": ' + quote(self.verdict),
+        ]
         if self.verdict == ABORTED:
-            out["reason"] = self.reason
-        out["ms"] = self.ms
-        return out
+            members.append('"reason": ' + quote(self.reason))
+        members.append(f'"ms": {self.ms}')
+        return _json_block("{}", members, "\n")
+
+    def to_json_dict(self) -> dict:
+        """The certificate as JSON data: json_text, parsed."""
+        import json
+
+        return json.loads(self.json_text())
 
 
-class _JsonRenderer:
-    """Renders each distinct subgoal and leaf poly of one certificate once."""
+def _json_block(brackets: str, items: list, nl: str) -> str:
+    """A JSON array or object ("[]" or "{}") of written items; nl is a line
+    break plus the indent of the line the block opens on."""
+    if not items:
+        return brackets
+    inner = nl + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
 
-    def __init__(self):
-        self._subgoals: dict = {}  # id(node) -> {"goal": its text, "proof": its JSON}
-        self._polys: dict = {}  # id(poly) -> its text
+
+class _JsonWriter:
+    """Writes the JSON of one certificate's proof tree and leaves.
+
+    Each distinct subgoal and leaf poly is rendered and escaped once, keyed
+    by id.  A shared subgoal always sits at the same depth, since the
+    indices left to eliminate fix it, so its text is reused as is.  An
+    object of fixed members is written from one f-string.
+    """
+
+    __slots__ = ("quote", "polys", "subgoals")
+
+    def __init__(self, quote: Callable[[str], str]):
+        self.quote = quote
+        self.polys: dict = {}  # id(poly) -> its JSON string
+        self.subgoals: dict = {}  # id(node) -> its "goal" and "proof" members
 
     def poly(self, poly: LaurentPoly) -> str:
-        text = self._polys.get(id(poly))
+        text = self.polys.get(id(poly))
         if text is None:
-            text = self._polys[id(poly)] = poly.render()
+            text = self.polys[id(poly)] = self.quote(poly.render())
         return text
 
-    def node(self, node: ProofNode) -> dict:
-        if isinstance(node, LeafNode):
-            return {"leaf": {"poly": self.poly(node.poly), "zero": node.zero}}
-        return {
-            "index": node.index,
-            "order": node.order,
-            "charpoly": node.annihilator.render(),
-            "subgoals": [{"value": value, **self._subgoal(child)} for value, child in node.subgoals],
-        }
+    def leaf(self, leaf: LeafRecord, keys: dict) -> str:
+        at = ",\n        ".join([f"{keys[index]}: {value}" for index, value in leaf.at])
+        at = "{\n        " + at + "\n      }" if at else "{}"
+        poly, zero = self.poly(leaf.poly), "true" if leaf.zero else "false"
+        return f'{{\n      "at": {at},\n      "poly": {poly},\n      "zero": {zero}\n    }}'
 
-    def _subgoal(self, node: ProofNode) -> dict:
-        doc = self._subgoals.get(id(node))
-        if doc is None:
-            doc = self._subgoals[id(node)] = {"goal": node.goal.render(), "proof": self.node(node)}
-        return doc
+    def node(self, node: ProofNode, nl: str) -> str:
+        inner = nl + "  "
+        deeper = inner + "  "
+        if node.__class__ is LeafNode:
+            poly, zero = self.poly(node.poly), "true" if node.zero else "false"
+            leaf = f'{{{deeper}"poly": {poly},{deeper}"zero": {zero}{inner}}}'
+            return f'{{{inner}"leaf": {leaf}{nl}}}'
+        member = deeper + "  "
+        subgoals = [
+            f'{{{member}"value": {value},{member}{self._subgoal(child, member)}{deeper}}}'
+            for value, child in node.subgoals
+        ]
+        index, charpoly = self.quote(node.index), self.quote(node.annihilator.render())
+        return (
+            f'{{{inner}"index": {index},{inner}"order": {node.order},{inner}"charpoly": {charpoly},'
+            f'{inner}"subgoals": {_json_block("[]", subgoals, inner)}{nl}}}'
+        )
+
+    def _subgoal(self, node: ProofNode, nl: str) -> str:
+        """The "goal" and "proof" members of a subgoal whose members start at nl."""
+        text = self.subgoals.get(id(node))
+        if text is None:
+            goal = '"goal": ' + self.quote(node.goal.render())
+            text = self.subgoals[id(node)] = goal + "," + nl + '"proof": ' + self.node(node, nl)
+        return text
 
 
 # ---------------------------------------------------------------------------

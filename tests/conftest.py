@@ -16,7 +16,7 @@ from horaprove.lang import (
     SeqTerm,
     Sum,
 )
-from horaprove.prover import EliminationNode
+from horaprove.prover import ABORTED, EliminationNode, LeafNode
 from horaprove.ring import SYMBOLS, Record, zero
 from horaprove.sequences import SequenceKind, numeric_term
 
@@ -145,3 +145,49 @@ def trees(names: tuple, max_leaves: int):
         ),
         max_leaves=max_leaves,
     )
+
+
+def reference_json_dict(cert) -> dict:
+    """The certificate as JSON data, built as a dict tree.
+
+    The reference for Certificate.json_text: json.dumps(doc, indent=2) of
+    this doc is the text it must write.  A subgoal or leaf poly that
+    several paths share is rendered once and its dict written at each.
+    """
+    polys: dict = {}  # id(poly) -> its text
+    subgoals: dict = {}  # id(node) -> {"goal": its text, "proof": its dict}
+
+    def poly(value) -> str:
+        if id(value) not in polys:
+            polys[id(value)] = value.render()
+        return polys[id(value)]
+
+    def node(value) -> dict:
+        if isinstance(value, LeafNode):
+            return {"leaf": {"poly": poly(value.poly), "zero": value.zero}}
+        return {
+            "index": value.index,
+            "order": value.order,
+            "charpoly": value.annihilator.render(),
+            "subgoals": [{"value": v, **subgoal(child)} for v, child in value.subgoals],
+        }
+
+    def subgoal(value) -> dict:
+        if id(value) not in subgoals:
+            subgoals[id(value)] = {"goal": value.goal.render(), "proof": node(value)}
+        return subgoals[id(value)]
+
+    out = {
+        "identity": cert.identity.source,
+        "elimination": list(cert.elimination),
+        "proof": node(cert.root) if cert.root is not None else None,
+        "leaves": [
+            {"at": dict(leaf.at), "poly": poly(leaf.poly), "zero": leaf.zero}
+            for leaf in cert.leaves
+        ],
+        "verdict": cert.verdict,
+    }
+    if cert.verdict == ABORTED:
+        out["reason"] = cert.reason
+    out["ms"] = cert.ms
+    return out

@@ -10,13 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from horaprove import cli, corpus_path, parse_file, parse_identity, prove
 from horaprove.cli import main
 from horaprove.prover import DEFAULT_MAX_ORDER, Counterexample, FuzzResult
 from horaprove.ring import SYMBOLS
+from conftest import MULTI_INDEX, reference_json_dict
 from reachability import Q_PRODUCT_OVERFLOW
 
 PAPER = str(corpus_path("paper.fib"))
@@ -275,37 +274,47 @@ class TestCertificates:
             assert any(not leaf["zero"] for leaf in doc["leaves"])
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(min_value=-(10**30), max_value=10**30) | st.text(),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=20,
-)
+class TestCertificateText:
+    """Certificate.json_text writes json.dumps(doc, indent=2) of the reference doc."""
 
-
-class TestJsonWriter:
-    """cli._json_text writes what json.dumps(value, indent=2) does."""
+    @staticmethod
+    def checked(cert) -> str:
+        text = cert.json_text()
+        assert text == json.dumps(reference_json_dict(cert), indent=2)
+        return text
 
     def test_every_shipped_certificate(self):
-        sources = [corpus_path(name) for name in ("paper.fib", "mutations.fib", "horadam_extra.fib")]
-        sources.append(Path(__file__).resolve().parents[1] / "perfbench/workloads/multi_index.fib")
+        names = ("paper.fib", "mutations.fib", "horadam_extra.fib")
+        sources = [*map(corpus_path, names), MULTI_INDEX]
         count = 0
         for source in sources:
             for identity in parse_file(source.read_text(encoding="utf-8")).identities:
-                doc = prove(identity).to_json_dict()
-                assert cli._json_text(doc) == json.dumps(doc, indent=2)
+                self.checked(prove(identity))
                 count += 1
         assert count == 19 + 38 + 5
 
-    @settings(max_examples=300, deadline=None)
-    @given(JSON_VALUES)
-    @example({"": [], "a": {}, "é\n\"\\": [True, False, None, -(10**30)], "\x00": "\u2028😀"})
-    def test_drawn_values(self, value):
-        assert cli._json_text(value) == json.dumps(value, indent=2)
+    def test_an_aborted_certificate(self):
+        law = parse_identity("forall n: W(n+2) == p*W(n+1) - q*W(n)")
+        text = self.checked(prove(law, max_order=1))
+        assert '"proof": null' in text and '"leaves": []' in text
+        assert '"reason": "annihilator order 2 for index' in text
 
-    @pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, (1, 2), {1: "int key"}])
-    def test_other_types_are_refused(self, value):
-        with pytest.raises(TypeError):
-            cli._json_text(value)
+    def test_a_goal_that_is_zero_at_the_root(self):
+        text = self.checked(prove(parse_identity("forall n: W(n)*u(n) == u(n)*W(n)")))
+        assert '"proof": {\n    "leaf": {' in text and '"at": {}' in text
+
+    def test_a_pinned_identity(self):
+        law = parse_identity("forall n: u(n+1)*u(n-1) - u(n)^2 == -q^(n-1) with p := 1, q := -1")
+        text = self.checked(prove(law))
+        assert '"verdict": "PROVED"' in text and "with p := 1, q := -1" in text
+
+    def test_non_ascii_names_are_escaped(self):
+        law = parse_identity("let \u00e4 = p*q\nforall \u00f1: \u00e4*W(\u00f1+2) == "
+                             "\u00e4*(p*W(\u00f1+1) - q*W(\u00f1))")
+        text = self.checked(prove(law))
+        assert text.isascii()
+        assert '"index": "\\u00f1"' in text and '"\\u00f1": 1' in text
+        assert '"identity": "forall \\u00f1: \\u00e4*W(\\u00f1+2) == ' in text
 
 
 class TestFuzzCommand:

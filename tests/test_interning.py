@@ -3,10 +3,11 @@
 Every SeqTerm with a given kind and index form is one live object, held
 weakly by lang's intern table, so equality and hashing are identity tests.
 Per-atom elimination work (an atom's image under substitute_index, a
-monomial's root classes along an index) and the product of two leaf terms
-are cached for the whole process; these tests check that the caches are
-bounded, that they hold no atom alive once cleared, and that no
-certificate depends on what was proved before it.
+monomial's root classes along an index), the product of two leaf terms
+and the text of a monomial's atoms are cached for the whole process; these
+tests check that the caches are bounded, that they hold no atom alive
+once cleared, and that no certificate depends on what was proved before
+it.
 """
 
 import functools
@@ -25,6 +26,7 @@ def clear_atom_caches():
     lang._substitute_atom.cache_clear()
     prover._monomial_classes.cache_clear()
     prover._term_product.cache_clear()
+    lang._render_atoms.cache_clear()
 
 
 class TestInterning:
@@ -94,6 +96,7 @@ def test_every_module_cache_is_bounded():
     assert {
         "horaprove.lang._substitute_atom",
         "horaprove.lang._render_atom",
+        "horaprove.lang._render_atoms",
         "horaprove.prover._monomial_classes",
         "horaprove.prover._term_product",
         "horaprove.cfinite._from_class_set",

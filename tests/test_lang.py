@@ -179,6 +179,25 @@ class TestParseErrors:
             parse_file("forall n: W(n) == W(n)\nforall k: W(k) == +\n")
         assert info.value.line == 2
 
+    def test_item_positions_count_comments_and_blank_lines(self):
+        text = "# head\n\n  let e = p  # c\nforall n: W(n) == W(n)\n"
+        text += "\t forall m,\n k: W(m+k) == W(k+m)\n"
+        items = parse_file(text).items
+        assert [(item.line, item.col) for item in items] == [(3, 3), (4, 1), (5, 3)]
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("forall n: W(n) ==  # missing", (1, 20)),
+            ("forall n: W(n) ==  # missing\n", (2, 1)),
+            ("let e = p\nforall n: W(n) == e*W(n) + \n\n# end", (4, 1)),
+        ],
+    )
+    def test_end_of_input_error_is_positioned(self, text, position):
+        with pytest.raises(ParseError, match="found end of input") as info:
+            parse_file(text)
+        assert (info.value.line, info.value.col) == position
+
     def test_empty_input(self):
         # an empty file is a valid (empty) corpus; the one-identity helper objects
         assert parse_file("").identities == ()

@@ -39,6 +39,7 @@ ALLOWLIST = {
     "lang.NormalForm.__str__": "copy",
     "lang.NormalForm.__repr__": "copy",
     "prover.Certificate.witness": "api",
+    "prover.Certificate.to_json_dict": "api",
     # records compare by value: every exported record class inherits these
     "ring.Record._key": "api",
     "ring.Record.__eq__": "api",
@@ -158,7 +159,7 @@ class TestTheGateFails:
         assert fault.startswith("ring.LaurentPoly.evaluate is listed but a run enters it")
 
     def test_on_an_api_entry_that_is_not_exported(self):
-        for name in ("lang._times", "lang._Parser.peek", "lang.LinForm.plus", "prover.fuzz.x"):
+        for name in ("lang._times", "lang._Parser.expect", "lang.LinForm.plus", "prover.fuzz.x"):
             (fault,) = allowlist_faults({name}, {name: "api"})
             assert fault == f"{name}: listed as api, but horaprove.__all__ does not export it"
 

@@ -73,14 +73,15 @@ def test_every_shipped_corpus_name_resolves():
 
 
 def test_import_loads_no_heavy_module():
-    """A bare `import horaprove` loads neither dataclasses nor linalg.
+    """A bare `import horaprove` loads neither dataclasses, json nor linalg.
 
     dataclasses pulls in inspect (and ast, dis, tokenize) and execs code for
     every decorated class; importlib.resources is as heavy when site has not
-    loaded it; linalg serves only the closure algebra.  -S keeps site from
-    importing any of them first.
+    loaded it; json is loaded with the first certificate written; linalg
+    serves only the closure algebra.  -S keeps site from importing any of
+    them first.
     """
-    heavy = ("dataclasses", "inspect", "importlib.resources", "horaprove.linalg")
+    heavy = ("dataclasses", "inspect", "importlib.resources", "json", "horaprove.linalg")
     code = f"import sys, horaprove; print(sorted(set({heavy!r}) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
