@@ -116,16 +116,17 @@ def cmd_verify(args) -> int:
                 _report_crash(path, identity, exc)
                 errors = True
                 continue
-            counts[cert.verdict] += 1
             line = f"{path}:{identity.line}: {cert.verdict} ({cert.ms} ms)"
             if cert_dir is not None:
                 cert_path = cert_dir / f"{stem}-{i:03d}.json"
                 try:
                     cert_path.write_bytes(cert.json_text().encode() + b"\n")
                 except OSError as exc:
-                    print(f"error: {cert_path}: {exc}", file=sys.stderr)
-                    return EXIT_ERROR
+                    print(f"error: {path}:{identity.line}: {cert_path}: {exc}", file=sys.stderr)
+                    errors = True
+                    continue
                 line += f" -> {cert_path}"
+            counts[cert.verdict] += 1
             if cert.verdict == ABORTED:
                 line += f" ({cert.reason})"
                 errors = True

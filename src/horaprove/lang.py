@@ -229,14 +229,12 @@ Expr = Union[IntLit, ScalarRef, NameRef, SeqTerm, Sum, Product, Pow]
 class LetDecl(Record):
     __slots__ = ("name", "value", "line", "col")
     _compared = 2
-    _defaults = {"line": 0, "col": 0}
 
 
 class Identity(Record):
     # pins is ((symbol, Fraction), ...), lets the ((name, body), ...) it reaches
     __slots__ = ("index_vars", "lhs", "rhs", "pins", "lets", "source", "line", "col")
     _compared = 4
-    _defaults = {"pins": (), "lets": (), "source": "", "line": 0, "col": 0}
 
     def bindings(self) -> dict:
         return dict(self.lets)

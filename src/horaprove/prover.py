@@ -167,7 +167,6 @@ ABORTED = "ABORTED"
 
 class Certificate(Record):
     __slots__ = ("identity", "elimination", "root", "leaves", "verdict", "ms", "reason")
-    _defaults = {"reason": ""}
 
     @property
     def witness(self) -> LeafRecord | None:
@@ -491,17 +490,17 @@ def fuzz(identity: Identity, trials: int, seed: int, value_range: int) -> FuzzRe
         window = TermWindow(scalars)
         n, e = _run(goal, lets, window, indices)
         if n:
-            difference = Fraction(n, window.base_power(e))
+            difference = Fraction(n, window.base**e)
             lhs = evaluate_expr(identity.lhs, scalars, indices, bindings)
             return FuzzResult(
                 identity,
                 trial,
                 Counterexample(
-                    trial=trial,
-                    scalars=tuple(sorted((s, Fraction(v)) for s, v in scalars.items())),
-                    indices=tuple((v, indices[v]) for v in index_vars),
-                    lhs=lhs,
-                    rhs=lhs - difference,
+                    trial,
+                    tuple(sorted((s, Fraction(v)) for s, v in scalars.items())),
+                    tuple((v, indices[v]) for v in index_vars),
+                    lhs,
+                    lhs - difference,
                 ),
             )
     return FuzzResult(identity, trials, None)
@@ -523,7 +522,7 @@ def evaluate_expr(
     """
     window = TermWindow(scalars)
     n, e = _run(_compile(expr), _compile_lets(bindings), window, indices)
-    return Fraction(n, window.base_power(e))
+    return Fraction(n, window.base**e)
 
 
 # A compiled node is a closure (window, indices, values) -> (N, e): it reads

@@ -74,30 +74,24 @@ class Record:
     """Base of the package's immutable records.
 
     A record's fields are its __slots__, in order, but for __dict__ and
-    __weakref__.  The first _compared of them (all when None) decide
-    equality, which also needs the same class, and the hash.  A field named
-    in _defaults may be left out when building one.  repr is
-    Name(field=value, ...) over every field.  Copying and unpickling
-    rebuild a record through its constructor, from its fields.
+    __weakref__, and its constructor takes exactly those, in that order.
+    The first _compared of them (all when None) decide equality, which also
+    needs the same class, and the hash.  repr is Name(field=value, ...) over
+    every field.  Copying and unpickling rebuild a record through its
+    constructor, from its fields.
     """
 
     __slots__ = ()
     _compared = None
-    _defaults: dict = {}
 
     def __init_subclass__(cls):
         cls._fields = tuple(n for n in cls.__slots__ if n not in ("__dict__", "__weakref__"))
         # a slot's own setter costs less to call than object.__setattr__
         cls._setters = tuple(cls.__dict__[n].__set__ for n in cls._fields)
 
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._setters):
-            names = self._fields
-            given = dict(zip(names, args))
-            values = {**self._defaults, **given, **kwargs}
-            if len(given) < len(args) or given.keys() & kwargs or values.keys() != set(names):
-                raise TypeError(f"{type(self).__name__}{names} cannot take {args!r}, {kwargs!r}")
-            args = [values[name] for name in names]
+    def __init__(self, *args):
+        if len(args) != len(self._setters):
+            raise TypeError(f"{type(self).__name__}{self._fields} cannot take {args!r}")
         for set_field, value in zip(self._setters, args):
             set_field(self, value)
 

@@ -99,7 +99,7 @@ class TermWindow:
     X(0), X(-1), ..., run by the same recurrence solved for its lowest
     term, X(n-1) = (p*X(n) - X(n+1)) * (1/q), one pair product by 1/q a
     step; q != 0 makes every family two-sided (Horadam, Fibonacci
-    Quarterly 3, 1965).
+    Quarterly 3, 1965).  Powers q^k and B^e are one pow each, kept nowhere.
     """
 
     def __init__(self, assignment: Mapping[str, Rational]):
@@ -120,12 +120,8 @@ class TermWindow:
         if lcm != 1:
             for name, v in assignment.items():
                 scalars[name] = self._pair(v.numerator, v.denominator)
-        self._base_powers = [1, self.base]  # B^0, B^1, ...
+        self.inverse_q = self._pair(q.denominator if q > 0 else -q.denominator, abs(q.numerator))
         self._families: dict = {}  # kind -> ([X(0), X(1), ...], [X(0), X(-1), ...])
-        self._powers = [(1, 0), scalars["q"]]  # q^0, q^1, ...
-        inverse_q = self._pair(q.denominator if q > 0 else -q.denominator, abs(q.numerator))
-        self._inverse_powers = [(1, 0), inverse_q]  # q^0, q^-1, ...
-        self._far_powers = None  # {k: q^k} for k past the end of its list, once needed
 
     def _pair(self, numerator: int, denominator: int) -> tuple:
         """numerator/denominator, where denominator divides B, as a pair."""
@@ -133,27 +129,12 @@ class TermWindow:
             return numerator, 0
         return numerator * (self.base // denominator), 1
 
-    def base_power(self, e: int) -> int:
-        """B^e, for e >= 0.
-
-        The list keeps the powers the recurrences walk to, one step at a
-        time; a power further out is one pow and is not kept, so a far
-        power costs memory linear in e, not quadratic.
-        """
-        powers = self._base_powers
-        if e < len(powers):
-            return powers[e]
-        if e > len(powers):
-            return self.base ** e
-        powers.append(powers[-1] * self.base)
-        return powers[e]
-
     def term(self, kind: SequenceKind, k: int) -> Rational:
         """The k-th term, any integer k, as an int when integral."""
         n, e = self.term_pair(kind, k)
         if e == 0:
             return n
-        value = Fraction(n, self.base_power(e))
+        value = Fraction(n, self.base**e)
         return value.numerator if value.denominator == 1 else value
 
     def term_pair(self, kind: SequenceKind, k: int) -> tuple:
@@ -177,7 +158,7 @@ class TermWindow:
         s0, s1 = SEEDS[kind]
         x0 = scalars[s0] if isinstance(s0, str) else (s0, 0)
         x1 = scalars[s1] if isinstance(s1, str) else (s1, 0)
-        (p, ep), (r, er) = scalars["p"], self._inverse_powers[1]
+        (p, ep), (r, er) = scalars["p"], self.inverse_q
         n, e = self.add((p * x0[0], ep + x0[1]), (-x1[0], x1[1]))
         return [x0, x1], [x0, (n * r, e + er)]  # X(-1) = (p*X(0) - X(1)) * (1/q)
 
@@ -195,7 +176,7 @@ class TermWindow:
 
     def _extend_backward(self, values: list, k: int):
         """Run X(n-1) = (p*X(n) - X(n+1)) * (1/q) until values[k] = X(-k) exists."""
-        (p, ep), (r, er) = self.scalars["p"], self._inverse_powers[1]
+        (p, ep), (r, er) = self.scalars["p"], self.inverse_q
         base = self.base
         while len(values) <= k:
             (x0, e0), (x1, e1) = values[-1], values[-2]
@@ -212,31 +193,18 @@ class TermWindow:
         if e == f:
             return n + m, e
         if e > f:
-            return n + m * self.base_power(e - f), e
-        return n * self.base_power(f - e) + m, f
+            return n + m * self.base ** (e - f), e
+        return n * self.base ** (f - e) + m, f
 
     def _q_power(self, k: int) -> tuple:
-        """q^k as a pair.
+        """q^k as a pair: one pow of q's pair, or of 1/q's when k < 0.
 
-        The powers the recurrences walk to are kept in a list, like
-        base_power's; a power further out is one pow, kept by k, so a
-        constant power that occurs again in the trial is a lookup.
+        Nothing is kept, so a far power costs memory linear in |k|; lists
+        and a table of powers cost the oracle more than the pows they saved.
         """
-        powers = self._powers if k >= 0 else self._inverse_powers
+        step, f = self.scalars["q"] if k >= 0 else self.inverse_q
         j = abs(k)
-        if j < len(powers):
-            return powers[j]
-        step, f = powers[1]
-        if j > len(powers):
-            if self._far_powers is None:
-                self._far_powers = {}
-            far = self._far_powers.get(k)
-            if far is None:
-                far = self._far_powers[k] = step ** j, f * j
-            return far
-        n, e = powers[-1]
-        powers.append((n * step, e + f))
-        return powers[j]
+        return step**j, f * j
 
 
 @lru_cache(maxsize=TERM_CACHE_SIZE)

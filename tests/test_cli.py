@@ -211,13 +211,8 @@ class TestVerify:
         assert "fuzz=PASS(25)" in out
 
     def test_fuzz_after_reports_oracle_disagreement(self, tmp_path, capsys, monkeypatch):
-        cex = Counterexample(
-            trial=3,
-            scalars=tuple((s, Fraction(1)) for s in sorted(SYMBOLS)),
-            indices=(("n", -2),),
-            lhs=Fraction(1, 2),
-            rhs=Fraction(0),
-        )
+        ones = tuple((s, Fraction(1)) for s in sorted(SYMBOLS))
+        cex = Counterexample(3, ones, (("n", -2),), Fraction(1, 2), Fraction(0))
         monkeypatch.setattr(
             cli, "fuzz", lambda identity, *args: FuzzResult(identity, cex.trial, cex)
         )
@@ -263,6 +258,21 @@ class TestCertificates:
             d2 = json.loads((c2 / path.name).read_text(encoding="utf-8"))
             d1.pop("ms"), d2.pop("ms")
             assert d1 == d2
+
+    def test_a_failed_write_is_that_identitys_error_and_the_run_goes_on(self, tmp_path, capsys):
+        certs = tmp_path / "certs"
+        blocked = certs / "paper-002.json"
+        blocked.mkdir(parents=True)  # a directory where the second certificate goes
+        assert main(["verify", PAPER, "--cert-out", str(certs)]) == 2
+        captured = capsys.readouterr()
+        line = parse_file(Path(PAPER).read_text(encoding="utf-8")).identities[1].line
+        assert captured.err.startswith(f"error: {PAPER}:{line}: {blocked}: ")
+        assert captured.err.count("\n") == 1
+        *verdicts, total = captured.out.splitlines()
+        assert len(verdicts) == 18 and all(" PROVED " in v for v in verdicts)
+        assert not any(v.startswith(f"{PAPER}:{line}:") for v in verdicts)
+        assert total == "total: 18 identities, 18 proved, 0 refuted, 0 aborted"
+        assert len([p for p in certs.glob("*.json") if p.is_file()]) == 18
 
     def test_refuted_certificates_record_nonzero_leaves(self, tmp_path, capsys):
         certs = tmp_path / "certs"

@@ -647,7 +647,7 @@ class TestScalarSubtrees:
     def test_drawn_trees_normalize_as_the_reference(self, lhs, rhs, bodies):
         # e1 reads e0, and both sides read both: a let chain of two
         lets = tuple(zip(("e0", "e1"), bodies))
-        assert_normalizes_as_the_reference(Identity(("m", "n"), lhs, rhs, (), lets))
+        assert_normalizes_as_the_reference(Identity(("m", "n"), lhs, rhs, (), lets, "", 0, 0))
 
     @given(
         st.lists(monomial_texts, min_size=1, max_size=4),

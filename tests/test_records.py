@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import U_BASIS_3, atoms_in
 from horaprove import corpus_path, fuzz, parse_file, parse_identity, prove
 from horaprove.lang import Identity, IntLit, LetDecl, NameRef, Product, ScalarRef, Sum
-from horaprove.prover import Certificate
 from horaprove.ring import Record
 
 # a false law with a let, a pin, a power, a product, a q power and every family,
@@ -69,15 +68,16 @@ def test_identity_equality_ignores_lets_source_and_position():
     (base,) = parse_file(FALSE_LAW).identities
     moved = Identity(base.index_vars, base.lhs, base.rhs, base.pins, (), "other text", 9, 4)
     assert moved == base and hash(moved) == hash(base)
-    unpinned = Identity(base.index_vars, base.lhs, base.rhs, (), base.lets, base.source)
+    unpinned = Identity(base.index_vars, base.lhs, base.rhs, (), base.lets, base.source, 0, 0)
     assert unpinned != base
-    swapped = Identity(base.index_vars, base.rhs, base.lhs, base.pins)
+    swapped = Identity(base.index_vars, base.rhs, base.lhs, base.pins, (), "", 0, 0)
     assert swapped != base
 
 
 def test_let_equality_ignores_position():
     decl = LetDecl("e", IntLit(2), 3, 7)
-    assert decl == LetDecl("e", IntLit(2)) and hash(decl) == hash(LetDecl("e", IntLit(2)))
+    unplaced = LetDecl("e", IntLit(2), 0, 0)
+    assert decl == unplaced and hash(decl) == hash(unplaced)
     assert decl != LetDecl("f", IntLit(2), 3, 7)
     assert decl != LetDecl("e", IntLit(3), 3, 7)
 
@@ -108,21 +108,6 @@ def test_equal_records_hash_equal(pair):
         assert left == right and hash(left) == hash(right)
 
 
-def test_keyword_construction_and_defaults():
-    identity = Identity(index_vars=("n",), lhs=IntLit(1), rhs=IntLit(1))
-    assert (identity.pins, identity.lets, identity.source, identity.line, identity.col) == (
-        (), (), "", 0, 0,
-    )
-    assert identity == Identity(("n",), IntLit(1), rhs=IntLit(1), source="1 == 1")
-    decl = LetDecl(name="e", value=IntLit(2))
-    assert (decl.line, decl.col) == (0, 0)
-    cert = Certificate(
-        identity=identity, elimination=("n",), root=None, leaves=[], verdict="ABORTED", ms=0
-    )
-    assert cert.reason == ""
-    assert Certificate(identity, ("n",), None, [], "ABORTED", 0, reason="cap").reason == "cap"
-
-
 @pytest.mark.parametrize(
     "build",
     [
@@ -139,7 +124,7 @@ def test_bad_fields_raise_type_error(build):
 
 def test_repr_names_every_field():
     text = "LetDecl(name='e', value=IntLit(value=2), line=0, col=0)"
-    assert repr(LetDecl("e", IntLit(2))) == text
+    assert repr(LetDecl("e", IntLit(2), 0, 0)) == text
     assert repr(Sum(((1, ScalarRef("p")),))) == "Sum(terms=((1, ScalarRef(name='p')),))"
 
 

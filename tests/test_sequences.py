@@ -210,20 +210,20 @@ class TestTermWindow:
         window = TermWindow({s: Fraction(9 if s == "q" else 1) for s in SYMBOLS})
         tracemalloc.start()
         try:
-            forward = window.term(GEOQ, 20000)
-            backward = window.term(GEOQ, -20000)
+            # each power asked for twice: a repeat computes it again, equal
+            values = [window.term(GEOQ, k) for k in (20000, 20000, -20000, -20000)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert forward == 9**20000 and backward == Fraction(1, 9**20000)
+        assert values == [9**20000] * 2 + [Fraction(1, 9**20000)] * 2
         assert peak < 200_000
 
-    def test_a_repeated_far_q_power_is_computed_once(self):
-        window = TermWindow({s: Fraction(9 if s == "q" else 1) for s in SYMBOLS})
-        for k in (20000, -20000):
-            first = window.term_pair(GEOQ, k)
-            assert window.term_pair(GEOQ, k) is first
-        assert window.term_pair(GEOQ, 20000) != window.term_pair(GEOQ, -20000)
+    @pytest.mark.parametrize("q_value", [Fraction(3, 2), Fraction(-3, 2), Fraction(-2, 5)])
+    def test_far_rational_q_powers(self, q_value):
+        window = TermWindow({s: q_value if s == "q" else Fraction(1, 3) for s in SYMBOLS})
+        assert window.base == 3 * q_value.denominator * abs(q_value.numerator)
+        for k in (2000, -2000):
+            assert window.term(GEOQ, k) == q_value**k
 
     def test_a_reached_negative_index_is_a_lookup(self):
         asgn = {s: Fraction(v) for s, v in zip(SYMBOLS, (3, 2, -5, 1, 4, 7))}
