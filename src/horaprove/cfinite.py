@@ -35,7 +35,17 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence, Union
 
-from .ring import LaurentPoly, Record, from_int, one, q_power, render_sum, symbol, zero
+from .ring import (
+    LaurentPoly,
+    Record,
+    from_int,
+    one,
+    q_power,
+    render_sum,
+    render_term,
+    symbol,
+    zero,
+)
 
 
 class OrderMismatchError(ValueError):
@@ -90,13 +100,9 @@ class Annihilator(Record):
     def _text(self) -> str:
         terms = []
         for k in range(self.order, -1, -1):
-            if self.coeffs[k].is_zero:
-                continue
-            sign, body = self.coeffs[k].render_factor()
-            if k:
-                xpart = "x" if k == 1 else f"x^{k}"
-                body = xpart if body == "1" else f"{body}*{xpart}"
-            terms.append((sign, body))
+            if not self.coeffs[k].is_zero:
+                power = "" if k == 0 else "x" if k == 1 else f"x^{k}"
+                terms.append(render_term(self.coeffs[k], power))
         return render_sum(terms)
 
     def __str__(self) -> str:

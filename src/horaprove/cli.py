@@ -184,6 +184,17 @@ def cmd_fuzz(args) -> int:
     return EXIT_FALSIFIED if falsified else EXIT_OK
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type of --trials, --range and --max-order: an int, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:  # worded as argparse words a bad type=int value
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="horaprove",
@@ -192,8 +203,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     oracle = argparse.ArgumentParser(add_help=False)
     oracle.add_argument("--seed", type=int, default=0, help="oracle seed (default 0)")
-    oracle.add_argument("--trials", type=int, default=200, help="oracle trials (default 200)")
-    oracle.add_argument("--range", type=int, default=9,
+    oracle.add_argument("--trials", type=_at_least_one, default=200,
+                        help="oracle trials (default 200)")
+    oracle.add_argument("--range", type=_at_least_one, default=9,
                         help="oracle bound for scalars and indices (default 9)")
 
     verify = sub.add_parser(
@@ -206,8 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="m,n,k",
         help="index elimination order (extra names are ignored per identity)",
     )
-    verify.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER, metavar="K",
-                        help="abort when an annihilator order exceeds K "
+    verify.add_argument("--max-order", type=_at_least_one, default=DEFAULT_MAX_ORDER,
+                        metavar="K", help="abort when an annihilator order exceeds K "
                         f"(default {DEFAULT_MAX_ORDER})")
     verify.add_argument("--fuzz-after", action="store_true",
                         help="run the numeric oracle on every PROVED identity")
@@ -225,15 +237,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return EXIT_ERROR
-    if args.range < 1:
-        print("error: --range must be at least 1", file=sys.stderr)
-        return EXIT_ERROR
-    if getattr(args, "max_order", 1) < 1:
-        print("error: --max-order must be at least 1", file=sys.stderr)
-        return EXIT_ERROR
     if args.command == "verify":
         return cmd_verify(args)
     return cmd_fuzz(args)

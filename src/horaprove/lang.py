@@ -61,6 +61,7 @@ from .ring import (
     one,
     q_power,
     render_sum,
+    render_term,
     symbol,
 )
 from .sequences import SequenceKind
@@ -226,11 +227,6 @@ class Pow(Record):
 Expr = Union[IntLit, ScalarRef, NameRef, SeqTerm, Sum, Product, Pow]
 
 
-class LetDecl(Record):
-    __slots__ = ("name", "value", "line", "col")
-    _compared = 2
-
-
 class Identity(Record):
     # pins is ((symbol, Fraction), ...), lets the ((name, body), ...) it reaches
     __slots__ = ("index_vars", "lhs", "rhs", "pins", "lets", "source", "line", "col")
@@ -244,11 +240,7 @@ class Identity(Record):
 
 
 class SourceFile(Record):
-    __slots__ = ("items",)  # LetDecl | Identity, in source order
-
-    @property
-    def identities(self) -> tuple:
-        return tuple(i for i in self.items if isinstance(i, Identity))
+    __slots__ = ("identities",)  # in source order
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +304,11 @@ class _Parser:
         # EOF padding: a look two tokens ahead never runs off the end
         self.kinds, self.texts, self.offsets = (part + part[-1:] * 2 for part in _tokenize(text))
         self.pos = 0
-        self.line, self.line_offset = 1, 0  # the line the last item's keyword is on, its offset
+        self.line, self.line_offset = 1, 0  # the last identity keyword's line, its offset
         self.lets: dict = {}  # name -> body, in source order
         self.let_refs: dict = {}  # name -> the let names its body refers to
         self.refs: set = set()  # the let names the item being parsed refers to
-        self.items: list = []
+        self.index_vars: tuple = ()  # those the item being parsed declares; none in a let
         self.nesting = 0  # open expression parentheses
 
     # token helpers: each takes or returns a token's index
@@ -349,8 +341,8 @@ class _Parser:
         return int(self.texts[at])
 
     def keyword_position(self, at: int) -> tuple:
-        """(line, column) of an item's keyword, counting line breaks on from
-        the last item's: items come in source order."""
+        """(line, column) of an identity's keyword, counting line breaks on
+        from the last identity's: identities come in source order."""
         offset = self.offsets[at]
         self.line += self.text.count("\n", self.line_offset, offset)
         self.line_offset = offset
@@ -359,18 +351,20 @@ class _Parser:
     # file structure
 
     def parse_file(self) -> SourceFile:
+        identities = []
         while self.kinds[self.pos] != "EOF":
             text = self.texts[self.pos]
             if text == "let":
-                self.items.append(self.parse_let())
+                self.parse_let()
             elif text == "forall":
-                self.items.append(self.parse_identity())
+                identities.append(self.parse_identity())
             else:
                 raise self.error(f"expected 'let' or 'forall', found {text!r}", self.pos)
-        return SourceFile(tuple(self.items))
+        return SourceFile(tuple(identities))
 
-    def parse_let(self) -> LetDecl:
-        line, col = self.keyword_position(self.expect("let"))
+    def parse_let(self):
+        """Bind a let's body in lets and its references in let_refs."""
+        self.expect("let")
         at = self.expect_name("a name to bind")
         name = self.texts[at]
         if name in RESERVED:
@@ -379,36 +373,36 @@ class _Parser:
             raise self.error(f"{name!r} is already bound", at)
         self.expect("=")
         self.refs = set()
-        value = self.parse_expr(index_vars=(), scalar_only=True)
-        self.lets[name] = value
+        self.index_vars = ()
+        self.lets[name] = self.parse_expr()
         self.let_refs[name] = self.refs
-        return LetDecl(name, value, line, col)
 
     def parse_identity(self) -> Identity:
         start = self.expect("forall")
         line, col = self.keyword_position(start)
-        index_vars = [self.parse_index_var(())]
+        self.index_vars = ()
+        self.parse_index_var()
         while self.texts[self.pos] == ",":
             self.pos += 1
-            index_vars.append(self.parse_index_var(tuple(index_vars)))
+            self.parse_index_var()
         self.expect(":")
-        ivars = tuple(index_vars)
         self.refs = set()
-        lhs = self.parse_expr(ivars)
+        lhs = self.parse_expr()
         self.expect("==")
-        rhs = self.parse_expr(ivars)
+        rhs = self.parse_expr()
         pins = self.parse_pins() if self.texts[self.pos] == "with" else ()
         last = self.pos - 1
         raw = self.text[self.offsets[start] : self.offsets[last] + len(self.texts[last])]
         # comments cannot occur inside tokens, so a line-wise cut is exact
         source = " ".join(row.split("#", 1)[0] for row in raw.splitlines())
         source = " ".join(source.split())
-        return Identity(ivars, lhs, rhs, pins, self.reached_lets(), source, line, col)
+        lets = self.reached_lets()
+        return Identity(self.index_vars, lhs, rhs, pins, lets, source, line, col)
 
     def reached_lets(self) -> tuple:
-        """(name, body) of each let the item just parsed reaches, in source order.
+        """(name, body) of each let the identity just parsed reaches, in source order.
 
-        A let is reached when the item or a reached let refers to it; a body
+        A let is reached when the identity or a reached let refers to it; a body
         refers only to lets bound before it, so one backward pass finds them.
         """
         wanted = self.refs
@@ -419,16 +413,17 @@ class _Parser:
                 wanted |= self.let_refs[name]
         return tuple(reversed(reached))
 
-    def parse_index_var(self, taken: tuple) -> str:
+    def parse_index_var(self):
+        """Declare one more index variable of the identity being parsed."""
         at = self.expect_name("an index variable")
         name = self.texts[at]
         if name in RESERVED:
             raise self.error(f"index variable cannot shadow reserved name {name!r}", at)
         if name in self.lets:
             raise self.error(f"index variable {name!r} collides with a let-binding", at)
-        if name in taken:
+        if name in self.index_vars:
             raise self.error(f"duplicate index variable {name!r}", at)
-        return name
+        self.index_vars += (name,)
 
     def parse_pins(self) -> tuple:
         self.expect("with")
@@ -464,30 +459,30 @@ class _Parser:
 
     # expressions
 
-    def parse_expr(self, index_vars: tuple, scalar_only: bool = False) -> Expr:
-        terms = [self.parse_term(index_vars, scalar_only)]
+    def parse_expr(self) -> Expr:
+        terms = [self.parse_term()]
         while (op := self.texts[self.pos]) == "+" or op == "-":
             self.pos += 1
-            sign, node = self.parse_term(index_vars, scalar_only)
+            sign, node = self.parse_term()
             terms.append((sign if op == "+" else -sign, node))
         if len(terms) == 1 and terms[0][0] == 1:
             return terms[0][1]
         return Sum(tuple(terms))
 
-    def parse_term(self, index_vars: tuple, scalar_only: bool) -> tuple:
+    def parse_term(self) -> tuple:
         """One signed term as (sign, node); a leading '-' folds into the sign."""
         sign = 1
         if self.texts[self.pos] == "-":
             self.pos += 1
             sign = -1
-        factors = [self.parse_factor(index_vars, scalar_only)]
+        factors = [self.parse_factor()]
         while self.texts[self.pos] == "*":
             self.pos += 1
-            factors.append(self.parse_factor(index_vars, scalar_only))
+            factors.append(self.parse_factor())
         return sign, factors[0] if len(factors) == 1 else Product(tuple(factors))
 
-    def parse_factor(self, index_vars: tuple, scalar_only: bool) -> Expr:
-        node = self.parse_base(index_vars, scalar_only)
+    def parse_factor(self) -> Expr:
+        node = self.parse_base()
         if self.texts[self.pos] != "^":
             return node
         at = self.pos + 1
@@ -500,7 +495,7 @@ class _Parser:
         self.pos = at + 1
         return Pow(node, int(self.texts[at]))
 
-    def parse_base(self, index_vars: tuple, scalar_only: bool) -> Expr:
+    def parse_base(self) -> Expr:
         at = self.pos
         kind, name = self.kinds[at], self.texts[at]  # the token's text, a name if kind is NAME
         if kind == "INT":
@@ -511,7 +506,7 @@ class _Parser:
                 raise self.error(f"parentheses nested deeper than {MAX_NESTING}", at)
             self.pos = at + 1
             self.nesting += 1
-            node = self.parse_expr(index_vars, scalar_only)
+            node = self.parse_expr()
             self.expect(")")
             self.nesting -= 1
             return node
@@ -520,15 +515,15 @@ class _Parser:
         if name in SEQ_NAMES:
             if self.texts[at + 1] != "(":
                 raise self.error(f"{name} is a sequence name; expected {name}(<index form>)", at)
-            if scalar_only:
+            if not self.index_vars:  # a let
                 raise self.error("sequence terms are not allowed in let-bindings", at)
             self.pos = at + 2
-            lin = self.parse_linform(index_vars)
+            lin = self.parse_linform()
             self.expect(")")
             return SeqTerm(SEQ_NAMES[name], lin)
         if name == "q" and self.texts[at + 1] == "^" and self.texts[at + 2] == "(":
             self.pos = at + 3
-            lin = self.parse_linform(index_vars)
+            lin = self.parse_linform()
             self.expect(")")
             return SeqTerm(GEOQ, lin)
         if name in SYMBOLS:
@@ -538,11 +533,11 @@ class _Parser:
             self.pos = at + 1
             self.refs.add(name)
             return NameRef(name)
-        if name in index_vars:
+        if name in self.index_vars:
             raise self.error(f"index variable {name!r} cannot be used as a scalar", at)
         raise self.error(f"unknown name {name!r}", at, UnknownNameError)
 
-    def parse_linform(self, index_vars: tuple) -> LinForm:
+    def parse_linform(self) -> LinForm:
         kinds, texts = self.kinds, self.texts
         at = self.pos
         if texts[at] == "+":
@@ -559,11 +554,11 @@ class _Parser:
                 if texts[at + 1] == "*":
                     self.pos = at + 2
                     at = self.expect_name("an index variable")
-                    self.add_coefficient(coeffs, at, value, index_vars)
+                    self.add_coefficient(coeffs, at, value)
                 else:
                     const += value
             elif kinds[at] == "NAME":
-                self.add_coefficient(coeffs, at, sign, index_vars)
+                self.add_coefficient(coeffs, at, sign)
             else:
                 found = self.found(at)
                 raise self.error(f"expected an index variable or integer, found {found}", at)
@@ -572,13 +567,13 @@ class _Parser:
                 self.pos = at
                 return LinForm.make(coeffs, const)
 
-    def add_coefficient(self, coeffs: dict, at: int, amount: int, index_vars: tuple):
+    def add_coefficient(self, coeffs: dict, at: int, amount: int):
         """Add amount to the coefficient of the index variable token `at` names."""
         var = self.texts[at]
-        if var not in index_vars:
+        if var not in self.index_vars:
             raise self.error(
                 f"undeclared index variable {var!r}"
-                + (f" (declared: {', '.join(index_vars)})" if index_vars else ""),
+                + (f" (declared: {', '.join(self.index_vars)})" if self.index_vars else ""),
                 at,
                 UndeclaredIndexError,
             )
@@ -721,7 +716,9 @@ class NormalForm:
 
     def render(self) -> str:
         """Deterministic DSL-parseable text (e.g. for certificates)."""
-        return render_sum(_render_monomial(atoms, scalar) for atoms, scalar in self.monomials())
+        return render_sum(
+            render_term(scalar, _render_atoms(atoms)) for atoms, scalar in self.monomials()
+        )
 
     def __str__(self) -> str:
         return self.render()
@@ -795,14 +792,6 @@ def _render_atoms(atoms: tuple) -> str:
         count = len(list(run))
         factors.append(text if count == 1 else f"{text}^{count}")
     return "*".join(factors)
-
-
-def _render_monomial(atoms: tuple, scalar: LaurentPoly) -> tuple:
-    sign, text = scalar.render_factor()
-    atoms_text = _render_atoms(atoms)
-    if atoms_text:
-        text = atoms_text if text == "1" else f"{text}*{atoms_text}"
-    return sign, text
 
 
 # ---------------------------------------------------------------------------

@@ -409,17 +409,6 @@ class LaurentPoly:
             for (_order, body), coeff in items
         )
 
-    def render_factor(self) -> tuple:
-        """(sign, text) of this element as one factor of a product.
-
-        A single monomial renders inline with its sign split off ('1' for
-        +-1); anything else is parenthesized with sign +1.
-        """
-        if len(self._terms) != 1:
-            return 1, f"({self.render()})"
-        ((key, coeff),) = self._terms.items()
-        return -1 if coeff < 0 else 1, _render_monomial(_render_key(key)[1], abs(coeff))
-
     def __str__(self) -> str:
         return self.render()
 
@@ -479,6 +468,23 @@ def render_sum(terms: Iterable[tuple]) -> str:
             parts.append("-")
         parts.append(body)
     return "".join(parts) or "0"
+
+
+def render_term(coeff: LaurentPoly, body: str) -> tuple:
+    """(sign, text) of coeff times a monomial whose factors read body ('' for 1).
+
+    A coefficient of one monomial renders inline with its sign split off
+    (the factor 1 only when body is ''); any other is parenthesized with
+    sign +1.  The pair is one term of a render_sum.
+    """
+    if len(coeff._terms) != 1:
+        sign, text = 1, f"({coeff.render()})"
+    else:
+        ((key, c),) = coeff._terms.items()
+        sign, text = -1 if c < 0 else 1, _render_monomial(_render_key(key)[1], abs(c))
+    if body:
+        text = body if text == "1" else f"{text}*{body}"
+    return sign, text
 
 
 _ZERO = LaurentPoly._raw({})

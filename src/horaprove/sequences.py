@@ -79,7 +79,9 @@ def numeric_term(
     kind: SequenceKind, k: int, assignment: Mapping[str, Rational]
 ) -> Fraction:
     """Exact rational value of the k-th term under an assignment (q != 0)."""
-    return Fraction(TermWindow(assignment).term(kind, k))
+    window = TermWindow(assignment)
+    n, e = window.term_pair(kind, k)
+    return Fraction(n, window.base**e)
 
 
 class TermWindow:
@@ -128,14 +130,6 @@ class TermWindow:
         if denominator == 1:
             return numerator, 0
         return numerator * (self.base // denominator), 1
-
-    def term(self, kind: SequenceKind, k: int) -> Rational:
-        """The k-th term, any integer k, as an int when integral."""
-        n, e = self.term_pair(kind, k)
-        if e == 0:
-            return n
-        value = Fraction(n, self.base**e)
-        return value.numerator if value.denominator == 1 else value
 
     def term_pair(self, kind: SequenceKind, k: int) -> tuple:
         """The k-th term, any integer k, as a pair (N, e)."""

@@ -13,7 +13,6 @@ from horaprove.lang import (
     RESERVED,
     Identity,
     IntLit,
-    LetDecl,
     LinForm,
     NameRef,
     NonIntegerExponentError,
@@ -36,6 +35,9 @@ from horaprove.lang import (
 )
 from horaprove.ring import SYMBOLS, from_int, one, q_power, render_sum, symbol, zero
 from horaprove.sequences import SequenceKind
+
+
+LET_SEQUENCE = "sequence terms are not allowed in let-bindings"
 
 
 class TestLinForm:
@@ -84,9 +86,8 @@ class TestParsing:
             "let e = p*a*b - q*a^2 - b^2\n"
             "forall n: W(n)*e == e*W(n)\n"
         )
-        assert isinstance(src.items[0], LetDecl)
         idn = src.identities[0]
-        assert "e" in idn.bindings()
+        assert list(idn.bindings()) == ["e"]
 
     def test_file_with_comments_only(self):
         src = parse_file("# nothing here\n\n# still nothing\n")
@@ -179,11 +180,11 @@ class TestParseErrors:
             parse_file("forall n: W(n) == W(n)\nforall k: W(k) == +\n")
         assert info.value.line == 2
 
-    def test_item_positions_count_comments_and_blank_lines(self):
+    def test_identity_positions_count_comments_blank_lines_and_lets(self):
         text = "# head\n\n  let e = p  # c\nforall n: W(n) == W(n)\n"
         text += "\t forall m,\n k: W(m+k) == W(k+m)\n"
-        items = parse_file(text).items
-        assert [(item.line, item.col) for item in items] == [(3, 3), (4, 1), (5, 3)]
+        identities = parse_file(text).identities
+        assert [(idn.line, idn.col) for idn in identities] == [(4, 1), (5, 3)]
 
     @pytest.mark.parametrize(
         "text, position",
@@ -211,6 +212,35 @@ class TestParseErrors:
     def test_let_rejects_index_dependent_q_powers(self):
         with pytest.raises(UndeclaredIndexError):
             parse_file("let e = q^(n)\n")
+
+    @pytest.mark.parametrize(
+        "text, error, message, position",
+        [
+            ("let e = W(0)\n", ParseError, LET_SEQUENCE, (1, 9)),
+            ("let e = 2*(a + u(1))\n", ParseError, LET_SEQUENCE, (1, 16)),
+            (
+                "let e = p + W\n",
+                ParseError,
+                "W is a sequence name; expected W(<index form>)",
+                (1, 13),
+            ),
+            # a let declares no index variable, so the message lists none
+            ("let e = q^(n)\n", UndeclaredIndexError, "undeclared index variable 'n'", (1, 12)),
+            # an identity's index variables are not in scope after it
+            ("forall n: W(n) == W(n)\nlet e = n\n", UnknownNameError, "unknown name 'n'", (2, 9)),
+            (
+                "forall n: W(n) == W(n)\nlet e = q^(n+1)\n",
+                UndeclaredIndexError,
+                "undeclared index variable 'n'",
+                (2, 12),
+            ),
+        ],
+    )
+    def test_a_let_has_no_index_scope(self, text, error, message, position):
+        with pytest.raises(error) as info:
+            parse_file(text)
+        assert type(info.value) is error
+        assert (info.value.message, (info.value.line, info.value.col)) == (message, position)
 
     def test_let_names_bind_once(self):
         with pytest.raises(ParseError, match="'e' is already bound") as info:
@@ -272,12 +302,14 @@ class TestNormalization:
 
     def test_let_with_a_constant_q_power(self):
         src = parse_file("let e = q^(-1)*p\nforall n: e*u(n) == p*q^(-1)*u(n)\n")
-        (let,) = lets_of(src)
-        assert normalize(let.value) == NormalForm.from_scalar(symbol("p") * q_power(-1))
-        assert identity_goal(src.identities[0]).is_zero
+        (idn,) = src.identities
+        ((name, body),) = idn.lets
+        assert name == "e"
+        assert normalize(body) == NormalForm.from_scalar(symbol("p") * q_power(-1))
+        assert identity_goal(idn).is_zero
         rendered = render_file(src)
         assert rendered.startswith("let e = q^(-1)*p\n")
-        assert lets_of(parse_file(rendered)) == lets_of(src)
+        assert parse_file(rendered).identities[0].lets == idn.lets
 
     def test_an_identity_values_the_lets_it_reaches_in_source_order(self):
         idn = parse_file(
@@ -331,17 +363,15 @@ def render_identity(identity: Identity) -> str:
 
 
 def render_file(src) -> str:
-    lines = []
-    for item in src.items:
-        if isinstance(item, LetDecl):
-            lines.append(f"let {item.name} = {render_expr(item.value)}")
-        else:
-            lines.append(render_identity(item))
+    """Each identity, after those of its lets that no earlier identity reached."""
+    lines, written = [], set()
+    for identity in src.identities:
+        for name, body in identity.lets:
+            if name not in written:
+                written.add(name)
+                lines.append(f"let {name} = {render_expr(body)}")
+        lines.append(render_identity(identity))
     return "\n".join(lines) + "\n"
-
-
-def lets_of(src) -> list:
-    return [item for item in src.items if isinstance(item, LetDecl)]
 
 
 class TestRenderRoundTrip:
@@ -409,6 +439,7 @@ class TestRenderRoundTrip:
             for idn, idn2 in zip(source.identities, again.identities):
                 assert identity_goal(idn2) == identity_goal(idn)
                 assert idn2.pin_map() == idn.pin_map()
+                assert idn2.bindings() == idn.bindings()
 
 
 class TestNormalizationSoundness:

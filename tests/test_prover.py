@@ -46,7 +46,16 @@ from horaprove.prover import (
     fuzz,
     prove,
 )
-from horaprove.ring import SYMBOLS, ExponentOverflowError, from_int, one, q_power, symbol, zero
+from horaprove.ring import (
+    SYMBOLS,
+    ExponentOverflowError,
+    from_int,
+    one,
+    q_power,
+    render_term,
+    symbol,
+    zero,
+)
 from horaprove.sequences import SequenceKind, numeric_term, symbolic_term
 
 p, a, b, q = symbol("p"), symbol("a"), symbol("b"), symbol("q")
@@ -479,7 +488,7 @@ class TestCertificateJson:
                     assert reparsed(poly) == NormalForm.from_scalar(node.poly)
                     return
                 for coeff in node.annihilator.coeffs:
-                    sign, text = coeff.render_factor()
+                    sign, text = render_term(coeff, "")
                     assert reparsed(text) == NormalForm.from_scalar(sign * coeff)
                 for (_value, child), sub in zip(node.subgoals, node_doc["subgoals"], strict=True):
                     assert reparsed(sub["goal"]) == child.goal

@@ -58,7 +58,6 @@ ALLOWLIST = {
     "ring.LaurentPoly.__str__": "copy",
     "ring.LaurentPoly.__repr__": "copy",
     "sequences.numeric_term": "cross-check",
-    "sequences.TermWindow.term": "cross-check",
     "cfinite.Annihilator.companion": "item 6",
     "cfinite.Annihilator.__str__": "item 6",
     "cfinite.Annihilator.__repr__": "item 6",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import U_BASIS_3, atoms_in
 from horaprove import corpus_path, fuzz, parse_file, parse_identity, prove
-from horaprove.lang import Identity, IntLit, LetDecl, NameRef, Product, ScalarRef, Sum
+from horaprove.lang import Identity, IntLit, NameRef, Pow, Product, ScalarRef, Sum
 from horaprove.ring import Record
 
 # a false law with a let, a pin, a power, a product, a q power and every family,
@@ -74,12 +74,12 @@ def test_identity_equality_ignores_lets_source_and_position():
     assert swapped != base
 
 
-def test_let_equality_ignores_position():
-    decl = LetDecl("e", IntLit(2), 3, 7)
-    unplaced = LetDecl("e", IntLit(2), 0, 0)
-    assert decl == unplaced and hash(decl) == hash(unplaced)
-    assert decl != LetDecl("f", IntLit(2), 3, 7)
-    assert decl != LetDecl("e", IntLit(3), 3, 7)
+def test_identity_equality_ignores_position():
+    law = Identity(("n",), IntLit(2), NameRef("e"), (), (), "", 3, 7)
+    unplaced = Identity(("n",), IntLit(2), NameRef("e"), (), (), "", 0, 0)
+    assert law == unplaced and hash(law) == hash(unplaced)
+    assert law != Identity(("m",), IntLit(2), NameRef("e"), (), (), "", 3, 7)
+    assert law != Identity(("n",), IntLit(3), NameRef("e"), (), (), "", 3, 7)
 
 
 def test_equal_fields_of_another_class_differ():
@@ -111,9 +111,9 @@ def test_equal_records_hash_equal(pair):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: LetDecl("e"),  # a field with no default left out
-        lambda: LetDecl("e", IntLit(2), name="f"),  # a field given twice
-        lambda: LetDecl("e", IntLit(2), width=1),  # no such field
+        lambda: Pow(IntLit(2)),  # too few fields
+        lambda: Pow(IntLit(2), 3, base=IntLit(1)),  # a field given twice
+        lambda: Pow(IntLit(2), 3, width=1),  # no such field
         lambda: IntLit(1, 2),  # too many fields
     ],
 )
@@ -123,8 +123,7 @@ def test_bad_fields_raise_type_error(build):
 
 
 def test_repr_names_every_field():
-    text = "LetDecl(name='e', value=IntLit(value=2), line=0, col=0)"
-    assert repr(LetDecl("e", IntLit(2), 0, 0)) == text
+    assert repr(Pow(IntLit(2), 3)) == "Pow(base=IntLit(value=2), exponent=3)"
     assert repr(Sum(((1, ScalarRef("p")),))) == "Sum(terms=((1, ScalarRef(name='p')),))"
 
 

@@ -18,6 +18,7 @@ from horaprove.ring import (
     from_int,
     one,
     q_power,
+    render_term,
     symbol,
     zero,
 )
@@ -349,14 +350,18 @@ class TestRendering:
             return normalize(parse_identity(f"forall n: {text} == 0").lhs)
 
         assert reparsed(f.render()) == NormalForm.from_scalar(f)
-        sign, text = f.render_factor()
+        sign, text = render_term(f, "")
         assert reparsed(text) == NormalForm.from_scalar(sign * f)
 
-    def test_factor_text(self):
-        assert (-q_power(-2)).render_factor() == (-1, "q^(-2)")
-        assert from_int(-1).render_factor() == (-1, "1")
-        assert (3 * p * a).render_factor() == (1, "3*p*a")
-        assert (p - q).render_factor() == (1, "(p - q)")
+    def test_term_text(self):
+        assert render_term(-q_power(-2), "") == (-1, "q^(-2)")
+        assert render_term(from_int(-1), "") == (-1, "1")
+        assert render_term(3 * p * a, "") == (1, "3*p*a")
+        assert render_term(p - q, "") == (1, "(p - q)")
+        # a coefficient +-1 leaves only the body; any other comes before it
+        assert render_term(from_int(-1), "x^2") == (-1, "x^2")
+        assert render_term(3 * p * a, "u(n)") == (1, "3*p*a*u(n)")
+        assert render_term(p - q, "x") == (1, "(p - q)*x")
 
     def test_min_max_exponent(self):
         f = p * q_power(-2) + a * q_power(3)

@@ -27,7 +27,7 @@ from horaprove.cfinite import (
 )
 from horaprove.lang import NormalForm, identity_goal, normalize, parse_file, parse_identity
 from horaprove.prover import PROVED, EliminationNode, annihilator_for, prove
-from horaprove.ring import from_int, one, q_power, symbol
+from horaprove.ring import from_int, one, q_power, render_term, symbol
 from horaprove.sequences import SequenceKind, slope_annihilator
 
 p, q = symbol("p"), symbol("q")
@@ -97,7 +97,7 @@ class TestCharpolyText:
     def test_coefficients_reparse_with_negative_q_powers(self, negative, others):
         ann = from_root_classes({negative} | others)
         for coeff in ann.coeffs:
-            sign, text = coeff.render_factor()
+            sign, text = render_term(coeff, "")
             reparsed = normalize(parse_identity(f"forall n: {text} == 0").lhs)
             assert reparsed == NormalForm.from_scalar(sign * coeff)
 

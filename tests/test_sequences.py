@@ -181,6 +181,12 @@ def mixed_base_assignments():
     return st.fixed_dictionaries({s: q if s == "q" else other for s in SYMBOLS})
 
 
+def window_value(window: TermWindow, kind: SequenceKind, k: int) -> Fraction:
+    """The k-th term of a family as the window holds it, read as a Fraction."""
+    n, e = window.term_pair(kind, k)
+    return Fraction(n, window.base**e)
+
+
 class TestTermWindow:
     @given(mixed_base_assignments())
     @settings(max_examples=15, deadline=None)
@@ -189,7 +195,7 @@ class TestTermWindow:
         assert window.base not in (1, abs(asgn["q"]))
         for k in range(-40, 41):
             for kind in (W, V, U, GEOQ):
-                assert window.term(kind, k) == symbolic_term(kind, k).evaluate(asgn)
+                assert window_value(window, kind, k) == symbolic_term(kind, k).evaluate(asgn)
 
     @given(
         st.one_of(integral_assignments(), rational_assignments()),
@@ -201,9 +207,7 @@ class TestTermWindow:
         window = TermWindow(asgn)
         for k in ks:
             for kind in (W, V, U, GEOQ):
-                got = window.term(kind, k)
-                assert type(got) in (int, Fraction)
-                assert got == symbolic_term(kind, k).evaluate(asgn)
+                assert window_value(window, kind, k) == symbolic_term(kind, k).evaluate(asgn)
 
     def test_far_q_powers_cost_memory_linear_in_k(self):
         # q^20000 is about 8 kB; keeping every power up to it took about 77 MB
@@ -211,11 +215,12 @@ class TestTermWindow:
         tracemalloc.start()
         try:
             # each power asked for twice: a repeat computes it again, equal
-            values = [window.term(GEOQ, k) for k in (20000, 20000, -20000, -20000)]
+            values = [window.term_pair(GEOQ, k) for k in (20000, 20000, -20000, -20000)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert values == [9**20000] * 2 + [Fraction(1, 9**20000)] * 2
+        # the base is |q| = 9, so q^-20000 is 1 over its 20000th power
+        assert values == [(9**20000, 0)] * 2 + [(1, 20000)] * 2
         assert peak < 200_000
 
     @pytest.mark.parametrize("q_value", [Fraction(3, 2), Fraction(-3, 2), Fraction(-2, 5)])
@@ -223,7 +228,7 @@ class TestTermWindow:
         window = TermWindow({s: q_value if s == "q" else Fraction(1, 3) for s in SYMBOLS})
         assert window.base == 3 * q_value.denominator * abs(q_value.numerator)
         for k in (2000, -2000):
-            assert window.term(GEOQ, k) == q_value**k
+            assert window_value(window, GEOQ, k) == q_value**k
 
     def test_a_reached_negative_index_is_a_lookup(self):
         asgn = {s: Fraction(v) for s, v in zip(SYMBOLS, (3, 2, -5, 1, 4, 7))}
@@ -234,7 +239,7 @@ class TestTermWindow:
         assert len(backward) == 8
         assert window.term_pair(W, -3) is backward[3]
         assert len(backward) == 8
-        assert window.term(W, -7) == symbolic_term(W, -7).evaluate(asgn)
+        assert window_value(window, W, -7) == symbolic_term(W, -7).evaluate(asgn)
 
     @given(integral_assignments(), st.lists(st.integers(0, 40), min_size=1, max_size=24))
     @settings(max_examples=30, deadline=None)
@@ -245,7 +250,7 @@ class TestTermWindow:
         assert all(window.scalars[s] == (v, 0) for s, v in asgn.items())
         for k in ks:
             for kind in (W, V, U, GEOQ):
-                assert type(window.term(kind, k)) is int
+                assert window.term_pair(kind, k)[1] == 0
 
 
 class TestSlopeAnnihilators:
