@@ -23,17 +23,14 @@ Closure operations, the independent cross-check route (the prover does
 not call them):
   * product(f, g)        products of solutions; Kronecker of companions
   * sum_annihilators     sums of solutions; polynomial product (with dedupe)
-  * symmetric_square     products of two solutions of one order-2 recurrence;
-                         order 3 instead of the Kronecker 4
-All are division-free and purely symbolic, so results are exact.
+Both are division-free and purely symbolic, so results are exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence
 
 from .ring import (
     LaurentPoly,
@@ -49,11 +46,7 @@ from .ring import (
 
 
 class OrderMismatchError(ValueError):
-    """The operation requires an annihilator of a specific order."""
-
-
-class ShortListError(ValueError):
-    """annihilates() needs at least order+1 consecutive terms."""
+    """An annihilator must have order at least 1."""
 
 
 class Annihilator(Record):
@@ -64,7 +57,6 @@ class Annihilator(Record):
     """
 
     __slots__ = ("coeffs", "__dict__")  # __dict__ holds the cached text
-    _compared = 1
 
     def __init__(self, coeffs: tuple):
         cs = tuple(c if isinstance(c, LaurentPoly) else from_int(c) for c in coeffs)
@@ -82,10 +74,6 @@ class Annihilator(Record):
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def companion(self):
-        from . import linalg  # only the closure algebra needs it
-        return linalg.companion(self.coeffs)
 
     def render(self) -> str:
         """Deterministic text form, e.g. 'x^2 - p*x + q'.
@@ -121,7 +109,7 @@ def product(f: Annihilator, g: Annihilator) -> Annihilator:
     Order multiplies; no minimality is attempted.
     """
     from . import linalg
-    m = linalg.kron(f.companion(), g.companion())
+    m = linalg.kron(linalg.companion(f.coeffs), linalg.companion(g.coeffs))
     return Annihilator(linalg.charpoly(m))
 
 
@@ -130,28 +118,6 @@ def sum_annihilators(f: Annihilator, g: Annihilator) -> Annihilator:
     if f == g:
         return f
     return Annihilator(_poly_mul(f.coeffs, g.coeffs))
-
-
-def symmetric_square(f: Annihilator) -> Annihilator:
-    """Order-3 annihilator of products of two solutions of an order-2 one.
-
-    For x^2 - P x + Q the result is
-        x^3 - (P^2 - Q) x^2 + (P^2 Q - Q^2) x - Q^3,
-    which divides the order-4 Kronecker product and drops its extra x - Q
-    factor.
-    """
-    if f.order != 2:
-        raise OrderMismatchError(f"symmetric_square needs order 2, got {f.order}")
-    big_p = -f.coeffs[1]
-    big_q = f.coeffs[0]
-    return Annihilator(
-        (
-            -(big_q ** 3),
-            big_p ** 2 * big_q - big_q ** 2,
-            -(big_p ** 2 - big_q),
-            one(),
-        )
-    )
 
 
 def root_class(i: int, j: int) -> tuple:
@@ -216,42 +182,6 @@ def fundamental(k: int) -> LaurentPoly:
 def lucas(e: int) -> LaurentPoly:
     """L(e) = alpha^e + beta^e = u(e+1) - q u(e-1), any integer e: L0 = 2, L1 = p."""
     return fundamental(e + 1) - symbol("q") * fundamental(e - 1)
-
-
-Term = Union[LaurentPoly, int, Fraction]
-
-
-def annihilates(
-    f: Annihilator,
-    terms: Sequence[Term],
-    assignment: Mapping[str, Union[int, Fraction]] | None = None,
-) -> bool:
-    """Check the recurrence window on a list of consecutive terms.
-
-    With no assignment the terms must be ring elements (ints coerce) and the
-    check is symbolic.  With an assignment the coefficients are evaluated and
-    the terms must be rationals; the check is exact in either mode.
-    """
-    need = f.order + 1
-    if len(terms) < need:
-        raise ShortListError(f"need at least {need} consecutive terms, got {len(terms)}")
-    if assignment is None:
-        coeffs = f.coeffs
-        values = [
-            t if isinstance(t, LaurentPoly) else from_int(t) for t in terms
-        ]
-        zero_value = zero()
-    else:
-        coeffs = [c.evaluate(assignment) for c in f.coeffs]
-        values = [Fraction(t) for t in terms]
-        zero_value = Fraction(0)
-    for start in range(len(values) - f.order):
-        acc = zero_value
-        for i, c in enumerate(coeffs):
-            acc = acc + c * values[start + i]
-        if acc != zero_value:
-            return False
-    return True
 
 
 def _poly_mul(f: Iterable[LaurentPoly], g: Iterable[LaurentPoly]):

@@ -80,12 +80,6 @@ def _cert_stem(path: str, used: set) -> str:
 
 
 def cmd_verify(args) -> int:
-    elim = None
-    if args.elim_order is not None:
-        elim = [s.strip() for s in args.elim_order.split(",") if s.strip()]
-        if not elim:
-            print("error: --elim-order names no index variable", file=sys.stderr)
-            return EXIT_ERROR
     cert_dir = None
     if args.cert_out:
         cert_dir = Path(args.cert_out)
@@ -107,7 +101,7 @@ def cmd_verify(args) -> int:
         stem = _cert_stem(path, used_stems) if cert_dir else ""
         for i, identity in enumerate(source.identities, start=1):
             try:
-                cert = prove(identity, elimination_order=elim, max_order=args.max_order)
+                cert = prove(identity, elimination_order=args.elim_order, max_order=args.max_order)
             except EliminationOrderError as exc:
                 print(f"error: {path}:{identity.line}: {exc}", file=sys.stderr)
                 errors = True
@@ -195,6 +189,14 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _index_names(text: str) -> list:
+    """argparse type of --elim-order: comma-separated names, at least one."""
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError("names no index variable")
+    return names
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="horaprove",
@@ -215,6 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--cert-out", metavar="DIR", help="write one JSON certificate per identity")
     verify.add_argument(
         "--elim-order",
+        type=_index_names,
         metavar="m,n,k",
         help="index elimination order (extra names are ignored per identity)",
     )

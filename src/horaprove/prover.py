@@ -179,8 +179,9 @@ class Certificate(Record):
     def json_text(self) -> str:
         """The certificate's JSON text, without a final line break.
 
-        It is byte for byte json.dumps(doc, indent=2) of the document
-        to_json_dict returns, written in one pass over the proof tree: each
+        It is byte for byte json.dumps(doc, indent=2) of the certificate's
+        document built as a tree of dicts (tests/conftest.py,
+        reference_json_dict), written in one pass over the proof tree: each
         string is escaped by the C encode_basestring_ascii (json.dumps runs
         CPython's pure-Python encoder whenever indent is set), and a subgoal
         or leaf poly that several paths share is rendered and escaped once,

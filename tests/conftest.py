@@ -87,6 +87,28 @@ def canonical_form(terms) -> NormalForm:
     return NormalForm._raw({atoms: s for atoms, s in canon.items() if not s.is_zero})
 
 
+def convolve(f, g) -> tuple:
+    """Plain coefficient-list product, an independent check on the library."""
+    out = [zero()] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            out[i + j] = out[i + j] + fi * gj
+    return tuple(out)
+
+
+def satisfies_recurrence(coeffs, terms) -> bool:
+    """Whether consecutive terms satisfy sum_i coeffs[i] X(n+i) = 0 in every window.
+
+    Coefficients are ascending; coefficients and terms are ring elements
+    (symbolic check) or numbers (evaluated check), exact either way.
+    """
+    assert len(terms) >= len(coeffs), f"{len(terms)} terms make no window of {len(coeffs)}"
+    return all(
+        sum(c * t for c, t in zip(coeffs, terms[start:])) == 0
+        for start in range(len(terms) - len(coeffs) + 1)
+    )
+
+
 def rational_assignments():
     """Exact rational values for every scalar symbol, q nonzero."""
     base = {s: st.fractions(min_value=-6, max_value=6, max_denominator=4) for s in SYMBOLS}

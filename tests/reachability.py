@@ -132,8 +132,8 @@ def package_defs(package: Path) -> list:
     return found
 
 
-def trace() -> tuple:
-    """(every def of the imported package, the defs that no run of exercise() enters)."""
+def trace(run=exercise) -> tuple:
+    """(every def of the imported package, the defs that run(package, work) does not enter)."""
     codes = set()
 
     def profile(frame, event, _arg):
@@ -146,7 +146,7 @@ def trace() -> tuple:
 
         package = Path(horaprove.__file__).resolve().parent
         with tempfile.TemporaryDirectory() as work:
-            exercise(package, Path(work))
+            run(package, Path(work))
     finally:
         sys.setprofile(None)
     entered = set()

@@ -10,16 +10,19 @@ import itertools
 import time
 from fractions import Fraction
 
-from conftest import by_fragment
-from horaprove.cfinite import Annihilator, poly_divmod, product, symmetric_square
+from conftest import by_fragment, convolve
+from horaprove.cfinite import Annihilator, poly_divmod, product
 from horaprove.lang import identity_goal, parse_identity
-from horaprove.prover import PROVED, REFUTED, fuzz, prove
+from horaprove.prover import PROVED, REFUTED, annihilator_for, fuzz, prove
 from horaprove.ring import one, q_power, symbol
 from horaprove.sequences import SequenceKind, numeric_term, symbolic_term
 
 p, a, b, q = symbol("p"), symbol("a"), symbol("b"), symbol("q")
 
 ORACLE_SEED = 12
+
+# (2.1): X(n+3) = (p^2-q)X(n+2) + (q^2-p^2 q)X(n+1) + q^3 X(n), ascending
+CUBIC = (-(q ** 3), p * p * q - q * q, q - p * p, one())
 
 
 def test_1_full_corpus_proved_quickly(corpus_identities):
@@ -33,33 +36,22 @@ def test_1_full_corpus_proved_quickly(corpus_identities):
 
 
 def test_2_pair_product_recurrence_exact():
-    base = Annihilator((q, -p, one()))
-    got = symmetric_square(base)
-    expected = Annihilator((
-        -(q ** 3),          # x^0
-        p * p * q - q * q,  # x^1
-        q - p * p,          # x^2
-        one(),              # x^3, i.e. X(n+3) = (p^2-q)X(n+2) + (q^2-p^2 q)X(n+1) + q^3 X(n)
-    ))
-    assert got == expected
-    assert got.coeffs == expected.coeffs
-    print("\nPASS 2: symmetric square of x^2 - p*x + q is the cubic "
-          f"{got.render()}, coefficient for coefficient")
+    for product_text in ("W(n)^2", "W(n)*V(n)", "u(n)*W(n+1)"):
+        goal = identity_goal(parse_identity(f"forall n: {product_text} == 0"))
+        got = annihilator_for(goal, "n")
+        assert got.coeffs == CUBIC, product_text
+    print("\nPASS 2: the prover's annihilator of W(n)^2, W(n)*V(n) and u(n)*W(n+1) is "
+          f"the cubic {got.render()}, coefficient for coefficient")
 
 
 def test_3_kronecker_product_factorization():
     base = Annihilator((q, -p, one()))
     kron = product(base, base)
-    cubic = symmetric_square(base)
     # multiply (x - q) by the cubic with plain convolution
     geo = (-q, one())
-    expected = [one() * 0] * 5
-    for i, gi in enumerate(geo):
-        for j, cj in enumerate(cubic.coeffs):
-            expected[i + j] = expected[i + j] + gi * cj
-    assert kron.coeffs == tuple(expected)
+    assert kron.coeffs == convolve(geo, CUBIC)
     quot, rem = poly_divmod(kron.coeffs, geo)
-    assert all(r.is_zero for r in rem) and tuple(quot) == cubic.coeffs
+    assert all(r.is_zero for r in rem) and tuple(quot) == CUBIC
     print("\nPASS 3: order-4 Kronecker product equals (x - q) times the cubic exactly")
 
 

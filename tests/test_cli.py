@@ -198,10 +198,14 @@ class TestVerify:
         missing = tmp_path / "missing.fib"
         certs = tmp_path / "certs"
         argv = ["verify", PAPER, str(missing), "--elim-order", value, "--cert-out", str(certs)]
+        assert main(["verify", "--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n")[0] + "\n"
         assert main(argv) == 2
         captured = capsys.readouterr()
         # raised before any file is read: no report, no unreadable-file error
-        assert captured.err == "error: --elim-order names no index variable\n"
+        assert captured.err == (
+            usage + "horaprove verify: error: argument --elim-order: names no index variable\n"
+        )
         assert captured.out == ""
         assert not certs.exists()
 
@@ -226,6 +230,27 @@ class TestVerify:
         assert f"{path}:1: PROVED" in captured.out
         assert "fuzz=PASS" not in captured.out
         assert captured.out.strip().endswith("total: 1 identities, 1 proved, 0 refuted, 0 aborted")
+
+    def test_fuzz_after_reports_an_oracle_crash_and_goes_on(self, tmp_path, capsys, monkeypatch):
+        real_fuzz = cli.fuzz
+
+        def crash_on_line_one(identity, *args):
+            if identity.line == 1:
+                raise RuntimeError("oracle crashed")
+            return real_fuzz(identity, *args)
+
+        monkeypatch.setattr(cli, "fuzz", crash_on_line_one)
+        path = tmp_path / "two.fib"
+        path.write_text(
+            "forall n: W(n+2) == p*W(n+1) - q*W(n)\nforall n: u(n) == u(n)\n", encoding="utf-8"
+        )
+        assert main(["verify", str(path), "--fuzz-after", "--trials", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}:1: RuntimeError: oracle crashed\n"
+        first, second, total = captured.out.splitlines()
+        assert re.fullmatch(rf"{re.escape(str(path))}:1: PROVED \(\d+ ms\)", first)
+        assert second.startswith(f"{path}:2: PROVED") and second.endswith(" fuzz=PASS(5)")
+        assert total == "total: 2 identities, 2 proved, 0 refuted, 0 aborted"
 
 
 class TestCertificates:
