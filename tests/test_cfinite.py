@@ -3,16 +3,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import convolve, satisfies_recurrence
+from conftest import convolve, rational_assignments, satisfies_recurrence
 from horaprove import cfinite
 from horaprove.cfinite import (
     ANNIHILATOR_CACHE_SIZE,
     Annihilator,
     OrderMismatchError,
     from_root_classes,
+    class_order,
     poly_divmod,
     product,
+    root_class,
     sum_annihilators,
 )
 from horaprove.linalg import charpoly, companion, identity, mat_inverse, mat_mul
@@ -24,6 +28,7 @@ p, a, b, c, d, q = (symbol(s) for s in SYMBOLS)
 BASE = Annihilator((q, -p, one()))  # x^2 - p*x + q
 # the shared cubic: x^3 - (p^2-q)x^2 - (q^2-p^2 q)x - q^3
 CUBIC = Annihilator((-(q ** 3), p * p * q - q * q, q - p * p, one()))
+SOLUTIONS = (SequenceKind.W, SequenceKind.V, SequenceKind.U)  # each satisfies BASE
 
 
 class TestAnnihilatorValidation:
@@ -53,6 +58,38 @@ class TestAnnihilatorValidation:
 
 
 class TestSharedCubic:
+    def test_is_the_root_class_annihilator_of_pair_products(self):
+        # alpha^2, alpha*beta = q, beta^2: the roots of every product of two
+        # solutions, in two conjugate classes
+        classes = [root_class(i, 2 - i) for i in range(3)]
+        assert sorted(set(classes)) == [(0, 2), (1, 0)]
+        assert class_order(classes) == 3
+        got = from_root_classes(classes).coeffs
+        assert got[3] == one()
+        assert got[2] == -(p * p - q)
+        assert got[1] == p * p * q - q * q
+        assert got[0] == -(q ** 3)
+        assert got == CUBIC.coeffs
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rational_assignments(),
+        st.sampled_from(SOLUTIONS),
+        st.sampled_from(SOLUTIONS),
+        st.integers(-5, 5),
+        st.integers(-6, 2),
+    )
+    def test_annihilates_evaluated_pair_products(self, asgn, first, second, shift, start):
+        # any two solutions at exact rational scalars, negative indices included
+        coeffs = [c.evaluate(asgn) for c in CUBIC.coeffs]
+        window = [
+            numeric_term(first, t, asgn) * numeric_term(second, t + shift, asgn)
+            for t in range(start, start + 6)
+        ]
+        assert satisfies_recurrence(coeffs, window)
+        window[3] += 1
+        assert not satisfies_recurrence(coeffs, window)
+
     def test_annihilates_products_of_two_solutions(self):
         # W- and V-started solutions both satisfy BASE; so do their products
         for shift in (0, 2, 5):
