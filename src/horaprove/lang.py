@@ -133,12 +133,6 @@ class LinForm(Record):
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, var: str) -> int:
-        for v, c in self.coeffs:
-            if v == var:
-                return c
-        return 0
-
     def substitute(self, var: str, value: int) -> "LinForm":
         coeffs = self.coeffs
         for i, (v, c) in enumerate(coeffs):

@@ -10,7 +10,9 @@ at a time from the normal form of lhs - rhs:
      monomial's roots alpha^i beta^j are the sums of its atoms' roots; the
      annihilator is the product of one exact factor per conjugate class of
      roots found anywhere in the goal (cfinite.from_root_classes, which
-     builds it once per distinct set of classes).
+     builds it once per distinct set of classes).  The classes depend only
+     on the slopes in the index, so they are found once per slope pattern
+     and set of patterns, which sibling subgoals share.
   2. A sequence annihilated by an order-d recurrence whose constant term is
      a unit is determined on all of Z by d consecutive values, so the goal
      is zero everywhere iff it is zero at the index values 0..d-1.  Each of
@@ -96,36 +98,50 @@ def annihilator_for(nf: NormalForm, index: str, max_order: int = DEFAULT_MAX_ORD
     so the order is known, and checked against the cap, before any
     polynomial is built.
 
-    A monomial's classes along an index come from a bounded per-process
-    cache keyed by its atom tuple, so a monomial that many subgoals share
-    is analysed once; the union needs no order, since from_root_classes
-    sorts the classes.
+    So a monomial's classes depend only on its slope pattern: its q atom's
+    slope and the sorted nonzero slopes of its other atoms in the index,
+    not their constants, which are all that sibling subgoals change.
+    Bounded per-process caches map a pattern to its classes and a goal's
+    set of patterns to (order, classes); their keys hold no atom.
     """
-    classes = set()
-    for atoms in nf.support():
-        classes |= _monomial_classes(atoms, index)
-    if not classes:
-        raise ValueError("the zero goal needs no annihilator")
-    _check_order(class_order(classes), max_order, index)
+    patterns = set()
+    for atoms in nf._terms:  # the goal's own dict: support() would copy its keys
+        t, slopes = 0, []
+        for atom in atoms:
+            for var, m in atom.index.coeffs:
+                if var == index:
+                    if atom.kind is SequenceKind.GEOQ:
+                        t = m
+                    else:
+                        slopes.append(m)
+                    break
+        slopes.sort()
+        patterns.add((t, tuple(slopes)))
+    order, classes = _goal_classes(frozenset(patterns))
+    _check_order(order, max_order, index)
     return from_root_classes(classes)
 
 
-# distinct (atom tuple, index) pairs whose root classes are kept
+# distinct slope patterns, and sets of them, whose root classes are kept
 ROOT_CLASS_CACHE_SIZE = 1024
+GOAL_CLASS_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=ROOT_CLASS_CACHE_SIZE)
-def _monomial_classes(atoms: tuple, index: str) -> frozenset:
-    """The conjugate root classes of one monomial along the index."""
-    roots = {(0, 0)}
-    for atom in atoms:
-        m = atom.index.coefficient(index)
-        if atom.kind is SequenceKind.GEOQ:
-            atom_roots = ((m, m),)
-        else:
-            atom_roots = ((m, 0), (0, m)) if m else ((0, 0),)
-        roots = {(i + di, j + dj) for i, j in roots for di, dj in atom_roots}
+def _pattern_classes(pattern: tuple) -> frozenset:
+    """The conjugate root classes of a monomial with this slope pattern."""
+    t, slopes = pattern
+    roots = {(t, t)}
+    for m in slopes:
+        roots = {root for i, j in roots for root in ((i + m, j), (i, j + m))}
     return frozenset(root_class(i, j) for i, j in roots)
+
+
+@lru_cache(maxsize=GOAL_CLASS_CACHE_SIZE)
+def _goal_classes(patterns: frozenset) -> tuple:
+    """(class_order, classes) of a goal whose monomials have these patterns."""
+    classes = frozenset().union(*map(_pattern_classes, patterns))
+    return class_order(classes), classes
 
 
 def _check_order(order: int, max_order: int, index: str):
@@ -472,8 +488,7 @@ def fuzz(identity: Identity, trials: int, seed: int, value_range: int) -> FuzzRe
     index_vars = identity.index_vars
     pins = identity.pin_map()
     bindings = identity.bindings()
-    goal = _compile(Sum(((1, identity.lhs), (-1, identity.rhs))))
-    lets = _compile_lets(bindings)
+    goal, lets = _compile_tree(Sum(((1, identity.lhs), (-1, identity.rhs))), bindings)
     for trial in range(1, trials + 1):
         scalars = {}
         for name, redraw in scalar_draws:
@@ -522,7 +537,7 @@ def evaluate_expr(
     over the window's base B, until the one Fraction of the result.
     """
     window = TermWindow(scalars)
-    n, e = _run(_compile(expr), _compile_lets(bindings), window, indices)
+    n, e = _run(*_compile_tree(expr, bindings), window, indices)
     return Fraction(n, window.base**e)
 
 
@@ -532,8 +547,10 @@ def evaluate_expr(
 Compiled = Callable[[TermWindow, Mapping[str, int], Mapping[str, tuple]], tuple]
 
 
-def _compile_lets(bindings: Mapping[str, Expr]) -> dict:
-    return {name: _compile(body) for name, body in bindings.items()}
+def _compile_tree(expr: Expr, bindings: Mapping[str, Expr]) -> tuple:
+    """The compiled tree and {name: compiled let body}, sharing term closures."""
+    shared: dict = {}  # atom -> its closure
+    return _compile(expr, shared), {name: _compile(body, shared) for name, body in bindings.items()}
 
 
 def _run(
@@ -546,12 +563,14 @@ def _run(
     return goal(window, indices, values)
 
 
-def _compile(expr: Expr) -> Compiled:
+def _compile(expr: Expr, shared: dict) -> Compiled:
     """One closure per node of the tree, built once.
 
     Every per-node decision is taken here: a call dispatches on no node
     type, and a term's closure holds its kind and its index form's constant
-    and (variable, coefficient) pairs.
+    and (variable, coefficient) pairs.  Atoms are interned, so shared maps
+    each to the one closure of all its occurrences; a constant q^(k)'s
+    keeps its pair for the window it last saw, one pow per trial.
     """
     if isinstance(expr, IntLit):
         pair = expr.value, 0
@@ -563,18 +582,29 @@ def _compile(expr: Expr) -> Compiled:
         name = expr.name
         return lambda window, indices, values: values[name]
     if isinstance(expr, SeqTerm):
-        return _compile_term(expr.kind, expr.index)
+        if expr not in shared:
+            shared[expr] = _compile_term(expr.kind, expr.index)
+        return shared[expr]
     if isinstance(expr, Sum):
-        return _compile_sum(expr)
+        return _compile_sum(expr, shared)
     if isinstance(expr, Product):
-        return _compile_product(expr)
+        return _compile_product(expr, shared)
     if isinstance(expr, Pow):
-        return _compile_pow(expr)
+        return _compile_pow(expr, shared)
     raise TypeError(f"unexpected node {expr!r}")
 
 
 def _compile_term(kind: SequenceKind, form: LinForm) -> Compiled:
     const, coeffs = form.const, form.coeffs
+    if not coeffs and kind is SequenceKind.GEOQ:
+        kept = [None, None]  # the window last asked, and q^const in it
+
+        def power(window, indices, values):
+            if kept[0] is not window:
+                kept[:] = window, window.term_pair(kind, const)
+            return kept[1]
+
+        return power
     if not coeffs:
         return lambda window, indices, values: window.term_pair(kind, const)
     if len(coeffs) == 1:
@@ -590,11 +620,11 @@ def _compile_term(kind: SequenceKind, form: LinForm) -> Compiled:
     return term
 
 
-def _compile_sum(expr: Sum) -> Compiled:
+def _compile_sum(expr: Sum, shared: dict) -> Compiled:
     (sign, first), *rest = expr.terms
-    first = _compile(first)
+    first = _compile(first, shared)
     negate_first = sign < 0
-    rest = tuple((sign < 0, _compile(term)) for sign, term in rest)
+    rest = tuple((sign < 0, _compile(term, shared)) for sign, term in rest)
 
     def total(window, indices, values):
         n, e = first(window, indices, values)
@@ -613,8 +643,8 @@ def _compile_sum(expr: Sum) -> Compiled:
     return total
 
 
-def _compile_product(expr: Product) -> Compiled:
-    first, *rest = map(_compile, expr.factors)
+def _compile_product(expr: Product, shared: dict) -> Compiled:
+    first, *rest = [_compile(factor, shared) for factor in expr.factors]
     rest = tuple(rest)
 
     def product(window, indices, values):
@@ -628,8 +658,8 @@ def _compile_product(expr: Product) -> Compiled:
     return product
 
 
-def _compile_pow(expr: Pow) -> Compiled:
-    base, k = _compile(expr.base), expr.exponent
+def _compile_pow(expr: Pow, shared: dict) -> Compiled:
+    base, k = _compile(expr.base, shared), expr.exponent
 
     def power(window, indices, values):
         n, e = base(window, indices, values)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from horaprove import corpus_path, parse_file
+from horaprove.cfinite import root_class
 from horaprove.lang import (
     IntLit,
     LinForm,
@@ -107,6 +108,24 @@ def satisfies_recurrence(coeffs, terms) -> bool:
         sum(c * t for c, t in zip(coeffs, terms[start:])) == 0
         for start in range(len(terms) - len(coeffs) + 1)
     )
+
+
+def reference_monomial_classes(atoms, index: str) -> frozenset:
+    """The conjugate root classes of one monomial along the index, atom by atom.
+
+    The reference for the prover's classes by slope pattern: the Minkowski
+    sum, from (0, 0), of each atom's roots, (m, 0) and (0, m) for a
+    sequence atom of slope m != 0, (0, 0) for slope 0 and (m, m) for q^(m*n).
+    """
+    roots = {(0, 0)}
+    for atom in atoms:
+        m = dict(atom.index.coeffs).get(index, 0)
+        if atom.kind is SequenceKind.GEOQ:
+            atom_roots = ((m, m),)
+        else:
+            atom_roots = ((m, 0), (0, m)) if m else ((0, 0),)
+        roots = {(i + di, j + dj) for i, j in roots for di, dj in atom_roots}
+    return frozenset(root_class(i, j) for i, j in roots)
 
 
 def rational_assignments():

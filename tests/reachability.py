@@ -37,6 +37,8 @@ ZERO_SIDE = "forall n: W(n+2) - p*W(n+1) + q*W(n) == 0\n"
 # Two q powers in the ring's range whose product is not: ABORTED, naming q.
 Q_PRODUCT_OVERFLOW = "forall n: q^(1000000000)*q^(1000000000)*W(n) == W(n)\n"
 FAR_INDEX = "forall n: W(n+3000000000) == W(n)\n"
+# The oracle values a constant q power once per trial, however often it occurs.
+CONSTANT_Q = "forall n: q^(2)*W(n+2) == q^(2)*p*W(n+1) - q^(3)*W(n)\n"
 PARSE_ERROR = "forall n: W(n+1 == W(n)\n"
 
 
@@ -66,6 +68,7 @@ def exercise(package: Path, work: Path):
         ("zero_side", ZERO_SIDE),
         ("q_overflow", Q_PRODUCT_OVERFLOW),
         ("far_index", FAR_INDEX),
+        ("constant_q", CONSTANT_Q),
         ("parse_error", PARSE_ERROR),
     ):
         fixtures[name] = path = work / f"{name}.fib"
@@ -84,6 +87,7 @@ def exercise(package: Path, work: Path):
          "ABORTED", "exponent 2000000000 of q is outside")
     _run(cli, ["verify", str(fixtures["two_q_atoms"]), str(fixtures["zero_side"])], 0,
          "total: 2 identities, 2 proved")
+    _run(cli, ["fuzz", "--trials", "3", str(fixtures["constant_q"])], 0, "PASS (3 trials)")
 
     # the console script: main's exit code becomes the process's
     argv = sys.argv

@@ -2,12 +2,13 @@
 
 Every SeqTerm with a given kind and index form is one live object, held
 weakly by lang's intern table, so equality and hashing are identity tests.
-Per-atom elimination work (an atom's image under substitute_index, a
-monomial's root classes along an index), the product of two leaf terms
-and the text of a monomial's atoms are cached for the whole process; these
-tests check that the caches are bounded, that they hold no atom alive
-once cleared, and that no certificate depends on what was proved before
-it.
+An atom's image under substitute_index, the product of two leaf terms and
+the text of a monomial's atoms are cached for the whole process, keyed by
+atoms or terms; root classes are cached by slope pattern, a key of ints
+that names no atom.  These tests check that every cache is bounded, that
+the atom-keyed ones hold no atom alive once cleared and the root-class
+ones hold none at all, and that no certificate depends on what was proved
+before it.
 """
 
 import functools
@@ -23,10 +24,28 @@ from horaprove.lang import LinForm, SeqTerm, normalize
 from horaprove.sequences import SequenceKind
 
 def clear_atom_caches():
+    """Clear the caches keyed by atoms or leaf terms; the root-class caches stay."""
     lang._substitute_atom.cache_clear()
-    prover._monomial_classes.cache_clear()
     prover._term_product.cache_clear()
     lang._render_atoms.cache_clear()
+
+
+def clear_root_class_caches():
+    prover._pattern_classes.cache_clear()
+    prover._goal_classes.cache_clear()
+
+
+def cached_items(cache) -> list:
+    """Every argument tuple and result an lru_cache holds: the collector's view of it."""
+    return [item for item in gc.get_referents(cache) if isinstance(item, (tuple, frozenset))]
+
+
+def holds_an_atom(value) -> bool:
+    if isinstance(value, SeqTerm):
+        return True
+    if isinstance(value, (tuple, frozenset, list)):
+        return any(holds_an_atom(item) for item in value)
+    return False
 
 
 class TestInterning:
@@ -60,11 +79,33 @@ class TestInterning:
             prover.annihilator_for(goal, "n")
             assert key in lang._ATOMS
 
+        clear_root_class_caches()
         use_it()
         clear_atom_caches()
         gc.collect()
         assert key not in lang._ATOMS
         assert (0, "W", ((), 987654)) not in lang._ATOMS
+        # the root-class caches kept what use_it put there, and did not pin the atom
+        assert prover._pattern_classes.cache_info().currsize == 1
+        assert prover._goal_classes.cache_info().currsize == 1
+
+    def test_root_class_caches_hold_no_atom(self):
+        for identity in all_identities():
+            prove(identity)
+        for cache in (prover._pattern_classes, prover._goal_classes):
+            items = cached_items(cache)
+            assert items and not any(holds_an_atom(item) for item in items)
+        # the same walk finds the atoms an atom-keyed cache holds
+        assert any(holds_an_atom(item) for item in cached_items(lang._substitute_atom))
+
+    def test_sibling_subgoals_share_one_root_class_entry(self):
+        clear_root_class_caches()
+        goal = normalize(parse_identity("forall m, n: W(m+n+3)*V(2*n-m) == 0").lhs)
+        for value in range(4):
+            prover.annihilator_for(goal.substitute_index("m", value), "n")
+        assert prover._goal_classes.cache_info()[:2] == (3, 1)  # hits, misses
+        assert prover._pattern_classes.cache_info()[:2] == (0, 1)
+        assert (frozenset({(0, (1, 2))}),) in cached_items(prover._goal_classes)
 
 
 def horaprove_modules() -> list:
@@ -97,7 +138,8 @@ def test_every_module_cache_is_bounded():
         "horaprove.lang._substitute_atom",
         "horaprove.lang._render_atom",
         "horaprove.lang._render_atoms",
-        "horaprove.prover._monomial_classes",
+        "horaprove.prover._pattern_classes",
+        "horaprove.prover._goal_classes",
         "horaprove.prover._term_product",
         "horaprove.cfinite._from_class_set",
         "horaprove.sequences.symbolic_term",
@@ -126,6 +168,7 @@ def test_certificates_do_not_depend_on_history():
     identities = all_identities()
     assert len(identities) == 19 + 38 + 5
     clear_atom_caches()
+    clear_root_class_caches()
     cold = [certificate_text(identity) for identity in identities]
     for identity in reversed(identities):
         prove(identity)

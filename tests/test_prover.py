@@ -56,7 +56,7 @@ from horaprove.ring import (
     symbol,
     zero,
 )
-from horaprove.sequences import SequenceKind, numeric_term, symbolic_term
+from horaprove.sequences import SequenceKind, TermWindow, numeric_term, symbolic_term
 
 p, a, b, q = symbol("p"), symbol("a"), symbol("b"), symbol("q")
 BASE = Annihilator((q, -p, one()))
@@ -620,6 +620,20 @@ class TestFuzz:
         assert cex.trial == 1
         assert dict(cex.scalars) == scalars
         assert cex.indices == indices
+
+    def test_a_constant_q_power_is_one_pow_per_trial(self, monkeypatch):
+        # q^(5) occurs four times, in the goal and in a let, and is one closure
+        identity = parse_file(
+            "let e = q^(5) - q^(5)\n"
+            "forall n: q^(5)*W(n) + e == q^(5)*W(n) + q^(2)*q^(3) - q*q^(4)\n"
+        ).identities[0]
+        powers = []
+        real = TermWindow._q_power
+        monkeypatch.setattr(TermWindow, "_q_power", lambda w, k: powers.append(k) or real(w, k))
+        result = fuzz(identity, trials=40, seed=3, value_range=9)
+        assert result.ok
+        # a pair kept from an earlier trial's q would fail a later trial
+        assert sorted(powers) == sorted([5, 2, 3, 4] * 40)
 
     def test_single_trial_reproducible(self):
         bad = parse_identity("forall n: u(n) == 1 + u(n)")

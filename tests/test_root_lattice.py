@@ -6,11 +6,22 @@ windows; the laws it makes tractable are proved outright.
 """
 
 from functools import reduce
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import convolve, eval_normal_form, rational_assignments, satisfies_recurrence, walk
+from conftest import (
+    canonical_form,
+    convolve,
+    eval_normal_form,
+    rational_assignments,
+    reference_monomial_classes,
+    satisfies_recurrence,
+    walk,
+)
+from horaprove import prover
 from horaprove.cfinite import (
     ORDER_TWO_BASE,
     X_MINUS_ONE,
@@ -22,8 +33,22 @@ from horaprove.cfinite import (
     product,
     root_class,
 )
-from horaprove.lang import NormalForm, identity_goal, normalize, parse_file, parse_identity
-from horaprove.prover import PROVED, EliminationNode, annihilator_for, prove
+from horaprove.lang import (
+    LinForm,
+    NormalForm,
+    SeqTerm,
+    identity_goal,
+    normalize,
+    parse_file,
+    parse_identity,
+)
+from horaprove.prover import (
+    PROVED,
+    EliminationNode,
+    OrderCapExceededError,
+    annihilator_for,
+    prove,
+)
 from horaprove.ring import from_int, one, q_power, render_term, symbol
 from horaprove.sequences import SequenceKind, slope_annihilator
 
@@ -135,6 +160,76 @@ class TestAgainstTheKroneckerRoute:
         slope = slope_annihilator(KINDS[first], m)
         ann = annihilator_for(goal, "n")
         assert product(slope, slope).coeffs == convolve((-q_power(m), one()), ann.coeffs)
+
+
+# Monomials in several indices: repeated atoms, slope 0 and negative slopes
+# in the eliminated index, and at most one q atom, of no constant part, as in
+# a normal form.
+LATTICE_INDICES = ("i", "j", "k")
+slopes = st.dictionaries(st.sampled_from(LATTICE_INDICES), st.integers(-3, 3))
+lattice_seq_atoms = st.builds(
+    lambda kind, coeffs, const: SeqTerm(kind, LinForm.make(coeffs, const)),
+    st.sampled_from(sorted(KINDS.values(), key=lambda kind: kind.name)),
+    slopes,
+    st.integers(-4, 4),
+)
+lattice_q_atoms = st.none() | slopes.filter(lambda c: any(c.values())).map(
+    lambda coeffs: SeqTerm(SequenceKind.GEOQ, LinForm.make(coeffs, 0))
+)
+lattice_monomials = st.builds(
+    lambda seq, repeat, q_atom: tuple(seq + seq[:repeat]) + ((q_atom,) if q_atom else ()),
+    st.lists(lattice_seq_atoms, max_size=3),
+    st.integers(0, 2),
+    lattice_q_atoms,
+)
+lattice_goals = st.lists(lattice_monomials, min_size=1, max_size=3).map(
+    lambda monomials: canonical_form({atoms: one() for atoms in monomials})
+)
+
+
+def reference_classes(goal, index: str) -> frozenset:
+    classes = [reference_monomial_classes(atoms, index) for atoms in goal.support()]
+    return frozenset().union(*classes)
+
+
+def reference_charpoly(classes) -> tuple:
+    """The product of each class's factor, in any order, by plain convolution."""
+    coeffs = (one(),)
+    for k, e in classes:
+        if e == 0:
+            factor = (-q_power(k), one())
+        else:
+            factor = (q_power(2 * k + e), -(q_power(k) * lucas(e)), one())
+        coeffs = convolve(coeffs, factor)
+    return coeffs
+
+
+class TestClassesBySlopePattern:
+    """annihilator_for against the atom-by-atom root sets of conftest."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_goals, st.sampled_from(LATTICE_INDICES))
+    def test_classes_and_charpoly_equal_the_reference(self, goal, index):
+        expected = reference_classes(goal, index)
+        with mock.patch.object(prover, "from_root_classes", wraps=from_root_classes) as build:
+            ann = annihilator_for(goal, index)
+        (classes,), _ = build.call_args
+        assert frozenset(classes) == expected
+        assert ann.order == class_order(expected)
+        assert ann.coeffs == reference_charpoly(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_goals, st.sampled_from(LATTICE_INDICES))
+    def test_the_order_cap_aborts_before_any_build(self, goal, index):
+        order = class_order(reference_classes(goal, index))
+        with mock.patch.object(prover, "from_root_classes") as build:
+            with pytest.raises(OrderCapExceededError) as raised:
+                annihilator_for(goal, index, max_order=order - 1)
+            annihilator_for(goal, index, max_order=order)
+        assert str(raised.value) == (
+            f"annihilator order {order} for index {index!r} exceeds the cap {order - 1}"
+        )
+        assert build.call_count == 1  # only the call within the cap built
 
 
 class TestLawsTheLatticeMakesTractable:
