@@ -60,7 +60,7 @@ class Annihilator(Record):
 
     def __init__(self, coeffs: tuple):
         cs = tuple(c if isinstance(c, LaurentPoly) else from_int(c) for c in coeffs)
-        object.__setattr__(self, "coeffs", cs)
+        _set_coeffs(self, cs)
         if len(cs) < 2:
             raise OrderMismatchError("annihilator order must be at least 1")
         if cs[-1] != 1:
@@ -98,6 +98,9 @@ class Annihilator(Record):
 
     def __repr__(self) -> str:
         return f"Annihilator({self.render()})"
+
+
+(_set_coeffs,) = Annihilator._setters
 
 
 def product(f: Annihilator, g: Annihilator) -> Annihilator:

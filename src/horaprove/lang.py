@@ -120,10 +120,6 @@ class LinForm(Record):
 
     __slots__ = ("coeffs", "const")
 
-    def __init__(self, coeffs: tuple, const: int):
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "const", const)
-
     @classmethod
     def make(cls, coeffs: Mapping[str, int], const: int) -> "LinForm":
         items = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
@@ -170,12 +166,30 @@ class NameRef(Record):
 # order_key, its place in a monomial, names that kind and index form, and
 # builds it only when there is none.  So equal atoms are one object, equality
 # and hash are the identity tests done in C, and an atom is a cheap key for
-# per-atom caches.  The table holds its atoms weakly: an atom that nothing
-# else references leaves it.  A set of atoms iterates in an address-dependent
-# order, so no output is written from one: every output sorts atoms by
-# order_key.
-_ATOMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # order_key -> atom
+# per-atom caches.  The table maps each order_key to a weak reference to its
+# atom, so an atom that nothing else references dies, and its reference's
+# callback takes the entry out; a plain dict and a weakref.ref subclass keep
+# every lookup and insertion in C, where a WeakValueDictionary runs Python
+# code for both.  A set of atoms iterates in an address-dependent order, so
+# no output is written from one: every output sorts atoms by order_key.
+_ATOMS: dict = {}  # order_key -> _AtomRef to the atom
 _KIND_NAMES = {kind: kind.name for kind in SequenceKind}  # Enum.name is a Python-level property
+
+
+class _AtomRef(weakref.ref):
+    __slots__ = ("key",)  # the atom's order_key
+
+
+def _drop_atom(ref: _AtomRef, atoms: dict = _ATOMS):
+    """An atom's weak-reference callback: remove its entry from the table.
+
+    The entry goes only while it is still this reference, never a newer
+    atom's under the same key.  The table is bound as a default, so the
+    callback still finds it when an atom dies during interpreter shutdown,
+    after the module's globals are gone.
+    """
+    if atoms.get(ref.key) is ref:
+        del atoms[ref.key]
 
 
 class SeqTerm(Record):
@@ -184,17 +198,22 @@ class SeqTerm(Record):
     def __new__(cls, kind: SequenceKind, index: LinForm):
         form = index.coeffs, index.const
         key = (1, "", form) if kind is GEOQ else (0, _KIND_NAMES[kind], form)
-        atom = _ATOMS.get(key)
-        if atom is None:
-            atom = object.__new__(cls)
-            object.__setattr__(atom, "kind", kind)
-            object.__setattr__(atom, "index", index)
-            object.__setattr__(atom, "order_key", key)
-            _ATOMS[key] = atom
+        ref = _ATOMS.get(key)
+        if ref is not None:
+            atom = ref()
+            if atom is not None:
+                return atom
+        atom = _new(cls)
+        _set_kind(atom, kind)
+        _set_index(atom, index)
+        _set_order_key(atom, key)
+        ref = _ATOMS[key] = _AtomRef(atom, _drop_atom)
+        ref.key = key
         return atom
 
-    def __init__(self, kind: SequenceKind, index: LinForm):
-        pass  # __new__ found or built the atom
+    # __new__ found or built the atom; object.__init__ takes the arguments
+    # and, since __new__ is overridden, does nothing, in C
+    __init__ = object.__init__
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -204,6 +223,10 @@ class SeqTerm(Record):
 
     def __repr__(self) -> str:
         return f"SeqTerm(kind={self.kind!r}, index={self.index!r})"
+
+
+_new = object.__new__
+_set_kind, _set_index, _set_order_key = SeqTerm._setters
 
 
 class Sum(Record):
@@ -608,9 +631,11 @@ class NormalForm:
 
     __slots__ = ("_terms",)
 
-    @classmethod
-    def _raw(cls, terms: dict) -> "NormalForm":
-        self = cls.__new__(cls)
+    @staticmethod
+    def _raw(terms: dict) -> "NormalForm":
+        # terms must already be canonical; with no __setattr__ to get round,
+        # a plain store costs less than the slot's setter
+        self = _new(NormalForm)
         self._terms = terms
         return self
 

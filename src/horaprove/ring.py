@@ -74,11 +74,11 @@ class Record:
     """Base of the package's immutable records.
 
     A record's fields are its __slots__, in order, but for __dict__ and
-    __weakref__, and its constructor takes exactly those, in that order.
-    The first _compared of them (all when None) decide equality, which also
-    needs the same class, and the hash.  repr is Name(field=value, ...) over
-    every field.  Copying and unpickling rebuild a record through its
-    constructor, from its fields.
+    __weakref__, and its constructor takes exactly those, positionally, in
+    that order.  The first _compared of them (all when None) decide
+    equality, which also needs the same class, and the hash.  repr is
+    Name(field=value, ...) over every field.  Copying and unpickling
+    rebuild a record through its constructor, from its fields.
     """
 
     __slots__ = ()
@@ -88,6 +88,10 @@ class Record:
         cls._fields = tuple(n for n in cls.__slots__ if n not in ("__dict__", "__weakref__"))
         # a slot's own setter costs less to call than object.__setattr__
         cls._setters = tuple(cls.__dict__[n].__set__ for n in cls._fields)
+        if "__init__" not in cls.__dict__ and 0 < len(cls._setters) <= 4:
+            # a fixed-arity constructor costs under half of the generic one's loop
+            cls.__init__ = _fixed_init(cls._setters)
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __init__(self, *args):
         if len(args) != len(self._setters):
@@ -117,6 +121,41 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+def _fixed_init(setters: tuple):
+    """A positional-only __init__ that sets one to four fields through their setters."""
+    if len(setters) == 1:
+        (s0,) = setters
+
+        def __init__(self, a, /):
+            s0(self, a)
+
+    elif len(setters) == 2:
+        s0, s1 = setters
+
+        def __init__(self, a, b, /):
+            s0(self, a)
+            s1(self, b)
+
+    elif len(setters) == 3:
+        s0, s1, s2 = setters
+
+        def __init__(self, a, b, c, /):
+            s0(self, a)
+            s1(self, b)
+            s2(self, c)
+
+    else:
+        s0, s1, s2, s3 = setters
+
+        def __init__(self, a, b, c, d, /):
+            s0(self, a)
+            s1(self, b)
+            s2(self, c)
+            s3(self, d)
+
+    return __init__
 
 
 def _pack(exps: Iterable[int]) -> int:

@@ -1,7 +1,9 @@
 """Hash-consed atoms and the per-process caches built on them.
 
-Every SeqTerm with a given kind and index form is one live object, held
-weakly by lang's intern table, so equality and hashing are identity tests.
+Every SeqTerm with a given kind and index form is one live object, so
+equality and hashing are identity tests.  lang's intern table maps each
+atom's order_key to a weak reference whose callback takes the entry out
+when the atom dies.
 An atom's image under substitute_index, the product of two leaf terms and
 the text of a monomial's atoms are cached for the whole process, keyed by
 atoms or terms; root classes are cached by slope pattern, a key of ints
@@ -14,8 +16,15 @@ before it.
 import functools
 import gc
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import weakref
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import horaprove
 from conftest import MULTI_INDEX, atoms_in
@@ -146,7 +155,94 @@ def test_every_module_cache_is_bounded():
     } <= caches.keys()
     sizes = {name: cache.cache_parameters()["maxsize"] for name, cache in caches.items()}
     assert [name for name, size in sizes.items() if size is None] == []
-    assert isinstance(lang._ATOMS, weakref.WeakValueDictionary)
+    # the intern table holds its atoms only weakly, and no dead atom's entry stays
+    identity = parse_identity(TestInterning.LAW)
+    gc.collect()
+    refs = list(lang._ATOMS.items())
+    assert len(refs) >= 5
+    for key, ref in refs:
+        assert isinstance(ref, weakref.ref) and ref.__callback__ is lang._drop_atom
+        atom = ref()
+        assert atom is not None and atom.order_key == key
+    assert identity.lhs in [ref() for _key, ref in refs]
+
+
+# index constants that no corpus and no other test uses, so every drawn atom is new
+FRESH = 700_000
+DRAWN_ATOMS = st.lists(
+    st.tuples(
+        st.sampled_from(list(SequenceKind)),
+        st.dictionaries(st.sampled_from(("m", "n")), st.integers(-2, 2), max_size=2),
+        st.integers(0, 20),
+        st.booleans(),  # drop the atom
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(DRAWN_ATOMS)
+@settings(max_examples=60, deadline=None)
+def test_the_table_survives_churn(drawn):
+    gc.collect()
+    start = len(lang._ATOMS)
+    atoms, forms, dropped = {}, {}, {}  # order_key -> atom, (kind, index), drop it
+    for kind, coeffs, const, drop in drawn:
+        atom = SeqTerm(kind, LinForm.make(coeffs, FRESH + const))
+        assert SeqTerm(kind, LinForm.make(coeffs, FRESH + const)) is atom
+        key = atom.order_key
+        atoms[key], forms[key] = atom, (kind, atom.index)
+        dropped[key] = dropped.get(key, True) and drop  # one draw that keeps it keeps it
+    refs = {key: lang._ATOMS[key] for key in atoms}
+    kept = {key: atom for key, atom in atoms.items() if not dropped[key]}
+    del atom
+    atoms.clear()
+    gc.collect()
+    assert len(lang._ATOMS) == start + len(kept)
+    again = []
+    for key, (kind, index) in forms.items():
+        atom = SeqTerm(kind, index)
+        if key in kept:
+            assert atom is kept[key]
+        else:
+            assert refs[key]() is None
+            # the dead atom's callback, run late, leaves the newer atom's entry
+            lang._drop_atom(refs[key])
+            assert lang._ATOMS[key]() is atom
+        again.append(atom)
+    del atom
+    again.clear()
+    kept.clear()
+    gc.collect()
+    assert len(lang._ATOMS) == start
+
+
+def test_the_removal_callback_reads_no_module_global(monkeypatch):
+    """At interpreter exit lang's globals may be gone before its last atoms die."""
+    errors = []
+    monkeypatch.setattr(sys, "unraisablehook", errors.append)
+    atom = SeqTerm(SequenceKind.W, LinForm.make({"n": 1}, FRESH + 99))
+    key = atom.order_key
+    table = lang._ATOMS
+    monkeypatch.setattr(lang, "_ATOMS", None)
+    del atom
+    monkeypatch.undo()
+    assert errors == [] and key not in table
+
+
+def test_interpreter_exit_is_quiet():
+    """A verify run over the shipped corpora refutes some laws and writes no error."""
+    names = ("paper.fib", "mutations.fib", "horadam_extra.fib")
+    corpora = [str(corpus_path(name)) for name in names]
+    proc = subprocess.run(
+        [sys.executable, "-m", "horaprove", "verify", *corpora],
+        env=dict(os.environ, PYTHONPATH=str(Path(horaprove.__file__).resolve().parents[1])),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def all_identities() -> list:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import U_BASIS_3, atoms_in
 from horaprove import corpus_path, fuzz, parse_file, parse_identity, prove
 from horaprove.lang import Identity, IntLit, NameRef, Pow, Product, ScalarRef, Sum
+from horaprove.prover import Counterexample, EliminationNode, LeafNode
 from horaprove.ring import Record
 
 # a false law with a let, a pin, a power, a product, a q power and every family,
@@ -108,6 +109,31 @@ def test_equal_records_hash_equal(pair):
         assert left == right and hash(left) == hash(right)
 
 
+# one record of each arity that gets a fixed-arity constructor, and one larger
+SIZED_RECORDS = (IntLit, Pow, LeafNode, EliminationNode, Counterexample)
+
+
+def test_records_of_up_to_four_fields_get_a_fixed_arity_constructor():
+    assert [len(record._fields) for record in SIZED_RECORDS] == [1, 2, 3, 4, 5]
+    for record in SIZED_RECORDS[:4]:
+        assert record.__init__ is not Record.__init__
+        assert record.__init__.__qualname__ == f"{record.__name__}.__init__"
+    assert Counterexample.__init__ is Record.__init__
+    assert Pow(IntLit(2), 3) == Pow(IntLit(2), 3) and Pow(IntLit(2), 3).exponent == 3
+
+
+def sized_bad_builds():
+    """Keywords, too few and too many fields, for each of SIZED_RECORDS."""
+    for record in SIZED_RECORDS:
+        n, name = len(record._fields), record.__name__
+        yield pytest.param(lambda r=record: r(**dict.fromkeys(r._fields, 0)), id=f"{name}-keywords")
+        yield pytest.param(
+            lambda r=record, n=n: r(*[0] * (n - 1), **{r._fields[-1]: 0}), id=f"{name}-last-keyword"
+        )
+        yield pytest.param(lambda r=record, n=n: r(*[0] * (n - 1)), id=f"{name}-too-few")
+        yield pytest.param(lambda r=record, n=n: r(*[0] * (n + 1)), id=f"{name}-too-many")
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -115,6 +141,7 @@ def test_equal_records_hash_equal(pair):
         lambda: Pow(IntLit(2), 3, base=IntLit(1)),  # a field given twice
         lambda: Pow(IntLit(2), 3, width=1),  # no such field
         lambda: IntLit(1, 2),  # too many fields
+        *sized_bad_builds(),
     ],
 )
 def test_bad_fields_raise_type_error(build):
