@@ -64,9 +64,8 @@ from .ring import (
     render_term,
     symbol,
 )
-from .sequences import SequenceKind
+from .sequences import GEOQ, SequenceKind
 
-GEOQ = SequenceKind.GEOQ
 # q^n is written q^(...), so every other family's value is its surface name
 SEQ_NAMES = {kind.value: kind for kind in SequenceKind if kind is not GEOQ}
 RESERVED = frozenset((*SYMBOLS, *SEQ_NAMES, "forall", "let", "with"))

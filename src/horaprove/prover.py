@@ -36,9 +36,10 @@ normal form: an independent route) at seeded random assignments (integer
 draws, rational pins), exactly.  The tree and each let body it reaches are
 compiled once per fuzz call into a tree of closures, one per node, so a
 trial dispatches on no node type; a trial calls the closures, which read
-their terms from one TermWindow per trial.  Every value is an integer pair
-(N, e) meaning N / B^e over the window's one base B, so a trial builds no
-Fraction unless its difference is nonzero.
+their terms from one TermWindow per trial, each through the accessor of
+its family, chosen when the tree is compiled.  Every value is an integer
+pair (N, e) meaning N / B^e over the window's one base B, so a trial
+builds no Fraction unless its difference is nonzero.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .lang import (
     let_values,
 )
 from .ring import SYMBOLS, ExponentOverflowError, LaurentPoly, Rational, Record, zero
-from .sequences import SequenceKind, TermWindow, symbolic_term
+from .sequences import GEOQ, SequenceKind, TermWindow, symbolic_term
 
 DEFAULT_MAX_ORDER = 64
 
@@ -110,7 +111,7 @@ def annihilator_for(nf: NormalForm, index: str, max_order: int = DEFAULT_MAX_ORD
         for atom in atoms:
             for var, m in atom.index.coeffs:
                 if var == index:
-                    if atom.kind is SequenceKind.GEOQ:
+                    if atom.kind is GEOQ:
                         t = m
                     else:
                         slopes.append(m)
@@ -567,10 +568,11 @@ def _compile(expr: Expr, shared: dict) -> Compiled:
     """One closure per node of the tree, built once.
 
     Every per-node decision is taken here: a call dispatches on no node
-    type, and a term's closure holds its kind and its index form's constant
-    and (variable, coefficient) pairs.  Atoms are interned, so shared maps
-    each to the one closure of all its occurrences; a constant q^(k)'s
-    keeps its pair for the window it last saw, one pow per trial.
+    type, and a term's closure holds its family's accessor (_compile_term)
+    and its index form's constant and (variable, coefficient) pairs.
+    Atoms are interned, so shared maps each to the one closure of all its
+    occurrences; a constant q^(k)'s keeps its pair for the window it last
+    saw, one pow per trial.
     """
     if isinstance(expr, IntLit):
         pair = expr.value, 0
@@ -595,29 +597,36 @@ def _compile(expr: Expr, shared: dict) -> Compiled:
 
 
 def _compile_term(kind: SequenceKind, form: LinForm) -> Compiled:
+    """A term's closure, which calls its family's accessor in the window,
+    TermWindow._q_power or _order_two, so no call tests the family again."""
     const, coeffs = form.const, form.coeffs
-    if not coeffs and kind is SequenceKind.GEOQ:
-        kept = [None, None]  # the window last asked, and q^const in it
+    if kind is GEOQ:
+        if not coeffs:
+            kept = [None, None]  # the window last asked, and q^const in it
 
-        def power(window, indices, values):
-            if kept[0] is not window:
-                kept[:] = window, window.term_pair(kind, const)
-            return kept[1]
+            def power(window, indices, values):
+                if kept[0] is not window:
+                    kept[:] = window, window._q_power(const)
+                return kept[1]
 
-        return power
+            return power
+        if len(coeffs) == 1:
+            ((var, c),) = coeffs
+            return lambda window, indices, values: window._q_power(const + c * indices[var])
+        return lambda window, indices, values: window._q_power(_index(const, coeffs, indices))
     if not coeffs:
-        return lambda window, indices, values: window.term_pair(kind, const)
+        return lambda window, indices, values: window._order_two(kind, const)
     if len(coeffs) == 1:
         ((var, c),) = coeffs
-        return lambda window, indices, values: window.term_pair(kind, const + c * indices[var])
+        return lambda window, indices, values: window._order_two(kind, const + c * indices[var])
+    return lambda window, indices, values: window._order_two(kind, _index(const, coeffs, indices))
 
-    def term(window, indices, values):
-        k = const
-        for var, c in coeffs:
-            k += c * indices[var]
-        return window.term_pair(kind, k)
 
-    return term
+def _index(const: int, coeffs: tuple, indices: Mapping[str, int]) -> int:
+    """The index const + sum of c * indices[var] over the (var, c) pairs."""
+    for var, c in coeffs:
+        const += c * indices[var]
+    return const
 
 
 def _compile_sum(expr: Sum, shared: dict) -> Compiled:

@@ -42,6 +42,8 @@ class SequenceKind(Enum):
     __hash__ = object.__hash__
 
 
+GEOQ = SequenceKind.GEOQ  # reading a member off an Enum class is a slow lookup
+
 # The seeds X(0), X(1) of each family that runs ORDER_TWO_BASE, each a
 # scalar symbol's name or an integer.  Every property of the recurrence
 # holds whatever the seeds (Horadam, Fibonacci Quarterly 3, 1965), so the
@@ -68,7 +70,7 @@ _FACTORS = {kind: (_seed(x1), -symbol("q") * _seed(x0)) for kind, (x0, x1) in SE
 def symbolic_term(kind: SequenceKind, k: int) -> LaurentPoly:
     """The exact ring element for the k-th term, any integer k, by the
     addition law (4.3) at m = 0 from u's closed form (cfinite.fundamental)."""
-    if kind is SequenceKind.GEOQ:
+    if kind is GEOQ:
         return q_power(k)
     x1, x0q = _FACTORS[kind]
     term = x1 * fundamental(k)
@@ -90,9 +92,11 @@ class TermWindow:
     Every value is kept as an integer pair (N, e) meaning N / B^e, over one
     base B per window: the lcm of the scalars' denominators times |num(q)|
     (|q| for integer scalars, so 1 under the pins p := 1, q := -1).
-    A scalar s is (s, 0) when integral, else (s*B, 1), and so is 1/q; so
-    every value in Z[1/q, scalars] is an integer over a power of B, and
-    sums, products and powers of pairs need no division and no gcd.
+    A scalar s is (s, 0) when integral, else (s*B, 1); so is 1/q, except
+    that when every scalar is integral it is (+-1, 1) over B = |q|, even
+    for |q| = 1.  So every value in Z[1/q, scalars] is an integer over a
+    power of B, and sums, products and powers of pairs need no division
+    and no gcd.
 
     A family's seeds are read from the scalars at its first term; from them
     the window extends outward only as far as the indices asked for, so a
@@ -100,9 +104,16 @@ class TermWindow:
     X(0), X(1), ..., run by X(n+1) = p*X(n) - q*X(n-1), and backward
     X(0), X(-1), ..., run by the same recurrence solved for its lowest
     term, X(n-1) = (p*X(n) - X(n+1)) * (1/q), one pair product by 1/q a
-    step; q != 0 makes every family two-sided (Horadam, Fibonacci
-    Quarterly 3, 1965).  Powers q^k and B^e are one pow each, kept nowhere.
+    step, from X(1) and X(0) at the first negative index asked; q != 0
+    makes every family two-sided (Horadam, Fibonacci Quarterly 3, 1965).
+    Powers q^k and B^e are one pow each, kept nowhere.
+
+    term_pair serves any family.  Code that knows a term's family before
+    it asks (the oracle's compiled closures) calls the family's accessor
+    directly: _q_power for q^k, _order_two for W, V and u.
     """
+
+    __slots__ = ("scalars", "base", "inverse_q", "_families")
 
     def __init__(self, assignment: Mapping[str, Rational]):
         q = assignment["q"]
@@ -118,12 +129,16 @@ class TermWindow:
                 scalars[name] = v.numerator, 0
             else:
                 lcm = math.lcm(lcm, v.denominator)
-        self.base = lcm * abs(q.numerator)
-        if lcm != 1:
+        if lcm == 1:  # B = |q|, and 1/q is (+-1, 1)
+            self.base = abs(q.numerator)
+            self.inverse_q = (1 if q > 0 else -1), 1
+        else:
+            self.base = lcm * abs(q.numerator)
             for name, v in assignment.items():
                 scalars[name] = self._pair(v.numerator, v.denominator)
-        self.inverse_q = self._pair(q.denominator if q > 0 else -q.denominator, abs(q.numerator))
-        self._families: dict = {}  # kind -> ([X(0), X(1), ...], [X(0), X(-1), ...])
+            r = q.denominator if q > 0 else -q.denominator
+            self.inverse_q = self._pair(r, abs(q.numerator))
+        self._families = {}  # kind -> ([X(0), X(1), ...], [X(0), X(-1), ...])
 
     def _pair(self, numerator: int, denominator: int) -> tuple:
         """numerator/denominator, where denominator divides B, as a pair."""
@@ -133,8 +148,10 @@ class TermWindow:
 
     def term_pair(self, kind: SequenceKind, k: int) -> tuple:
         """The k-th term, any integer k, as a pair (N, e)."""
-        if kind is SequenceKind.GEOQ:
-            return self._q_power(k)
+        return self._q_power(k) if kind is GEOQ else self._order_two(kind, k)
+
+    def _order_two(self, kind: SequenceKind, k: int) -> tuple:
+        """term_pair for a family that runs ORDER_TWO_BASE (W, V or u)."""
         family = self._families.get(kind)
         if family is None:
             family = self._families[kind] = self._open(kind)
@@ -144,7 +161,7 @@ class TermWindow:
                 self._extend(forward, k)
             return forward[k]
         if -k >= len(backward):
-            self._extend_backward(backward, -k)
+            self._extend_backward(family, -k)
         return backward[-k]
 
     def _open(self, kind: SequenceKind) -> tuple:
@@ -152,9 +169,7 @@ class TermWindow:
         s0, s1 = SEEDS[kind]
         x0 = scalars[s0] if isinstance(s0, str) else (s0, 0)
         x1 = scalars[s1] if isinstance(s1, str) else (s1, 0)
-        (p, ep), (r, er) = scalars["p"], self.inverse_q
-        n, e = self.add((p * x0[0], ep + x0[1]), (-x1[0], x1[1]))
-        return [x0, x1], [x0, (n * r, e + er)]  # X(-1) = (p*X(0) - X(1)) * (1/q)
+        return [x0, x1], [x0]
 
     def _extend(self, values: list, k: int):
         """Run X(n+1) = p*X(n) - q*X(n-1) until values[k] = X(k) exists."""
@@ -168,18 +183,22 @@ class TermWindow:
             else:
                 values.append(self.add((p * x1, e1), (-q * x0, e0)))
 
-    def _extend_backward(self, values: list, k: int):
-        """Run X(n-1) = (p*X(n) - X(n+1)) * (1/q) until values[k] = X(-k) exists."""
+    def _extend_backward(self, family: tuple, k: int):
+        """Run X(n-1) = (p*X(n) - X(n+1)) * (1/q) until backward[k] = X(-k) exists."""
+        forward, values = family
         (p, ep), (r, er) = self.scalars["p"], self.inverse_q
         base = self.base
+        # X(n) and X(n+1); the first step, to X(-1), reads X(1) from forward
+        (x0, e0), (x1, e1) = values[-1], values[-2] if len(values) > 1 else forward[1]
         while len(values) <= k:
-            (x0, e0), (x1, e1) = values[-1], values[-2]
-            e0 += ep
-            if e0 == e1 + 1:  # add's case when X(-n) sits over B^n (integral scalars), inline
-                n, e = p * x0 - x1 * base, e0
+            f = e0 + ep
+            if f == e1 + 1:  # add's case when X(-n) sits over B^n (integral scalars), inline
+                n, e = p * x0 - x1 * base, f
             else:
-                n, e = self.add((p * x0, e0), (-x1, e1))
-            values.append((n * r, e + er))
+                n, e = self.add((p * x0, f), (-x1, e1))
+            x1, e1 = x0, e0
+            x0, e0 = n * r, e + er
+            values.append((x0, e0))
 
     def add(self, x: tuple, y: tuple) -> tuple:
         """The pair x + y, over the larger of their two powers of B."""
@@ -213,7 +232,7 @@ def slope_annihilator(kind: SequenceKind, m: int) -> Annihilator:
     if m == 0:
         return X_MINUS_ONE
     from . import linalg  # only the closure algebra needs it
-    coeffs = (GEOQ_BASE if kind is SequenceKind.GEOQ else ORDER_TWO_BASE).coeffs
+    coeffs = (GEOQ_BASE if kind is GEOQ else ORDER_TWO_BASE).coeffs
     mat = linalg.companion(coeffs)
     if m < 0:
         mat = linalg.mat_inverse(mat, coeffs)

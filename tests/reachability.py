@@ -7,10 +7,10 @@ Run from the root of a checkout:
 It installs a profile hook, then imports horaprove, so that import-time
 calls count too.  It runs `cli.main` in process over the shipped corpora
 (`verify --cert-out --fuzz-after`, and `fuzz --seed 3 --trials 20`), an
-order cap, an elimination order, and a fixture for each error, bound and
-crash path, checking each run's exit code and report.  Then it prints
-every `def` of the package that no run entered, one per line as
-`module.py:first-last qualified.name`, and a total.
+order cap, an elimination order, a law with rational pins, and a fixture
+for each error, bound and crash path, checking each run's exit code and
+report.  Then it prints every `def` of the package that no run entered,
+one per line as `module.py:first-last qualified.name`, and a total.
 
 A function is keyed by its code object's (file, first line), which for a
 decorated function is the line of its first decorator; `ast` gives the
@@ -39,6 +39,8 @@ Q_PRODUCT_OVERFLOW = "forall n: q^(1000000000)*q^(1000000000)*W(n) == W(n)\n"
 FAR_INDEX = "forall n: W(n+3000000000) == W(n)\n"
 # The oracle values a constant q power once per trial, however often it occurs.
 CONSTANT_Q = "forall n: q^(2)*W(n+2) == q^(2)*p*W(n+1) - q^(3)*W(n)\n"
+# Rational pins make the oracle's window base more than |q| (TermWindow._pair).
+RATIONAL_PIN = "forall n: W(n+2) == p*W(n+1) - q*W(n) with p := 1/2, q := -3/2\n"
 PARSE_ERROR = "forall n: W(n+1 == W(n)\n"
 
 
@@ -69,6 +71,7 @@ def exercise(package: Path, work: Path):
         ("q_overflow", Q_PRODUCT_OVERFLOW),
         ("far_index", FAR_INDEX),
         ("constant_q", CONSTANT_Q),
+        ("rational_pin", RATIONAL_PIN),
         ("parse_error", PARSE_ERROR),
     ):
         fixtures[name] = path = work / f"{name}.fib"
@@ -87,7 +90,8 @@ def exercise(package: Path, work: Path):
          "ABORTED", "exponent 2000000000 of q is outside")
     _run(cli, ["verify", str(fixtures["two_q_atoms"]), str(fixtures["zero_side"])], 0,
          "total: 2 identities, 2 proved")
-    _run(cli, ["fuzz", "--trials", "3", str(fixtures["constant_q"])], 0, "PASS (3 trials)")
+    _run(cli, ["fuzz", "--trials", "3", str(fixtures["constant_q"]), str(fixtures["rational_pin"])],
+         0, "PASS (3 trials)", "total: 2 identities fuzzed")
 
     # the console script: main's exit code becomes the process's
     argv = sys.argv

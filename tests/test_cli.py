@@ -374,15 +374,22 @@ class TestFuzzCommand:
         second = capsys.readouterr().out
         assert first == second
 
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_whole_report_matches_the_golden_file(self, seed, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "seed, value_range, name",
+        [(0, 9, "fuzz_seed0"), (3, 9, "fuzz_seed3"), (5, 30, "fuzz_seed5_range30")],
+        ids=["0", "3", "5-range30"],
+    )
+    def test_whole_report_matches_the_golden_file(
+        self, seed, value_range, name, capsys, monkeypatch
+    ):
         # every draw and every printed value of both shipped files; the
         # golden files hold the report as the oracle printed it, with paths
-        # relative to the corpus directory
+        # relative to the corpus directory.  At range 30 the indices reach
+        # far into both directions of every family.
         monkeypatch.chdir(corpus_path("paper.fib").parent)
         args = ["fuzz", "paper.fib", "mutations.fib", "--seed", str(seed)]
-        assert main([*args, "--trials", "200", "--range", "9"]) == 1
-        golden = GOLDEN / f"fuzz_seed{seed}.txt"
+        assert main([*args, "--trials", "200", "--range", str(value_range)]) == 1
+        golden = GOLDEN / f"{name}.txt"
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_zero_trials_usage_error(self, capsys):

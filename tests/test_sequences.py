@@ -242,6 +242,40 @@ class TestTermWindow:
         assert len(backward) == 8
         assert window_value(window, W, -7) == symbolic_term(W, -7).evaluate(asgn)
 
+    @pytest.mark.parametrize("kind", [W, V, U])
+    @pytest.mark.parametrize(
+        "values", [(3, 2, -5, 1, 4, 7), (Fraction(1, 2), 2, Fraction(-5, 3), 1, 4, Fraction(-3, 2))]
+    )
+    def test_the_backward_list_opens_at_the_first_negative_index(self, kind, values):
+        asgn = {s: Fraction(v) for s, v in zip(SYMBOLS, values)}
+        window = TermWindow(asgn)
+        for k in (5, 0, 9):
+            window.term_pair(kind, k)
+        forward, backward = window._families[kind]
+        assert backward == [forward[0]]  # X(0) alone: no index below 0 asked
+        assert window_value(window, kind, -1) == symbolic_term(kind, -1).evaluate(asgn)
+        assert len(backward) == 2
+
+    def test_a_window_refuses_a_new_attribute(self):
+        window = TermWindow({s: Fraction(2) for s in SYMBOLS})
+        with pytest.raises(AttributeError):
+            window.extra = 1
+
+    @given(
+        st.one_of(integral_assignments(), rational_assignments(), mixed_base_assignments()),
+        st.integers(-40, -1),
+        st.lists(st.integers(-40, 40), max_size=16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_family_accessors_agree_with_term_pair(self, asgn, first, rest):
+        # the accessors that compiled oracle terms call, asked negative-first
+        # and then in random order, against term_pair in a second window
+        direct, general = TermWindow(asgn), TermWindow(asgn)
+        for k in (first, *rest):
+            assert direct._q_power(k) == general.term_pair(GEOQ, k)
+            for kind in (W, V, U):
+                assert direct._order_two(kind, k) == general.term_pair(kind, k)
+
     @given(integral_assignments(), st.lists(st.integers(0, 40), min_size=1, max_size=24))
     @settings(max_examples=30, deadline=None)
     def test_integral_forward_terms_stay_int(self, asgn, ks):
