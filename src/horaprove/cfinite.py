@@ -16,8 +16,10 @@ every integer index, negative ones included.
 The prover builds its annihilators from roots.  Every family shares
 x^2 - p*x + q, with roots alpha and beta (alpha*beta = q), so every term it
 meets is a combination of the exponentials alpha^i beta^j along an index.
-from_root_classes turns a set of such roots, grouped into conjugate
-classes, into their exact product of factors (see root_class).
+goal_classes maps a goal's frozenset of slope patterns to the conjugate
+classes of its roots (see root_class), and from_root_classes maps a set of
+classes to their exact product of factors.  Each has a bounded
+per-process cache whose keys are ints and name no atom.
 
 Closure operations, the independent cross-check route (the prover does
 not call them):
@@ -135,6 +137,27 @@ def root_class(i: int, j: int) -> tuple:
 def class_order(root_classes: Iterable[tuple]) -> int:
     """Order of from_root_classes(root_classes), without building it."""
     return sum(1 if e == 0 else 2 for _k, e in set(root_classes))
+
+
+GOAL_CLASS_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=GOAL_CLASS_CACHE_SIZE)
+def goal_classes(patterns: frozenset) -> tuple:
+    """(class_order, classes) of a goal whose monomials have these slope patterns.
+
+    A pattern (t, slopes) is a monomial's q-atom slope and the sorted
+    nonzero slopes of its other atoms.  Its roots are the Minkowski sum,
+    from the lattice point (t, t) of q^(t*n), of the points (m, 0) and
+    (0, m), alpha^m and beta^m, of each slope m; the goal's are their union.
+    """
+    classes = set()
+    for t, slopes in patterns:
+        roots = {(t, t)}
+        for m in slopes:
+            roots = {root for i, j in roots for root in ((i + m, j), (i, j + m))}
+        classes.update(root_class(i, j) for i, j in roots)
+    return class_order(classes), frozenset(classes)
 
 
 def from_root_classes(root_classes: Iterable[tuple]) -> Annihilator:

@@ -874,10 +874,9 @@ def _form(value) -> NormalForm:
 
 
 def identity_goal(identity: Identity) -> NormalForm:
-    """Normal form of lhs - rhs, the thing that must vanish; scalar
-    subtrees and let bodies are ring elements until they meet an atom."""
-    values = let_values(identity.bindings(), _normalize)
-    return _form(_normalize(identity.lhs, values)) - _form(_normalize(identity.rhs, values))
+    """Normal form of lhs - rhs, the thing that must vanish: the tree
+    Sum(lhs, -rhs) that the fuzz oracle compiles, normalized."""
+    return normalize(Sum(((1, identity.lhs), (-1, identity.rhs))), identity.bindings())
 
 
 def let_values(bindings: Mapping[str, Expr] | None, value: Callable) -> dict:

@@ -9,10 +9,11 @@ at a time from the normal form of lhs - rhs:
      alpha^(m*n) and beta^(m*n), and q^(t*n) is (alpha*beta)^(t*n).  A
      monomial's roots alpha^i beta^j are the sums of its atoms' roots; the
      annihilator is the product of one exact factor per conjugate class of
-     roots found anywhere in the goal (cfinite.from_root_classes, which
-     builds it once per distinct set of classes).  The classes depend only
-     on the slopes in the index, so they are found once per slope pattern
-     and set of patterns, which sibling subgoals share.
+     roots found anywhere in the goal.  The classes depend only on the
+     slopes in the index, so cfinite keeps two bounded caches: goal_classes
+     maps a goal's set of slope patterns, which sibling subgoals share, to
+     its order and classes, and from_root_classes maps a set of classes to
+     its annihilator.
   2. A sequence annihilated by an order-d recurrence whose constant term is
      a unit is determined on all of Z by d consecutive values, so the goal
      is zero everywhere iff it is zero at the index values 0..d-1.  Each of
@@ -50,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
-from .cfinite import Annihilator, class_order, from_root_classes, root_class
+from .cfinite import Annihilator, from_root_classes, goal_classes
 from .lang import (
     Expr,
     Identity,
@@ -89,21 +90,13 @@ def annihilator_for(nf: NormalForm, index: str, max_order: int = DEFAULT_MAX_ORD
 
     Its roots are exactly the exponentials alpha^i beta^j of the goal's
     monomials, each once, so no smaller product of factors annihilates
-    every monomial.
-
-    An atom of slope m != 0 in the index has the roots alpha^m and beta^m,
-    lattice points (m, 0) and (0, m); a slope-0 atom has (0, 0) and
-    q^(t*n) has (t, t).  A monomial's roots are the Minkowski sum of its
-    atoms' root sets ((0, 0) alone for a pure scalar), and the goal's roots
-    are their union.  Each conjugate class of roots contributes one factor,
-    so the order is known, and checked against the cap, before any
-    polynomial is built.
-
-    So a monomial's classes depend only on its slope pattern: its q atom's
-    slope and the sorted nonzero slopes of its other atoms in the index,
-    not their constants, which are all that sibling subgoals change.
-    Bounded per-process caches map a pattern to its classes and a goal's
-    set of patterns to (order, classes); their keys hold no atom.
+    every monomial.  A monomial's roots depend only on its slope pattern:
+    its q atom's slope and the sorted nonzero slopes of its other atoms in
+    the index, not their constants, which are all that sibling subgoals
+    change.  Two bounded caches, whose keys hold no atom, do the rest:
+    cfinite.goal_classes maps the goal's frozenset of patterns to (order,
+    classes), and the order is checked against the cap before
+    cfinite.from_root_classes builds, or finds, the classes' annihilator.
     """
     patterns = set()
     for atoms in nf._terms:  # the goal's own dict: support() would copy its keys
@@ -118,38 +111,12 @@ def annihilator_for(nf: NormalForm, index: str, max_order: int = DEFAULT_MAX_ORD
                     break
         slopes.sort()
         patterns.add((t, tuple(slopes)))
-    order, classes = _goal_classes(frozenset(patterns))
-    _check_order(order, max_order, index)
-    return from_root_classes(classes)
-
-
-# distinct slope patterns, and sets of them, whose root classes are kept
-ROOT_CLASS_CACHE_SIZE = 1024
-GOAL_CLASS_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=ROOT_CLASS_CACHE_SIZE)
-def _pattern_classes(pattern: tuple) -> frozenset:
-    """The conjugate root classes of a monomial with this slope pattern."""
-    t, slopes = pattern
-    roots = {(t, t)}
-    for m in slopes:
-        roots = {root for i, j in roots for root in ((i + m, j), (i, j + m))}
-    return frozenset(root_class(i, j) for i, j in roots)
-
-
-@lru_cache(maxsize=GOAL_CLASS_CACHE_SIZE)
-def _goal_classes(patterns: frozenset) -> tuple:
-    """(class_order, classes) of a goal whose monomials have these patterns."""
-    classes = frozenset().union(*map(_pattern_classes, patterns))
-    return class_order(classes), classes
-
-
-def _check_order(order: int, max_order: int, index: str):
+    order, classes = goal_classes(frozenset(patterns))
     if order > max_order:
         raise OrderCapExceededError(
             f"annihilator order {order} for index {index!r} exceeds the cap {max_order}"
         )
+    return from_root_classes(classes)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ atom's order_key to a weak reference whose callback takes the entry out
 when the atom dies.
 An atom's image under substitute_index, the product of two leaf terms and
 the text of a monomial's atoms are cached for the whole process, keyed by
-atoms or terms; root classes are cached by slope pattern, a key of ints
-that names no atom.  These tests check that every cache is bounded, that
-the atom-keyed ones hold no atom alive once cleared and the root-class
-ones hold none at all, and that no certificate depends on what was proved
+atoms or terms.  Annihilator synthesis has two caches in cfinite, keyed by
+ints that name no atom: goal_classes by a goal's frozenset of slope
+patterns, and from_root_classes (_from_class_set) by a frozenset of root
+classes.  These tests check that every cache is bounded, that the
+atom-keyed ones hold no atom alive once cleared and the root-class ones
+hold none at all, and that no certificate depends on what was proved
 before it.
 """
 
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 
 import horaprove
 from conftest import MULTI_INDEX, atoms_in
-from horaprove import corpus_path, lang, parse_file, parse_identity, prove, prover
+from horaprove import cfinite, corpus_path, lang, parse_file, parse_identity, prove, prover
 from horaprove.lang import LinForm, SeqTerm, normalize
 from horaprove.sequences import SequenceKind
 
@@ -40,8 +42,8 @@ def clear_atom_caches():
 
 
 def clear_root_class_caches():
-    prover._pattern_classes.cache_clear()
-    prover._goal_classes.cache_clear()
+    cfinite.goal_classes.cache_clear()
+    cfinite._from_class_set.cache_clear()
 
 
 def cached_items(cache) -> list:
@@ -95,13 +97,13 @@ class TestInterning:
         assert key not in lang._ATOMS
         assert (0, "W", ((), 987654)) not in lang._ATOMS
         # the root-class caches kept what use_it put there, and did not pin the atom
-        assert prover._pattern_classes.cache_info().currsize == 1
-        assert prover._goal_classes.cache_info().currsize == 1
+        assert cfinite.goal_classes.cache_info().currsize == 1
+        assert cfinite._from_class_set.cache_info().currsize == 1
 
     def test_root_class_caches_hold_no_atom(self):
         for identity in all_identities():
             prove(identity)
-        for cache in (prover._pattern_classes, prover._goal_classes):
+        for cache in (cfinite.goal_classes, cfinite._from_class_set):
             items = cached_items(cache)
             assert items and not any(holds_an_atom(item) for item in items)
         # the same walk finds the atoms an atom-keyed cache holds
@@ -112,9 +114,8 @@ class TestInterning:
         goal = normalize(parse_identity("forall m, n: W(m+n+3)*V(2*n-m) == 0").lhs)
         for value in range(4):
             prover.annihilator_for(goal.substitute_index("m", value), "n")
-        assert prover._goal_classes.cache_info()[:2] == (3, 1)  # hits, misses
-        assert prover._pattern_classes.cache_info()[:2] == (0, 1)
-        assert (frozenset({(0, (1, 2))}),) in cached_items(prover._goal_classes)
+        assert cfinite.goal_classes.cache_info()[:2] == (3, 1)  # hits, misses
+        assert (frozenset({(0, (1, 2))}),) in cached_items(cfinite.goal_classes)
 
 
 def horaprove_modules() -> list:
@@ -147,9 +148,8 @@ def test_every_module_cache_is_bounded():
         "horaprove.lang._substitute_atom",
         "horaprove.lang._render_atom",
         "horaprove.lang._render_atoms",
-        "horaprove.prover._pattern_classes",
-        "horaprove.prover._goal_classes",
         "horaprove.prover._term_product",
+        "horaprove.cfinite.goal_classes",
         "horaprove.cfinite._from_class_set",
         "horaprove.sequences.symbolic_term",
     } <= caches.keys()

@@ -36,7 +36,6 @@ REASONS = {
 ALLOWLIST = {
     "__init__.corpus_path": "api",
     "lang.parse_identity": "api",
-    "lang.normalize": "api",
     "lang.SeqTerm.__reduce__": "copy",
     "lang.SeqTerm.__repr__": "copy",
     "lang.NormalForm.__str__": "copy",

@@ -28,6 +28,7 @@ from horaprove.cfinite import (
     Annihilator,
     class_order,
     from_root_classes,
+    goal_classes,
     lucas,
     poly_divmod,
     product,
@@ -230,6 +231,17 @@ class TestClassesBySlopePattern:
             f"annihilator order {order} for index {index!r} exceeds the cap {order - 1}"
         )
         assert build.call_count == 1  # only the call within the cap built
+
+    def test_the_cap_holds_after_a_cached_lookup(self):
+        goal = monomial_goal([("W", 1, 1), ("V", 2, 0)], (1, 0))
+        order = annihilator_for(goal, "n").order
+        hits = goal_classes.cache_info().hits
+        with pytest.raises(OrderCapExceededError) as raised:
+            annihilator_for(goal, "n", max_order=order - 1)
+        assert goal_classes.cache_info().hits == hits + 1  # the order came from the cache
+        assert str(raised.value) == (
+            f"annihilator order {order} for index 'n' exceeds the cap {order - 1}"
+        )
 
 
 class TestLawsTheLatticeMakesTractable:
