@@ -44,7 +44,6 @@ from .ring import (
     SYMBOLS,
     ExponentOverflowError,
     LaurentPoly,
-    NotAUnitError,
     ZeroQError,
     from_int,
     one,
@@ -74,7 +73,6 @@ __all__ = [
     "LaurentPoly",
     "NonIntegerExponentError",
     "NormalForm",
-    "NotAUnitError",
     "OrderCapExceededError",
     "OrderMismatchError",
     "PROVED",

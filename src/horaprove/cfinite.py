@@ -13,6 +13,11 @@ satisfying it is pinned down on all of Z by d consecutive values.  This is
 what lets the prover check finitely many initial cases and conclude for
 every integer index, negative ones included.
 
+The families' recurrences run forward are ORDER_TWO_BASE, x^2 - p*x + q,
+and GEOQ_BASE, x - q.  Run backward, X(n) in terms of the terms after it,
+they are the reversed polynomials made monic by 1/q: ORDER_TWO_BACK,
+x^2 - p*q^(-1)*x + q^(-1), and GEOQ_BACK, x - q^(-1).
+
 The prover builds its annihilators from roots.  Every family shares
 x^2 - p*x + q, with roots alpha and beta (alpha*beta = q), so every term it
 meets is a combination of the exponentials alpha^i beta^j along an index.
@@ -251,3 +256,5 @@ def poly_divmod(num: Sequence, den: Sequence):
 X_MINUS_ONE = Annihilator((from_int(-1), one()))
 ORDER_TWO_BASE = Annihilator((symbol("q"), -symbol("p"), one()))
 GEOQ_BASE = Annihilator((-symbol("q"), one()))
+ORDER_TWO_BACK = Annihilator((q_power(-1), -symbol("p") * q_power(-1), one()))
+GEOQ_BACK = Annihilator((-q_power(-1), one()))

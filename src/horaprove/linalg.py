@@ -1,9 +1,10 @@
 """Small dense matrices over the coefficient ring.
 
-Everything here is division-free: the only inverse ever taken is of a ring
-unit (+-q^k), via unit_inverse.  Matrices are lists of lists of LaurentPoly
-and stay tiny (companion matrices and their Kronecker products, dimension
-at most a few dozen), so the quadratic/cubic loops below are fine.
+Everything here is division-free, and no matrix is ever inverted: a
+negative slope runs the backward recurrence instead (see sequences).
+Matrices are lists of lists of LaurentPoly and stay tiny (companion
+matrices and their Kronecker products, dimension at most a few dozen), so
+the quadratic/cubic loops below are fine.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def mat_vec(x, v):
 
 def mat_pow(x, k: int):
     if k < 0:
-        raise ValueError("use mat_inverse first for negative powers")
+        raise ValueError("k must be >= 0: a negative slope runs the backward recurrence")
     result = identity(len(x))
     base = x
     while k:
@@ -120,25 +121,3 @@ def _berkowitz(m) -> "list[LaurentPoly]":
         out.append(s)
     return out
 
-
-def mat_inverse(m, charpoly_asc: "tuple[LaurentPoly, ...]" = None):
-    """Inverse via Cayley-Hamilton; the constant term must be a ring unit.
-
-    If p(x) = x^d + c_{d-1} x^{d-1} + ... + c0 annihilates M, then
-    M * (M^{d-1} + c_{d-1} M^{d-2} + ... + c1 I) = -c0 I, so the inverse is
-    that bracket scaled by -(c0^-1).
-    """
-    if charpoly_asc is None:
-        charpoly_asc = charpoly(m)
-    d = len(charpoly_asc) - 1
-    scale = (-charpoly_asc[0]).unit_inverse()
-    acc = identity(len(m))  # runs M^0 .. M^{d-1}
-    bracket = [[charpoly_asc[1] * acc[i][j] for j in range(len(m))] for i in range(len(m))]
-    for k in range(2, d + 1):
-        acc = mat_mul(acc, m)
-        ck = charpoly_asc[k]
-        bracket = [
-            [bracket[i][j] + ck * acc[i][j] for j in range(len(m))]
-            for i in range(len(m))
-        ]
-    return [[scale * bracket[i][j] for j in range(len(m))] for i in range(len(m))]

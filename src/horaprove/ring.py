@@ -62,10 +62,6 @@ class ZeroQError(ValueError):
     """An operation required q to be invertible but q was assigned 0."""
 
 
-class NotAUnitError(ValueError):
-    """Inversion was asked of a ring element that is not +-(a power of q)."""
-
-
 class ExponentOverflowError(OverflowError):
     """An exponent left the packed range: 0 <= e < 2^31, or -2^30 <= e < 2^30 for q."""
 
@@ -334,7 +330,7 @@ class LaurentPoly:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            raise ValueError("negative powers are only defined for units; use unit_inverse")
+            raise ValueError("negative powers are not taken; q^-k is q_power(-k)")
         result = _ONE
         base = self
         while k:
@@ -365,12 +361,6 @@ class LaurentPoly:
             return False
         (key, coeff), = self._terms.items()
         return abs(coeff) == 1 and all(e == 0 for i, e in enumerate(_unpack(key)) if i != _Q)
-
-    def unit_inverse(self) -> "LaurentPoly":
-        if not self.is_unit():
-            raise NotAUnitError(f"not a unit of the coefficient ring: {self}")
-        (key, coeff), = self._terms.items()
-        return LaurentPoly._raw({_pack(-e for e in _unpack(key)): coeff})
 
     # -- evaluation and substitution ----------------------------------
 

@@ -14,8 +14,8 @@ independent route): forward as written, and backward, since q != 0, as
 X(n-1) = (p*X(n) - X(n+1)) / q, each value kept as an integer pair (N, e)
 meaning N / B^e over one base B (numeric_term is one fresh window's
 lookup); and slope_annihilator the recurrence along indices n -> m*n + c,
-the characteristic polynomial of the m-th power of the family's companion
-matrix (inverted first when m < 0).
+the characteristic polynomial of the |m|-th power of the companion matrix
+of the family's recurrence, run forward when m > 0 and backward when m < 0.
 """
 
 from __future__ import annotations
@@ -26,7 +26,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .cfinite import GEOQ_BASE, ORDER_TWO_BASE, X_MINUS_ONE, Annihilator, fundamental
+from .cfinite import (
+    GEOQ_BACK,
+    GEOQ_BASE,
+    ORDER_TWO_BACK,
+    ORDER_TWO_BASE,
+    X_MINUS_ONE,
+    Annihilator,
+    fundamental,
+)
 from .ring import LaurentPoly, Rational, ZeroQError, from_int, q_power, symbol
 
 
@@ -226,14 +234,16 @@ def slope_annihilator(kind: SequenceKind, m: int) -> Annihilator:
 
     The state vector of the family advances by its companion matrix C, so
     sampling along slope m advances by C^m; the characteristic polynomial
-    of C^m (inverse via adjugate over the Laurent ring when m < 0)
-    annihilates every such sampled sequence.  Slope 0 gives x - 1.
+    of C^m annihilates every such sampled sequence.  When m < 0, C is the
+    companion of the backward recurrence (GEOQ_BACK or ORDER_TWO_BACK),
+    run |m| steps.  Slope 0 gives x - 1.
     """
     if m == 0:
         return X_MINUS_ONE
     from . import linalg  # only the closure algebra needs it
-    coeffs = (GEOQ_BASE if kind is GEOQ else ORDER_TWO_BASE).coeffs
-    mat = linalg.companion(coeffs)
-    if m < 0:
-        mat = linalg.mat_inverse(mat, coeffs)
+    if kind is GEOQ:
+        recurrence = GEOQ_BASE if m > 0 else GEOQ_BACK
+    else:
+        recurrence = ORDER_TWO_BASE if m > 0 else ORDER_TWO_BACK
+    mat = linalg.companion(recurrence.coeffs)
     return Annihilator(linalg.charpoly(linalg.mat_pow(mat, abs(m))))

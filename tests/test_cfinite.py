@@ -19,7 +19,7 @@ from horaprove.cfinite import (
     root_class,
     sum_annihilators,
 )
-from horaprove.linalg import charpoly, companion, identity, mat_inverse, mat_mul
+from horaprove.linalg import charpoly, companion
 from horaprove.ring import SYMBOLS, from_int, one, q_power, symbol
 from horaprove.sequences import SequenceKind, numeric_term, symbolic_term
 
@@ -195,12 +195,6 @@ class TestCompanionAlgebra:
     def test_charpoly_of_companion_roundtrip(self):
         for coeffs in [(q, -p, one()), (-q_power(-1), one()), CUBIC.coeffs]:
             assert charpoly(companion(coeffs)) == tuple(coeffs)
-
-    def test_companion_inverse_via_unit_constant_term(self):
-        m = companion(BASE.coeffs)
-        inv = mat_inverse(m)
-        assert mat_mul(m, inv) == identity(2)
-        assert mat_mul(inv, m) == identity(2)
 
 
 class TestFromRootClasses:

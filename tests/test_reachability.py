@@ -54,8 +54,8 @@ ALLOWLIST = {
     "ring.LaurentPoly.__reduce__": "copy",
     "ring.LaurentPoly.terms": "bench",
     "ring.LaurentPoly.__rsub__": "api",
+    # the ring's power operator: tests write q ** 3, and no src/ code calls it
     "ring.LaurentPoly.__pow__": "api",
-    "ring.LaurentPoly.unit_inverse": "api",
     "ring.LaurentPoly.evaluate": "cross-check",
     "ring.LaurentPoly.__str__": "copy",
     "ring.LaurentPoly.__repr__": "copy",
@@ -75,7 +75,6 @@ ALLOWLIST = {
     "linalg.companion": "item 6",
     "linalg.charpoly": "item 6",
     "linalg._berkowitz": "item 6",
-    "linalg.mat_inverse": "item 6",
 }
 
 _LINE = re.compile(r"(\w+)\.py:\d+-\d+ (\S+)")
@@ -151,7 +150,7 @@ def test_every_unentered_function_is_listed_with_its_reason():
 def _closure_algebra(_package, _work):
     product(ORDER_TWO_BASE, ORDER_TWO_BASE)  # a 4x4 Kronecker matrix: _berkowitz runs mat_vec
     sum_annihilators(ORDER_TWO_BASE, GEOQ_BASE)
-    slope_annihilator.__wrapped__(SequenceKind.W, -2)  # uncached; a negative slope inverts
+    slope_annihilator.__wrapped__(SequenceKind.W, -2)  # uncached; a negative slope runs backward
 
 
 def test_every_item_6_entry_is_entered_by_the_closure_algebra():
@@ -181,5 +180,5 @@ class TestTheGateFails:
 
     def test_not_on_exported_functions_and_methods(self):
         names = ("lang.normalize", "__init__.corpus_path", "ring.Record.__eq__",
-                 "ring.LaurentPoly.unit_inverse", "prover.Certificate.witness")
+                 "ring.LaurentPoly.is_unit", "prover.Certificate.witness")
         assert allowlist_faults(set(names), dict.fromkeys(names, "api")) == []

@@ -13,7 +13,6 @@ from horaprove.ring import (
     SYMBOLS,
     ExponentOverflowError,
     LaurentPoly,
-    NotAUnitError,
     ZeroQError,
     from_int,
     one,
@@ -238,8 +237,6 @@ class TestPackedExponents:
                 bottom * q_power(-1)
             with pytest.raises(ExponentOverflowError):
                 q_power(lo - 1)
-            with pytest.raises(ExponentOverflowError):
-                q_power(lo).unit_inverse()  # -lo is one past the top
         else:
             with pytest.raises(ValueError):
                 monomial(**{name: lo - 1})
@@ -280,12 +277,6 @@ class TestUnits:
         assert not (p * q).is_unit()
         assert not (q + one()).is_unit()
         assert not zero().is_unit()
-
-    def test_unit_inverse(self):
-        assert q.unit_inverse() == q_power(-1)
-        assert (-q_power(-3)).unit_inverse() == -q_power(3)
-        with pytest.raises(NotAUnitError):
-            (p + q).unit_inverse()
 
 
 class TestPinSubstitute:

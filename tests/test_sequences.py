@@ -313,6 +313,17 @@ class TestSlopeAnnihilators:
         assert slope_annihilator(GEOQ, 3).coeffs == (-q_power(3), one())
         assert slope_annihilator(GEOQ, -2).coeffs == (-q_power(-2), one())
 
+    @pytest.mark.parametrize("kind", [W, V, U, GEOQ])
+    def test_negative_slopes_reverse_the_positive_ones(self, kind):
+        # the roots at -m are the inverses of those at m: the monic reversal,
+        # a[0] * b(x) = x^d a(1/x), checked without an inverse
+        for m in range(9):
+            a = slope_annihilator(kind, m).coeffs
+            b = slope_annihilator(kind, -m).coeffs
+            d = len(a) - 1
+            assert len(b) == d + 1
+            assert all(a[0] * b[i] == a[d - i] for i in range(d + 1)), m
+
     def test_constant_terms_are_units(self):
         for kind in (W, V, U, GEOQ):
             for m in range(-4, 5):

@@ -10,7 +10,9 @@ verdict back from the report lines that `cli` prints.  Its set-up time is
 the cost of `import horaprove`, which must stay free of modules that only
 the closure algebra or the standard library's heavier helpers need.
 One more guard keeps a slow lookup off the hot paths: no function reads
-a SequenceKind member off the class.
+a SequenceKind member off the class.  And every module must parse at the
+oldest Python that pyproject.toml promises, though the tests may run on
+a newer one.
 """
 
 import ast
@@ -218,3 +220,14 @@ def test_no_function_reads_a_family_off_the_enum_class():
                     ):
                         found.add(f"{path.name}:{node.lineno} SequenceKind.{node.attr}")
     assert not found, sorted(found)
+
+
+def test_every_module_parses_at_the_python_floor():
+    """No module uses syntax newer than requires-python allows (match is
+    3.10, except* 3.11): ast.parse at that feature_version rejects it."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    m = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.MULTILINE)
+    assert m, "pyproject.toml states no requires-python floor"
+    floor = int(m[1]), int(m[2])
+    for path in sorted((ROOT / "src" / "horaprove").glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
