@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .ring import (
     LaurentPoly,
@@ -225,32 +225,6 @@ def _poly_mul(f: Iterable[LaurentPoly], g: Iterable[LaurentPoly]):
         for j, gj in enumerate(g):
             out[i + j] = out[i + j] + fi * gj
     return tuple(out)
-
-
-def poly_divmod(num: Sequence, den: Sequence):
-    """Exact division of univariate polynomials with ring coefficients.
-
-    Both arguments are ascending coefficient sequences; the divisor must be
-    monic so the division never leaves the ring.  Returns (quotient,
-    remainder) as ascending tuples; the remainder is padded with zeros to
-    length len(den) - 1 (or (zero(),) when the divisor is linear).
-    """
-    num = [c if isinstance(c, LaurentPoly) else from_int(c) for c in num]
-    den = [c if isinstance(c, LaurentPoly) else from_int(c) for c in den]
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    d = len(den) - 1
-    rem = list(num)
-    quot = [zero()] * max(1, len(num) - d)
-    for k in range(len(num) - 1, d - 1, -1):
-        c = rem[k]
-        if c.is_zero:
-            continue
-        quot[k - d] = c
-        for j in range(d + 1):
-            rem[k - d + j] = rem[k - d + j] - c * den[j]
-    rem = rem[:d] or [zero()]
-    return tuple(quot), tuple(rem)
 
 
 X_MINUS_ONE = Annihilator((from_int(-1), one()))

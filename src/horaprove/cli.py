@@ -2,8 +2,8 @@
 
 Exit codes: 0 when every identity is PROVED (or every fuzz trial passes),
 1 when any identity is REFUTED (or any counterexample is found), 2 on
-errors: unreadable files, parse failures, bad flags, an order-cap abort, or
-an unexpected error in one identity (reported, and the run goes on).
+errors: unreadable files, parse failures, bad flags, a closed stdout, an
+order-cap abort, or an unexpected error in one identity (the run goes on).
 
 Input files are read as UTF-8; a leading byte-order mark is dropped.
 Each certificate is the bytes of Certificate.json_text, which is ASCII,
@@ -13,6 +13,7 @@ and a line feed (LF on every platform).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -246,7 +247,13 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout, as `| head` may: an error, not a verdict
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # exit's flush cannot fail
+        code = EXIT_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

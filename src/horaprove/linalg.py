@@ -1,21 +1,15 @@
 """Small dense matrices over the coefficient ring.
 
-Everything here is division-free, and no matrix is ever inverted: a
-negative slope runs the backward recurrence instead (see sequences).
-Matrices are lists of lists of LaurentPoly and stay tiny (companion
-matrices and their Kronecker products, dimension at most a few dozen), so
-the quadratic/cubic loops below are fine.
+Everything here is division-free: no matrix is inverted, since a negative
+slope runs the backward recurrence (see sequences), and none is raised to a
+power, since a slope's C^|m| (|m| <= 8) is |m| - 1 products.  Matrices
+(lists of lists of LaurentPoly) stay tiny: companion matrices and their
+Kronecker products, of dimension a few dozen at most, so cubic loops do.
 """
 
 from __future__ import annotations
 
 from .ring import LaurentPoly, one, zero
-
-Matrix = "list[list[LaurentPoly]]"
-
-
-def identity(n: int) -> list[list[LaurentPoly]]:
-    return [[one() if i == j else zero() for j in range(n)] for i in range(n)]
 
 
 def mat_mul(x, y):
@@ -34,19 +28,6 @@ def mat_mul(x, y):
 
 def mat_vec(x, v):
     return [sum((x[i][t] * v[t] for t in range(len(v))), zero()) for i in range(len(x))]
-
-
-def mat_pow(x, k: int):
-    if k < 0:
-        raise ValueError("k must be >= 0: a negative slope runs the backward recurrence")
-    result = identity(len(x))
-    base = x
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return result
 
 
 def kron(x, y):

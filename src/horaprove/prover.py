@@ -280,7 +280,7 @@ def prove(
     elim = _validated_order(identity, elimination_order)
     pins = identity.pin_map()
     start = time.perf_counter()
-    # (support, remaining) -> the nodes proved for goals with that support.
+    # (support, remaining) -> the nodes _build made for goals with that support.
     # Equal goals come from paths that differ in two or more eliminated
     # indices, as when a law symmetric in i and j swaps their values; one
     # goal's instances along a single index are seldom equal (never in the
@@ -290,7 +290,7 @@ def prove(
     proved: dict = {}
     try:
         goal = identity_goal(identity)
-        root: ProofNode | None = _recurse(goal, elim, 0, pins, max_order, proved)
+        root: ProofNode | None = _build(goal, elim, 0, pins, max_order, proved)
         leaves = list(_leaf_records(root, ()))
         verdict = PROVED if all(leaf.zero for leaf in leaves) else REFUTED
         reason = ""
@@ -303,38 +303,27 @@ def prove(
     return Certificate(identity, elim, root, leaves, verdict, ms, reason)
 
 
-def _recurse(
-    nf: NormalForm, remaining: tuple, depth: int, pins: dict, max_order: int, proved: dict
-) -> ProofNode:
-    if depth < 2:
-        return _build(nf, remaining, depth, pins, max_order, proved)
-    key = nf.support(), remaining
-    nodes = proved.get(key)
-    if nodes is None:
-        nodes = proved[key] = []
-    else:
-        for node in nodes:
-            if node.goal == nf:
-                return node
-    node = _build(nf, remaining, depth, pins, max_order, proved)
-    nodes.append(node)
-    return node
-
-
 def _build(
     nf: NormalForm, remaining: tuple, depth: int, pins: dict, max_order: int, proved: dict
 ) -> ProofNode:
+    # at depths 0 and 1, nodes is a fresh list that nothing reads
+    nodes = proved.setdefault((nf.support(), remaining), []) if depth >= 2 else []
+    for node in nodes:
+        if node.goal == nf:
+            return node
     if not remaining or nf.is_zero:
         poly = _leaf_poly(nf, pins)
-        return LeafNode(nf, poly, poly.is_zero)
-    index, rest = remaining[0], remaining[1:]
-    ann = annihilator_for(nf, index, max_order)
-    subgoals = []
-    for value in range(ann.order):
-        child_nf = nf.substitute_index(index, value)
-        child = _recurse(child_nf, rest, depth + 1, pins, max_order, proved)
-        subgoals.append((value, child))
-    return EliminationNode(index, ann, nf, subgoals)
+        node = LeafNode(nf, poly, poly.is_zero)
+    else:
+        index, rest = remaining[0], remaining[1:]
+        ann = annihilator_for(nf, index, max_order)
+        subgoals = []
+        for value in range(ann.order):
+            child_nf = nf.substitute_index(index, value)
+            subgoals.append((value, _build(child_nf, rest, depth + 1, pins, max_order, proved)))
+        node = EliminationNode(index, ann, nf, subgoals)
+    nodes.append(node)
+    return node
 
 
 def _leaf_records(node: ProofNode, path: tuple) -> Iterator[LeafRecord]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Mapping
 
 from .cfinite import (
@@ -232,11 +232,11 @@ class TermWindow:
 def slope_annihilator(kind: SequenceKind, m: int) -> Annihilator:
     """Annihilator of n -> term(m*n + c), any integer slope m, any offset c.
 
-    The state vector of the family advances by its companion matrix C, so
-    sampling along slope m advances by C^m; the characteristic polynomial
-    of C^m annihilates every such sampled sequence.  When m < 0, C is the
-    companion of the backward recurrence (GEOQ_BACK or ORDER_TWO_BACK),
-    run |m| steps.  Slope 0 gives x - 1.
+    The family's state advances by its companion matrix C, so sampling along
+    slope m advances by C^|m|, |m| - 1 products with C, whose characteristic
+    polynomial annihilates every such sequence; for m < 0, C is that of the
+    backward recurrence (GEOQ_BACK or ORDER_TWO_BACK).  Slope 0 gives x - 1.
+    Tests compare this matrix route with the root lattice (from_root_classes).
     """
     if m == 0:
         return X_MINUS_ONE
@@ -246,4 +246,4 @@ def slope_annihilator(kind: SequenceKind, m: int) -> Annihilator:
     else:
         recurrence = ORDER_TWO_BASE if m > 0 else ORDER_TWO_BACK
     mat = linalg.companion(recurrence.coeffs)
-    return Annihilator(linalg.charpoly(linalg.mat_pow(mat, abs(m))))
+    return Annihilator(linalg.charpoly(reduce(linalg.mat_mul, [mat] * (abs(m) - 1), mat)))

@@ -18,7 +18,7 @@ from horaprove.lang import (
     Sum,
 )
 from horaprove.prover import ABORTED, EliminationNode, LeafNode
-from horaprove.ring import SYMBOLS, Record, zero
+from horaprove.ring import SYMBOLS, LaurentPoly, Record, from_int, zero
 from horaprove.sequences import SequenceKind, numeric_term
 
 
@@ -95,6 +95,32 @@ def convolve(f, g) -> tuple:
         for j, gj in enumerate(g):
             out[i + j] = out[i + j] + fi * gj
     return tuple(out)
+
+
+def poly_divmod(num, den) -> tuple:
+    """Exact division of univariate polynomials with ring coefficients.
+
+    Both arguments are ascending coefficient sequences; the divisor must be
+    monic so the division never leaves the ring.  Returns (quotient,
+    remainder) as ascending tuples; the remainder is padded with zeros to
+    length len(den) - 1 (or (zero(),) when the divisor is linear).
+    """
+    num = [c if isinstance(c, LaurentPoly) else from_int(c) for c in num]
+    den = [c if isinstance(c, LaurentPoly) else from_int(c) for c in den]
+    if den[-1] != 1:
+        raise ValueError("divisor must be monic")
+    d = len(den) - 1
+    rem = list(num)
+    quot = [zero()] * max(1, len(num) - d)
+    for k in range(len(num) - 1, d - 1, -1):
+        c = rem[k]
+        if c.is_zero:
+            continue
+        quot[k - d] = c
+        for j in range(d + 1):
+            rem[k - d + j] = rem[k - d + j] - c * den[j]
+    rem = rem[:d] or [zero()]
+    return tuple(quot), tuple(rem)
 
 
 def satisfies_recurrence(coeffs, terms) -> bool:

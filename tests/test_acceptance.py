@@ -10,8 +10,8 @@ import itertools
 import time
 from fractions import Fraction
 
-from conftest import by_fragment, convolve
-from horaprove.cfinite import Annihilator, poly_divmod, product
+from conftest import by_fragment, convolve, poly_divmod
+from horaprove.cfinite import Annihilator, product
 from horaprove.lang import identity_goal, parse_identity
 from horaprove.prover import PROVED, REFUTED, annihilator_for, fuzz, prove
 from horaprove.ring import one, q_power, symbol

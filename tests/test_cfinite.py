@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import convolve, rational_assignments, satisfies_recurrence
+from conftest import convolve, poly_divmod, rational_assignments, satisfies_recurrence
 from horaprove import cfinite
 from horaprove.cfinite import (
     ANNIHILATOR_CACHE_SIZE,
@@ -14,7 +14,6 @@ from horaprove.cfinite import (
     OrderMismatchError,
     from_root_classes,
     class_order,
-    poly_divmod,
     product,
     root_class,
     sum_annihilators,

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -299,6 +300,19 @@ class TestCertificates:
         assert total == "total: 18 identities, 18 proved, 0 refuted, 0 aborted"
         assert len([p for p in certs.glob("*.json") if p.is_file()]) == 18
 
+    def test_repeated_file_stems_get_numbered_names(self, tmp_path, capsys):
+        certs = tmp_path / "certs"
+        first, second = tmp_path / "d1" / "x.fib", tmp_path / "d2" / "x.fib"
+        for path in (first, second):
+            path.parent.mkdir()
+            path.write_text("forall n: W(n+2) == p*W(n+1) - q*W(n)\n", encoding="utf-8")
+        argv = ["verify", "--cert-out", str(certs), str(first), str(second), str(first)]
+        assert main(argv) == 0
+        *verdicts, _total = capsys.readouterr().out.splitlines()
+        names = ["x-001.json", "x-2-001.json", "x-3-001.json"]
+        assert sorted(p.name for p in certs.iterdir()) == names
+        assert [v.split(" -> ")[1] for v in verdicts] == [str(certs / n) for n in names]
+
     def test_refuted_certificates_record_nonzero_leaves(self, tmp_path, capsys):
         certs = tmp_path / "certs"
         assert main(["verify", MUTATIONS, "--cert-out", str(certs)]) == 1
@@ -545,3 +559,20 @@ class TestInvocation:
         )
         assert proc.returncode == 0
         assert "total: 0 identities" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [["verify", PAPER], ["fuzz", "--trials", "5", PAPER]])
+    def test_a_closed_stdout_is_an_error_not_a_verdict(self, argv):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the report is written, as `| head` may be
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "horaprove", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ""

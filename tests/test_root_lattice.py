@@ -16,6 +16,7 @@ from conftest import (
     canonical_form,
     convolve,
     eval_normal_form,
+    poly_divmod,
     rational_assignments,
     reference_monomial_classes,
     satisfies_recurrence,
@@ -30,7 +31,6 @@ from horaprove.cfinite import (
     from_root_classes,
     goal_classes,
     lucas,
-    poly_divmod,
     product,
     root_class,
 )

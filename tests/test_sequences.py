@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rational_assignments, satisfies_recurrence
-from horaprove.cfinite import ORDER_TWO_BASE, lucas
+from horaprove.cfinite import ORDER_TWO_BASE, from_root_classes, lucas, root_class
+from horaprove.lang import SLOPE_CAP
 from horaprove.ring import SYMBOLS, ZeroQError, from_int, one, q_power, symbol
 from horaprove.sequences import (
     SEEDS,
@@ -323,6 +324,14 @@ class TestSlopeAnnihilators:
             d = len(a) - 1
             assert len(b) == d + 1
             assert all(a[0] * b[i] == a[d - i] for i in range(d + 1)), m
+
+    @pytest.mark.parametrize("kind", [W, V, U, GEOQ])
+    def test_every_slope_meets_the_root_lattice(self, kind):
+        # the matrix route, C^|m| by repeated products, against the prover's
+        # roots: alpha^m and beta^m, times q^m for q^n
+        for m in range(-SLOPE_CAP, SLOPE_CAP + 1):
+            lattice = from_root_classes({root_class(m, m if kind is GEOQ else 0)})
+            assert slope_annihilator(kind, m) == lattice, m
 
     def test_constant_terms_are_units(self):
         for kind in (W, V, U, GEOQ):
