@@ -17,20 +17,27 @@ at a time from the normal form of lhs - rhs:
   2. A sequence annihilated by an order-d recurrence whose constant term is
      a unit is determined on all of Z by d consecutive values, so the goal
      is zero everywhere iff it is zero at the index values 0..d-1.  Each of
-     those instantiations is a smaller goal; recurse.  Two paths can
-     reach equal goals with the same indices left (a law symmetric in
-     its indices does); such a goal is proved once, and every later path
-     reuses its proof tree.
+     those instantiations is a smaller goal; recurse, in that order.  Two
+     paths can reach equal goals with the same indices left (a law
+     symmetric in its indices does); such a goal is proved once, and every
+     later path reuses its proof tree.
   3. With no indices left, every atom has a constant index: expand it to an
      exact ring element and check that the leaf polynomial is zero (after
      substituting any pinned scalars).  Leaves across a file repeat the
      same products of terms, so the product of a monomial's first two
      terms comes from a bounded per-process cache.
 
+The first nonzero leaf, in depth-first order, refutes the identity: lhs -
+rhs is nonzero at that leaf's integer indices.  So the procedure stops
+there, and no later subgoal of any elimination on its path is built.
+
 The certificate records the annihilator used at every elimination, every
 instantiated subgoal, and every leaf polynomial, one per path even where
-paths share a proof; checking it needs nothing beyond recurrence windows
-and polynomial arithmetic.
+paths share a proof.  A PROVED certificate holds every leaf.  A REFUTED
+one holds the leaves up to and including its nonzero witness, the last;
+an elimination on the witness's path lists subgoals 0..v, where v is the
+path's value there, while its order names all d.  Checking either needs
+nothing beyond recurrence windows and polynomial arithmetic.
 
 The fuzz oracle evaluates the original syntax tree lhs - rhs (not the
 normal form: an independent route) at seeded random assignments (integer
@@ -134,8 +141,10 @@ class LeafNode(Record):
 
 
 class EliminationNode(Record):
-    # subgoals is [(value, ProofNode), ...] for value in 0..order-1
-    __slots__ = ("index", "annihilator", "goal", "subgoals")
+    # subgoals is [(value, ProofNode), ...] for value in 0..order-1, or up
+    # to the first value whose subtree has a nonzero leaf; zero is True
+    # when every leaf below is zero (it is not written to JSON)
+    __slots__ = ("index", "annihilator", "goal", "subgoals", "zero")
 
     @property
     def order(self) -> int:
@@ -154,11 +163,13 @@ class Certificate(Record):
 
     @property
     def witness(self) -> LeafRecord | None:
-        """First nonzero leaf when REFUTED, else None."""
-        for leaf in self.leaves:
-            if not leaf.zero:
-                return leaf
-        return None
+        """The nonzero leaf when REFUTED, else None.
+
+        prove stops at the first nonzero leaf in depth-first order, so a
+        REFUTED certificate's witness is its last leaf and every earlier
+        one is zero.
+        """
+        return self.leaves[-1] if self.verdict == REFUTED else None
 
     def json_text(self) -> str:
         """The certificate's JSON text, without a final line break.
@@ -273,9 +284,13 @@ def prove(
 
     Verdicts: PROVED when every leaf polynomial is zero (then the identity
     holds for all integer index values, negative included, because every
-    annihilator's constant term is a unit); REFUTED when some leaf is a
+    annihilator's constant term is a unit); REFUTED when a leaf is a
     nonzero polynomial; ABORTED when an annihilator order exceeded max_order
     or an exponent of p, a, b, c, d or q left the ring's range.
+
+    The tree is built depth first and stops at the first nonzero leaf, so a
+    REFUTED certificate's leaves end with that witness, and an elimination
+    or leaf that would follow it, over the cap or not, is never reached.
     """
     elim = _validated_order(identity, elimination_order)
     pins = identity.pin_map()
@@ -292,7 +307,7 @@ def prove(
         goal = identity_goal(identity)
         root: ProofNode | None = _build(goal, elim, 0, pins, max_order, proved)
         leaves = list(_leaf_records(root, ()))
-        verdict = PROVED if all(leaf.zero for leaf in leaves) else REFUTED
+        verdict = PROVED if root.zero else REFUTED
         reason = ""
     except (OrderCapExceededError, ExponentOverflowError) as exc:
         root = None
@@ -318,10 +333,13 @@ def _build(
         index, rest = remaining[0], remaining[1:]
         ann = annihilator_for(nf, index, max_order)
         subgoals = []
-        for value in range(ann.order):
+        for value in range(ann.order):  # a nonzero goal's order is at least 1
             child_nf = nf.substitute_index(index, value)
-            subgoals.append((value, _build(child_nf, rest, depth + 1, pins, max_order, proved)))
-        node = EliminationNode(index, ann, nf, subgoals)
+            child = _build(child_nf, rest, depth + 1, pins, max_order, proved)
+            subgoals.append((value, child))
+            if not child.zero:  # a nonzero leaf below refutes the goal
+                break
+        node = EliminationNode(index, ann, nf, subgoals, child.zero)
     nodes.append(node)
     return node
 

@@ -84,7 +84,7 @@ class Record:
         cls._fields = tuple(n for n in cls.__slots__ if n not in ("__dict__", "__weakref__"))
         # a slot's own setter costs less to call than object.__setattr__
         cls._setters = tuple(cls.__dict__[n].__set__ for n in cls._fields)
-        if "__init__" not in cls.__dict__ and 0 < len(cls._setters) <= 4:
+        if "__init__" not in cls.__dict__ and 0 < len(cls._setters) <= 3:
             # a fixed-arity constructor costs under half of the generic one's loop
             cls.__init__ = _fixed_init(cls._setters)
             cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -120,7 +120,7 @@ class Record:
 
 
 def _fixed_init(setters: tuple):
-    """A positional-only __init__ that sets one to four fields through their setters."""
+    """A positional-only __init__ that sets one to three fields through their setters."""
     if len(setters) == 1:
         (s0,) = setters
 
@@ -134,22 +134,13 @@ def _fixed_init(setters: tuple):
             s0(self, a)
             s1(self, b)
 
-    elif len(setters) == 3:
+    else:
         s0, s1, s2 = setters
 
         def __init__(self, a, b, c, /):
             s0(self, a)
             s1(self, b)
             s2(self, c)
-
-    else:
-        s0, s1, s2, s3 = setters
-
-        def __init__(self, a, b, c, d, /):
-            s0(self, a)
-            s1(self, b)
-            s2(self, c)
-            s3(self, d)
 
     return __init__
 

@@ -19,7 +19,7 @@ from horaprove.lang import (
 )
 from horaprove.prover import ABORTED, EliminationNode, LeafNode
 from horaprove.ring import SYMBOLS, LaurentPoly, Record, from_int, zero
-from horaprove.sequences import SequenceKind, numeric_term
+from horaprove.sequences import SequenceKind, numeric_term, symbolic_term
 
 
 MULTI_INDEX = Path(__file__).resolve().parents[1] / "perfbench/workloads/multi_index.fib"
@@ -42,6 +42,12 @@ U_BASIS_3 = (
     "forall i, j, k: W(i+j+k)*u(i)^2*u(j)^2*u(k)^2 == "
     "(u(i+j+k)*W(1) - q*u(i+j+k-1)*W(0))*u(i)^2*u(j)^2*u(k)^2"
 )
+
+
+# Its first path, i = 0 then j = 0, reaches a nonzero leaf, W(0); the next
+# subgoal along i needs an annihilator of order 10 along j.  So it is REFUTED
+# under an order cap of 3, which only an elimination after the witness exceeds.
+OVER_CAP_AFTER_WITNESS = "forall i, j: W(i+j)*W(5*j)^3 - W(j)*W(5*j)^3 + W(j) == 0"
 
 
 def by_fragment(identities, fragment: str):
@@ -176,6 +182,17 @@ def eval_normal_form(nf, scalars, indices) -> Fraction:
             term *= numeric_term(atom.kind, index, scalars)
         total += term
     return total
+
+
+def reference_leaf_poly(goal, pins):
+    """Leaf expansion with no shortcut: sorted monomials, a plain left fold, no cache."""
+    total = zero()
+    for atoms, scalar in goal.monomials():
+        term = scalar
+        for atom in atoms:
+            term = term * symbolic_term(atom.kind, atom.index.const)
+        total = total + term
+    return total.pin_substitute(pins) if pins else total
 
 
 # Random syntax trees with every node kind, for the compiled evaluator and the

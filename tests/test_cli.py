@@ -16,7 +16,7 @@ from horaprove import cli, corpus_path, parse_file, parse_identity, prove
 from horaprove.cli import main
 from horaprove.prover import DEFAULT_MAX_ORDER, Counterexample, FuzzResult
 from horaprove.ring import SYMBOLS
-from conftest import MULTI_INDEX, reference_json_dict
+from conftest import MULTI_INDEX, OVER_CAP_AFTER_WITNESS, reference_json_dict
 from reachability import Q_PRODUCT_OVERFLOW
 
 PAPER = str(corpus_path("paper.fib"))
@@ -83,6 +83,16 @@ class TestVerify:
         assert main(["verify", PAPER, "--max-order", "3"]) == 2
         out = capsys.readouterr().out
         assert "ABORTED" in out
+
+    def test_a_witness_before_an_over_cap_elimination_refutes_with_exit_one(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "witness-first.fib"
+        path.write_text(OVER_CAP_AFTER_WITNESS + "\n", encoding="utf-8")
+        assert main(["verify", str(path), "--max-order", "3"]) == 1
+        verdict, total = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(rf"{re.escape(str(path))}:1: REFUTED \(\d+ ms\)", verdict)
+        assert total == "total: 1 identities, 0 proved, 1 refuted, 0 aborted"
 
     def test_exponent_out_of_ring_range_aborts_with_exit_two(self, tmp_path, capsys):
         path = tmp_path / "big.fib"

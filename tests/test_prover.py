@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     MULTI_INDEX,
+    OVER_CAP_AFTER_WITNESS,
     TREE_INDICES,
     U_BASIS_3,
     by_fragment,
     canonical_form,
     eval_normal_form,
     rational_assignments,
+    reference_leaf_poly,
     trees,
     walk,
 )
@@ -54,7 +56,6 @@ from horaprove.ring import (
     q_power,
     render_term,
     symbol,
-    zero,
 )
 from horaprove.sequences import SequenceKind, TermWindow, numeric_term, symbolic_term
 
@@ -162,11 +163,31 @@ class TestProve:
         assert not first.zero
         assert cert.witness is first
 
-    def test_refuted_certificate_keeps_all_leaves(self):
-        cert = prove(parse_identity("forall n: W(n) == W(n+2)"))
+    @pytest.mark.parametrize(
+        "law",
+        [
+            "forall n: W(n) == W(n+2)",
+            # u(i)^2 is 0 at i = 0, so the witness is the 22nd of 64 paths
+            U_BASIS_3.replace("- q*u(i+j+k-1)", "+ q*u(i+j+k-1)"),
+        ],
+        ids=["one-index", "u-basis-3-mutant"],
+    )
+    def test_refuted_certificate_stops_at_its_witness(self, law):
+        cert = prove(parse_identity(law))
         assert cert.verdict == REFUTED
-        assert len(cert.leaves) == 2
-        assert any(not leaf.zero for leaf in cert.leaves)
+        *before, last = cert.leaves
+        assert cert.witness is last and not last.zero
+        assert all(leaf.zero for leaf in before)
+        # each elimination on the witness's path ends at the path's value,
+        # and keeps the order of its full annihilator
+        node = cert.root
+        for index, value in last.at:
+            assert isinstance(node, EliminationNode) and node.index == index
+            assert [v for v, _child in node.subgoals] == list(range(value + 1))
+            assert node.order == annihilator_for(node.goal, index).order > value
+            assert not node.zero and all(child.zero for _v, child in node.subgoals[:-1])
+            node = node.subgoals[-1][1]
+        assert isinstance(node, LeafNode) and node.poly is last.poly
 
     def test_pinned_identity_proves_only_when_pinned(self):
         pinned = parse_identity(
@@ -291,17 +312,6 @@ class TestProve:
         ]
 
 
-def reference_leaf_poly(goal, pins):
-    """Leaf expansion with no shortcut: sorted monomials, a plain left fold, no cache."""
-    total = zero()
-    for atoms, scalar in goal.monomials():
-        term = scalar
-        for atom in atoms:
-            term = term * symbolic_term(atom.kind, atom.index.const)
-        total = total + term
-    return total.pin_substitute(pins) if pins else total
-
-
 @st.composite
 def leaf_goals(draw):
     """Index-free goals of up to four monomials, each of 0-4 atoms at constant indices."""
@@ -337,8 +347,9 @@ class TestLeafExpansion:
                         expected = reference_leaf_poly(node.goal, pins)
                         assert node.poly == expected and _leaf_poly(node.goal, pins) == expected
                         leaves += 1
-        # leaf paths: paper.fib 86, mutations.fib 172, multi_index.fib 98
-        assert leaves == 86 + 172 + 98
+        # leaf paths: paper.fib 86, mutations.fib 52 (each REFUTED tree ends
+        # at its witness), multi_index.fib 98
+        assert leaves == 86 + 52 + 98
 
     @given(
         leaf_goals(),
@@ -434,7 +445,47 @@ class TestSharedSubgoals:
         cert = prove(parse_identity(mutant))
         assert cert.verdict == REFUTED
         assert cert.witness.at == (("i", 1), ("j", 1), ("k", 1))
-        assert len(cert.leaves) == 64
+        # the paths up to the witness: 16 at i = 0, 4 at (1, 0), 2 at (1, 1)
+        assert len(cert.leaves) == 16 + 4 + 2
+
+
+class TestRefutation:
+    def test_every_witness_is_the_goal_at_its_indices(self, mutant_identities):
+        """Each REFUTED witness, re-derived from the root goal by the reference expansion."""
+        names = ("paper.fib", "mutations.fib", "horadam_extra.fib")
+        refuted = 0
+        for source in [corpus_path(name) for name in names] + [MULTI_INDEX]:
+            for identity in parse_file(source.read_text(encoding="utf-8")).identities:
+                cert = prove(identity)
+                if cert.verdict != REFUTED:
+                    continue
+                witness = cert.witness
+                assert [index for index, _v in witness.at] == list(cert.elimination)
+                goal = identity_goal(identity)
+                for index, value in witness.at:
+                    goal = goal.substitute_index(index, value)
+                expected = reference_leaf_poly(goal, identity.pin_map())
+                assert not expected.is_zero and witness.poly == expected, identity.source
+                refuted += 1
+        assert refuted == len(mutant_identities) == 38
+
+    def test_a_nonzero_leaf_before_an_over_cap_sibling_refutes(self):
+        # at i = 0 the goal is W(j), refuted at j = 0; at i = 1 its order along j is 10
+        cert = prove(parse_identity(OVER_CAP_AFTER_WITNESS), max_order=3)
+        assert cert.verdict == REFUTED and cert.reason == ""
+        assert [leaf.at for leaf in cert.leaves] == [(("i", 0), ("j", 0))]
+        assert cert.root.order == 3 and [v for v, _child in cert.root.subgoals] == [0]
+
+    def test_one_sign_stress_mutant_is_refuted_at_its_first_leaf(self):
+        # the full tree of this mutant has 15 leaves and a 2 MB certificate
+        mutant = (
+            "forall n: W(5*n+2)^4*V(2*n+2)^2 == "
+            "(p*W(5*n+1) - q*W(5*n))^4*(p*V(2*n+1) + q*V(2*n))^2"
+        )
+        cert = prove(parse_identity(mutant))
+        assert cert.verdict == REFUTED
+        assert [leaf.at for leaf in cert.leaves] == [(("n", 0),)]
+        assert len(cert.json_text()) < 16_000
 
 
 class TestCertificateJson:
