@@ -23,7 +23,8 @@ at a time from the normal form of lhs - rhs:
      later path reuses its proof tree.
   3. With no indices left, every atom has a constant index: expand it to an
      exact ring element and check that the leaf polynomial is zero (after
-     substituting any pinned scalars).  Leaves across a file repeat the
+     substituting any pinned scalars).  A monomial with a zero term, u(0),
+     is skipped before any product.  Leaves across a file repeat the
      same products of terms, so the product of a monomial's first two
      terms comes from a bounded per-process cache.
 
@@ -377,12 +378,14 @@ def _leaf_poly(nf: NormalForm, pins: Mapping[str, Fraction]) -> LaurentPoly:
 
     The monomials are summed in the goal's term-dict order, with no sort:
     the sum is one canonical ring element, and render sorts its terms.
-    Every atom's term is asked of symbolic_term.  The product of a
-    monomial's first two terms comes from a bounded per-process cache
-    keyed by the two terms, since the same products recur across the
-    leaves of a file.  The scalar and then any further terms are
-    multiplied in uncached, so no partial product larger than a pair is
-    kept.
+    Every atom's term is asked of symbolic_term.  A monomial is skipped at
+    its first zero term, before any product: only u(0) is zero, and u's
+    seed u0 = 0 puts it in many leaves of a law with a u factor.  The
+    product of a monomial's first two terms comes from a bounded
+    per-process cache keyed by the two terms, since the same products
+    recur across the leaves of a file.  The scalar and then any further
+    terms are multiplied in uncached, so no partial product larger than a
+    pair is kept.
     """
     total = zero()
     for atoms, scalar in nf._terms.items():  # the goal's own dict: monomials() would sort it
@@ -391,14 +394,18 @@ def _leaf_poly(nf: NormalForm, pins: Mapping[str, Fraction]) -> LaurentPoly:
             index = atom.index
             if index.coeffs:
                 raise AssertionError("sequence atom with live index reached a leaf")
-            factors.append(symbolic_term(atom.kind, index.const))
-        term = scalar
-        if factors:
-            head = factors[0] if len(factors) == 1 else _term_product(factors[0], factors[1])
-            term = scalar * head
-            for factor in factors[2:]:
-                term = term * factor
-        total = total + term
+            factor = symbolic_term(atom.kind, index.const)
+            if not factor._terms:  # the monomial is zero
+                break
+            factors.append(factor)
+        else:
+            term = scalar
+            if factors:
+                head = factors[0] if len(factors) == 1 else _term_product(factors[0], factors[1])
+                term = scalar * head
+                for factor in factors[2:]:
+                    term = term * factor
+            total = total + term
     if pins:
         total = total.pin_substitute(pins)
     return total

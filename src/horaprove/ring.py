@@ -209,7 +209,11 @@ class LaurentPoly:
     @staticmethod
     def _raw(terms: dict) -> "LaurentPoly":
         # terms must already be canonical (packed keys, no zero coefficients);
-        # a slot's own setter costs less to call than object.__setattr__
+        # every zero result is the shared zero, so that __add__'s `is _ZERO`
+        # test sees it; a slot's own setter costs less to call than
+        # object.__setattr__
+        if not terms:
+            return _ZERO
         self = _new(LaurentPoly)
         _set_terms(self, terms)
         _set_hash(self, None)
@@ -507,7 +511,9 @@ def render_term(coeff: LaurentPoly, body: str) -> tuple:
     return sign, text
 
 
-_ZERO = LaurentPoly._raw({})
+_ZERO = _new(LaurentPoly)  # _raw returns _ZERO for no terms, so it cannot build it
+_set_terms(_ZERO, {})
+_set_hash(_ZERO, None)
 _ONE = LaurentPoly._raw({_UNIT: 1})
 
 

@@ -1,12 +1,14 @@
 """Command-line behavior: reports, exit codes, certificate files."""
 
 import contextlib
+import gc
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -586,3 +588,88 @@ class TestInvocation:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr == ""
+
+
+class TestCollector:
+    """main runs with the cyclic collector off, since a run's only cyclic
+    garbage is argparse's parser, the same whatever the input."""
+
+    @staticmethod
+    def garbage(argv, capsys) -> tuple:
+        """(exit code, objects found, Counter of their types) of the cycles main(argv) leaves."""
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            code = main(argv)
+            capsys.readouterr()
+            found = gc.collect()
+            return code, found, Counter(type(obj).__qualname__ for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+
+    def test_a_run_leaves_no_cycles_but_argparses(self, tmp_path, capsys):
+        one = tmp_path / "one.fib"
+        one.write_text("forall n: W(n+2) == p*W(n+1) - q*W(n)\n", encoding="utf-8")
+        bad = tmp_path / "bad.fib"
+        bad.write_text("forall n: W(n+1 == W(n)\n", encoding="utf-8")
+        code, *baseline = self.garbage(["verify", str(one)], capsys)
+        assert code == 0 and baseline[0] > 0 and baseline[1]["ArgumentParser"] == 2
+        certs = str(tmp_path / "certs")
+        runs = [
+            (["verify", "--cert-out", certs, PAPER, MUTATIONS, TEMPLATE, str(MULTI_INDEX)], 1),
+            (["verify", "--max-order", "2", PAPER], 2),  # ABORTED
+            (["verify", "--fuzz-after", "--trials", "25", PAPER], 0),
+            (["fuzz", "--trials", "25", PAPER, MUTATIONS], 1),
+            (["verify", str(tmp_path / "missing.fib")], 2),
+            (["verify", str(bad)], 2),
+        ]
+        for argv, expected in runs:
+            code, *left = self.garbage(argv, capsys)
+            assert code == expected and left == baseline, argv
+        # a usage error's message adds a formatter's cycles, whichever parser reports it
+        code, *usage = self.garbage(["verify"], capsys)
+        other_code, *other_usage = self.garbage([], capsys)
+        assert code == other_code == 2 and usage == other_usage
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", PAPER], ["verify", "--max-order", "2", PAPER], ["verify"], ["fuzz", PAPER]],
+        ids=["proved", "aborted", "usage-error", "fuzz"],
+    )
+    def test_main_runs_without_the_collector_and_restores_it(
+        self, enabled, argv, capsys, monkeypatch
+    ):
+        during = []
+        for name in ("cmd_verify", "cmd_fuzz"):
+            command = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda args, command=command: during.append(gc.isenabled()) or command(args)
+            )
+        (gc.enable if enabled else gc.disable)()
+        try:
+            main(argv)
+            after = gc.isenabled()
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert after is enabled
+        assert during == ([] if argv == ["verify"] else [False])
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_an_exception_out_of_main_restores_the_collector(self, enabled, monkeypatch):
+        def closed_stdout(args):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "cmd_verify", closed_stdout)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(BrokenPipeError):
+                main(["verify", PAPER])
+            after = gc.isenabled()
+        finally:
+            gc.enable()
+        assert after is enabled

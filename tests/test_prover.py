@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -51,11 +51,13 @@ from horaprove.prover import (
 from horaprove.ring import (
     SYMBOLS,
     ExponentOverflowError,
+    LaurentPoly,
     from_int,
     one,
     q_power,
     render_term,
     symbol,
+    zero,
 )
 from horaprove.sequences import SequenceKind, TermWindow, numeric_term, symbolic_term
 
@@ -364,6 +366,37 @@ class TestLeafExpansion:
         assert _leaf_poly(goal, pins) == expected
         # the second expansion reads its two-term products from the cache
         assert _leaf_poly(goal, pins) == expected
+
+    def test_a_monomial_with_u0_is_skipped_before_any_product(self, monkeypatch):
+        def atom(kind, k):
+            return SeqTerm(kind, LinForm.make({}, k))
+
+        W, V, U = SequenceKind.W, SequenceKind.V, SequenceKind.U
+        goal = canonical_form({
+            (atom(W, 3), atom(U, 0), atom(V, 5)): 2 * p,
+            (atom(U, 4), atom(U, 0)): q_power(-1),
+            (atom(U, 0), atom(W, 2), atom(W, 7), atom(V, -3)): from_int(3),
+        })
+        monomials = list(goal.monomials())
+        assert len(monomials) == 3
+        for atoms, _scalar in monomials:  # cached now, so no term's own product is counted
+            for term in atoms:
+                symbolic_term(term.kind, term.index.const)
+        calls = []
+        product = LaurentPoly.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return product(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+        assert _leaf_poly(goal, {}) is zero()
+        assert calls == []
+
+    def test_drawn_leaf_goals_can_hold_u0(self):
+        u0 = SeqTerm(SequenceKind.U, LinForm.make({}, 0))
+        goal = find(leaf_goals(), lambda goal: any(u0 in atoms for atoms, _ in goal.monomials()))
+        assert _leaf_poly(goal, {}) == reference_leaf_poly(goal, {})
 
 
 def test_proving_leaves_no_cyclic_garbage(corpus_identities, mutant_identities):

@@ -107,6 +107,15 @@ class TestConstruction:
         assert zero() + x is x and x + zero() is x
         assert from_int(0) + x is x and 0 + x is x
 
+    def test_every_zero_result_is_the_shared_zero(self):
+        x = p * q - 3 * a
+        assert x - x is zero()
+        assert x * zero() is zero() and zero() * x is zero()
+        assert -zero() is zero()
+        assert (p * q - q).pin_substitute({"p": 1}) is zero()
+        # so a sum with any of them takes __add__'s shortcut
+        assert (x - x) + x is x
+
     @pytest.mark.parametrize("foreign", [1.5, Fraction(1, 2), "p", None])
     def test_foreign_operands_raise_type_error(self, foreign):
         x = p * q - 3 * a
