@@ -4,6 +4,7 @@ Exit codes: 0 when every identity is PROVED (or every fuzz trial passes),
 1 when any identity is REFUTED (or any counterexample is found), 2 on
 errors: unreadable files, parse failures, bad flags, a closed stdout, an
 order-cap abort, or an unexpected error in one identity (the run goes on).
+A run that meets more than one outcome exits with the highest code.
 
 Input files are read as UTF-8; a leading byte-order mark is dropped.
 Each certificate is the bytes of Certificate.json_text, which is ASCII,
@@ -26,7 +27,7 @@ import os
 import sys
 from pathlib import Path
 
-from .lang import Identity, ParseError, parse_file
+from .lang import ParseError, parse_file
 from .prover import (
     ABORTED,
     DEFAULT_MAX_ORDER,
@@ -43,7 +44,7 @@ EXIT_ERROR = 2
 
 
 def _load(path: str):
-    """Parse one input file or report (None, exit_code)."""
+    """The identities of one input file, or None after reporting why it has none."""
     try:
         # utf-8-sig drops a leading byte-order mark, as editors on Windows write
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -60,22 +61,9 @@ def _load(path: str):
         )
         return None
     try:
-        return parse_file(text)
+        return parse_file(text).identities
     except ParseError as exc:
         print(f"{path}:{exc}", file=sys.stderr)
-        return None
-
-
-def _report_crash(path: str, identity: Identity, exc: Exception):
-    print(f"error: {path}:{identity.line}: {type(exc).__name__}: {exc}", file=sys.stderr)
-
-
-def _fuzz_or_report(path: str, identity: Identity, args):
-    """The oracle's result for one identity, or None after reporting its crash."""
-    try:
-        return fuzz(identity, args.trials, args.seed, args.range)
-    except Exception as exc:  # one identity's crash must not end the run
-        _report_crash(path, identity, exc)
         return None
 
 
@@ -89,6 +77,34 @@ def _cert_stem(path: str, used: set) -> str:
     return candidate
 
 
+def _run(args, check, total) -> int:
+    """Check each identity of each file, print the report, return the highest exit code.
+
+    check(where, identity, cert_name) gets the identity's `path:line` and
+    certificate file name and returns its report line (or None) and exit
+    code; a crash in one identity is reported and the run goes on.
+    """
+    lines, code, used_stems = [], EXIT_OK, set()
+    for path in args.paths:
+        identities = _load(path)
+        if identities is None:
+            code = EXIT_ERROR
+            continue
+        stem = _cert_stem(path, used_stems)
+        for i, identity in enumerate(identities, start=1):
+            where = f"{path}:{identity.line}"
+            try:
+                line, status = check(where, identity, f"{stem}-{i:03d}.json")
+            except Exception as exc:  # one identity's crash must not end the run
+                print(f"error: {where}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                line, status = None, EXIT_ERROR
+            if line is not None:
+                lines.append(line)
+            code = max(code, status)
+    print("\n".join([*lines, total()]))
+    return code
+
+
 def cmd_verify(args) -> int:
     cert_dir = None
     if args.cert_out:
@@ -98,94 +114,62 @@ def cmd_verify(args) -> int:
         except OSError as exc:
             print(f"error: {args.cert_out}: {exc}", file=sys.stderr)
             return EXIT_ERROR
-
-    lines = []
     counts = dict.fromkeys((PROVED, REFUTED, ABORTED), 0)
-    errors = False
-    used_stems: set = set()
-    for path in args.paths:
-        source = _load(path)
-        if source is None:
-            errors = True
-            continue
-        stem = _cert_stem(path, used_stems) if cert_dir else ""
-        for i, identity in enumerate(source.identities, start=1):
+
+    def check(where, identity, cert_name):
+        try:
+            cert = prove(identity, elimination_order=args.elim_order, max_order=args.max_order)
+        except EliminationOrderError as exc:
+            print(f"error: {where}: {exc}", file=sys.stderr)
+            return None, EXIT_ERROR
+        line = f"{where}: {cert.verdict} ({cert.ms} ms)"
+        if cert_dir is not None:
+            cert_path = cert_dir / cert_name
             try:
-                cert = prove(identity, elimination_order=args.elim_order, max_order=args.max_order)
-            except EliminationOrderError as exc:
-                print(f"error: {path}:{identity.line}: {exc}", file=sys.stderr)
-                errors = True
-                continue
-            except Exception as exc:  # one identity's crash must not end the run
-                _report_crash(path, identity, exc)
-                errors = True
-                continue
-            line = f"{path}:{identity.line}: {cert.verdict} ({cert.ms} ms)"
-            if cert_dir is not None:
-                cert_path = cert_dir / f"{stem}-{i:03d}.json"
-                try:
-                    cert_path.write_bytes(cert.json_text().encode() + b"\n")
-                except OSError as exc:
-                    print(f"error: {path}:{identity.line}: {cert_path}: {exc}", file=sys.stderr)
-                    errors = True
-                    continue
-                line += f" -> {cert_path}"
-            counts[cert.verdict] += 1
-            if cert.verdict == ABORTED:
-                line += f" ({cert.reason})"
-                errors = True
-            elif args.fuzz_after and cert.verdict == PROVED:
-                result = _fuzz_or_report(path, identity, args)
-                if result is None:
-                    errors = True
-                elif result.ok:
-                    line += f" fuzz=PASS({args.trials})"
-                else:
-                    print(
-                        f"error: {path}:{identity.line}: oracle disagrees with PROVED "
-                        f"verdict: {result.counterexample.describe()}",
-                        file=sys.stderr,
-                    )
-                    errors = True
-            lines.append(line)
-    lines.append(
+                cert_path.write_bytes(cert.json_text().encode() + b"\n")
+            except OSError as exc:
+                print(f"error: {where}: {cert_path}: {exc}", file=sys.stderr)
+                return None, EXIT_ERROR
+            line += f" -> {cert_path}"
+        counts[cert.verdict] += 1
+        if cert.verdict == ABORTED:
+            return f"{line} ({cert.reason})", EXIT_ERROR
+        if cert.verdict == REFUTED:
+            return line, EXIT_FALSIFIED
+        if not args.fuzz_after:
+            return line, EXIT_OK
+        try:
+            result = fuzz(identity, args.trials, args.seed, args.range)
+        except Exception as exc:  # the oracle's crash keeps the verdict line
+            print(f"error: {where}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return line, EXIT_ERROR
+        if result.ok:
+            return f"{line} fuzz=PASS({args.trials})", EXIT_OK
+        print(
+            f"error: {where}: oracle disagrees with PROVED verdict: "
+            f"{result.counterexample.describe()}",
+            file=sys.stderr,
+        )
+        return line, EXIT_ERROR
+
+    return _run(args, check, lambda: (
         f"total: {sum(counts.values())} identities, {counts[PROVED]} proved, "
         f"{counts[REFUTED]} refuted, {counts[ABORTED]} aborted"
-    )
-    print("\n".join(lines))
-    if errors:
-        return EXIT_ERROR
-    return EXIT_FALSIFIED if counts[REFUTED] else EXIT_OK
+    ))
 
 
 def cmd_fuzz(args) -> int:
-    lines = []
-    errors = False
-    falsified = False
-    total = 0
-    for path in args.paths:
-        source = _load(path)
-        if source is None:
-            errors = True
-            continue
-        for identity in source.identities:
-            total += 1
-            result = _fuzz_or_report(path, identity, args)
-            if result is None:
-                errors = True
-            elif result.ok:
-                lines.append(f"{path}:{identity.line}: PASS ({args.trials} trials)")
-            else:
-                falsified = True
-                lines.append(
-                    f"{path}:{identity.line}: COUNTEREXAMPLE "
-                    f"{result.counterexample.describe()}"
-                )
-    lines.append(f"total: {total} identities fuzzed")
-    print("\n".join(lines))
-    if errors:
-        return EXIT_ERROR
-    return EXIT_FALSIFIED if falsified else EXIT_OK
+    tried = 0
+
+    def check(where, identity, _cert_name):
+        nonlocal tried
+        tried += 1
+        result = fuzz(identity, args.trials, args.seed, args.range)
+        if result.ok:
+            return f"{where}: PASS ({args.trials} trials)", EXIT_OK
+        return f"{where}: COUNTEREXAMPLE {result.counterexample.describe()}", EXIT_FALSIFIED
+
+    return _run(args, check, lambda: f"total: {tried} identities fuzzed")
 
 
 def _at_least_one(text: str) -> int:

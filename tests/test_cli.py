@@ -505,14 +505,19 @@ class TestLargeInputs:
 
         monkeypatch.setattr(cli, "prove", crash_on_line_one(cli.prove))
         monkeypatch.setattr(cli, "fuzz", crash_on_line_one(cli.fuzz))
-        path = tmp_path / "two.fib"
-        path.write_text("forall n: W(n) == W(n)\nforall n: u(n) == u(n)\n", encoding="utf-8")
-        for command in ("verify", "fuzz"):
+        path = tmp_path / "three.fib"
+        path.write_text(
+            "forall n: W(n) == W(n)\nforall n: u(n) == u(n)\nforall n: W(n) == V(n)\n",
+            encoding="utf-8",
+        )
+        for command, false in (("verify", "REFUTED"), ("fuzz", "COUNTEREXAMPLE")):
+            # a crash and a refutation in one run: the higher code, 2, wins
             assert main([command, str(path)]) == 2
             captured = capsys.readouterr()
             assert f"error: {path}:1: RuntimeError: boom" in captured.err
             assert "Traceback" not in captured.err
             assert f"{path}:2: P" in captured.out  # PROVED or PASS
+            assert f"{path}:3: {false}" in captured.out
 
 
 class TestInvocation:

@@ -173,6 +173,34 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_identity("forall n, n: W(n) == W(n)")
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("let 3 = p", "expected a name to bind, found '3'", (1, 5)),
+            ("forall n: W(n) == W(n) with p := x", "expected an integer, found 'x'", (1, 34)),
+            ("foo", "expected 'let' or 'forall', found 'foo'", (1, 1)),
+            (
+                "let e = p\nforall e: W(e) == W(e)",
+                "index variable 'e' collides with a let-binding",
+                (2, 8),
+            ),
+            (
+                "forall n: W(n) == W(n) with n := 1",
+                "only scalar symbols can be pinned, not 'n'",
+                (1, 29),
+            ),
+            ("forall n: W(n) == W(n) with p := 1/0", "zero denominator", (1, 36)),
+            ("forall n: n*W(n) == 0", "index variable 'n' cannot be used as a scalar", (1, 11)),
+            ("forall n: W(+n) == 0", "index form cannot start with '+'", (1, 13)),
+            ("forall n: W(n+) == 0", "expected an index variable or integer, found ')'", (1, 15)),
+        ],
+    )
+    def test_error_message_and_position(self, text, message, position):
+        with pytest.raises(ParseError) as info:
+            parse_file(text)
+        assert info.value.message == message
+        assert (info.value.line, info.value.col) == position
+
     def test_positions_reported(self):
         with pytest.raises(ParseError) as info:
             parse_file("forall n: W(n) == W(n)\nforall k: W(k) == +\n")
@@ -661,6 +689,8 @@ class TestScalarSubtrees:
             "let e = p*a*b - q*a^2 - b^2\nlet f = e^2 - q^(-1)\n"
             "forall n: e*q^(n+1)*(p^3 - p*q) == f*V(n) - e",
             "forall n, j: u(n-j)*(b*W(n+j) - q*a*W(n+j-1)) == (p + q^(j))*u(n)",
+            # cross terms cancel in a product of normal forms
+            "forall n: (W(n)+W(n+1))*(W(n)-W(n+1)) == W(n)^2 - W(n+1)^2",
         ],
     )
     def test_edge_goals_normalize_as_the_reference(self, text):
