@@ -34,6 +34,11 @@ appear in scalars, only inside atom index forms, which makes eliminating
 one index at a time well-defined.  Normalizing builds a NormalForm only
 where an atom occurs: a subtree without one is a ring element.
 
+No normal form holds u(0): u starts at u0 = 0, so normalizing maps a
+written u(0) to the zero scalar, and substitute_index drops every monomial
+in which it makes an atom u(0).  A goal whose every monomial holds u(0) is
+then zero before any elimination.
+
 Atoms are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): each distinct (kind, index form) is one
 live SeqTerm object, built once with its sort key, so atoms compare and
@@ -63,8 +68,11 @@ from .ring import (
     render_sum,
     render_term,
     symbol,
+    zero,
 )
 from .sequences import GEOQ, SequenceKind
+
+U = SequenceKind.U  # reading a member off an Enum class is a slow lookup
 
 # q^n is written q^(...), so every other family's value is its surface name
 SEQ_NAMES = {kind.value: kind for kind in SequenceKind if kind is not GEOQ}
@@ -624,8 +632,9 @@ class NormalForm:
     """Sum of monomials: multiset of atoms -> exact scalar coefficient.
 
     Canonical: atom tuples are sorted, at most one GEOQ atom per monomial
-    (with zero constant part), and no zero scalars.  Only normalization and
-    the form's own operations build one, and each keeps it canonical.
+    (with zero constant part), no u(0) atom (u0 = 0, so such a monomial is
+    zero), and no zero scalars.  Only normalization and the form's own
+    operations build one, and each keeps it canonical.
     """
 
     __slots__ = ("_terms",)
@@ -708,7 +717,8 @@ class NormalForm:
 
         Sequence-term constants stay inside the atom; a GEOQ atom folds its
         new constant part into the scalar (as q^const) and disappears
-        entirely if its index loses all variables.
+        entirely if its index loses all variables.  A monomial in which an
+        atom becomes u(0) is zero and is dropped.
 
         Each atom's image at var = value comes from a bounded per-process
         cache, so an atom shared by many monomials or subgoals is
@@ -719,17 +729,20 @@ class NormalForm:
             new_atoms = []
             k = 0
             for atom in atoms:
-                image, shift = _substitute_atom(atom, var, value)
-                new_atoms += image
-                k += shift
-            key = tuple(sorted(new_atoms, key=_atom_order))
-            s = scalar * q_power(k) if k else scalar
-            got = out.get(key)
-            s = s if got is None else got + s
-            if s.is_zero:
-                out.pop(key, None)
+                image = _substitute_atom(atom, var, value)
+                if image is None:  # u(0): the monomial is zero
+                    break
+                new_atoms += image[0]
+                k += image[1]
             else:
-                out[key] = s
+                key = tuple(sorted(new_atoms, key=_atom_order))
+                s = scalar * q_power(k) if k else scalar
+                got = out.get(key)
+                s = s if got is None else got + s
+                if s.is_zero:
+                    out.pop(key, None)
+                else:
+                    out[key] = s
         return NormalForm._raw(out)
 
     def render(self) -> str:
@@ -768,14 +781,22 @@ SUBSTITUTE_CACHE_SIZE = 2048
 
 
 @lru_cache(maxsize=SUBSTITUTE_CACHE_SIZE)
-def _substitute_atom(atom: SeqTerm, var: str, value: int) -> tuple:
-    """(atoms, k): the atom at var = value is the atoms times the scalar q^k."""
+def _substitute_atom(atom: SeqTerm, var: str, value: int) -> tuple | None:
+    """(atoms, k): the atom at var = value is the atoms times the scalar q^k;
+    None when it is u(0), which is zero."""
     new = atom.index.substitute(var, value)
     if new is atom.index:
         return (atom,), 0
     if atom.kind is GEOQ:
         return _q_power(new)
+    if _is_u0(atom.kind, new):
+        return None
     return (SeqTerm(atom.kind, new),), 0
+
+
+def _is_u0(kind: SequenceKind, index: LinForm) -> bool:
+    """Whether the atom is u(0), the one zero term: u starts at u0 = 0."""
+    return kind is U and not index.coeffs and not index.const
 
 
 def _q_power(lin: LinForm) -> tuple:
@@ -834,6 +855,8 @@ def _normalize(expr: Expr, values: Mapping) -> LaurentPoly | NormalForm:
     if isinstance(expr, NameRef):
         return values[expr.name]
     if isinstance(expr, SeqTerm):
+        if _is_u0(expr.kind, expr.index):
+            return zero()
         atoms, k = _q_power(expr.index) if expr.kind is GEOQ else ((expr,), 0)
         scalar = q_power(k) if k else one()
         return NormalForm._raw({atoms: scalar}) if atoms else scalar

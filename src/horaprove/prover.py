@@ -23,10 +23,15 @@ at a time from the normal form of lhs - rhs:
      later path reuses its proof tree.
   3. With no indices left, every atom has a constant index: expand it to an
      exact ring element and check that the leaf polynomial is zero (after
-     substituting any pinned scalars).  A monomial with a zero term, u(0),
-     is skipped before any product.  Leaves across a file repeat the
+     substituting any pinned scalars).  Leaves across a file repeat the
      same products of terms, so the product of a monomial's first two
      terms comes from a bounded per-process cache.
+
+No goal holds u(0), which is zero since u0 = 0: instantiating an index
+drops every monomial that it makes hold u(0) (lang.NormalForm's
+invariant).  A subgoal whose every monomial holds u(0) is therefore zero
+at once, a leaf with nothing below it, and a smaller subgoal can only
+lower an annihilator's order.
 
 The first nonzero leaf, in depth-first order, refutes the identity: lhs -
 rhs is nonzero at that leaf's integer indices.  So the procedure stops
@@ -378,10 +383,9 @@ def _leaf_poly(nf: NormalForm, pins: Mapping[str, Fraction]) -> LaurentPoly:
 
     The monomials are summed in the goal's term-dict order, with no sort:
     the sum is one canonical ring element, and render sorts its terms.
-    Every atom's term is asked of symbolic_term.  A monomial is skipped at
-    its first zero term, before any product: only u(0) is zero, and u's
-    seed u0 = 0 puts it in many leaves of a law with a u factor.  The
-    product of a monomial's first two terms comes from a bounded
+    Every atom's term is asked of symbolic_term; none is zero, since no
+    goal holds u(0), the one zero term (lang drops it at instantiation).
+    The product of a monomial's first two terms comes from a bounded
     per-process cache keyed by the two terms, since the same products
     recur across the leaves of a file.  The scalar and then any further
     terms are multiplied in uncached, so no partial product larger than a
@@ -394,18 +398,14 @@ def _leaf_poly(nf: NormalForm, pins: Mapping[str, Fraction]) -> LaurentPoly:
             index = atom.index
             if index.coeffs:
                 raise AssertionError("sequence atom with live index reached a leaf")
-            factor = symbolic_term(atom.kind, index.const)
-            if not factor._terms:  # the monomial is zero
-                break
-            factors.append(factor)
-        else:
-            term = scalar
-            if factors:
-                head = factors[0] if len(factors) == 1 else _term_product(factors[0], factors[1])
-                term = scalar * head
-                for factor in factors[2:]:
-                    term = term * factor
-            total = total + term
+            factors.append(symbolic_term(atom.kind, index.const))
+        term = scalar
+        if factors:
+            head = factors[0] if len(factors) == 1 else _term_product(factors[0], factors[1])
+            term = scalar * head
+            for factor in factors[2:]:
+                term = term * factor
+        total = total + term
     if pins:
         total = total.pin_substitute(pins)
     return total

@@ -35,13 +35,25 @@ def mutant_identities():
     return parse_file(corpus_path("mutations.fib").read_text(encoding="utf-8")).identities
 
 
-# The u-basis law in three indices, times u(i)^2*u(j)^2*u(k)^2: its tree is
-# symmetric in i, j and k, so after two eliminations its 16 subgoals are 10
-# distinct goals, and its 64 leaves 20 distinct leaf goals.
+# The u-basis law in three indices, times u(i)^2*u(j)^2*u(k)^2.  Each
+# elimination is of order 4, and its value 0 makes a u factor u(0) = 0, so
+# that subgoal is zero and a leaf at once: the tree has 1 + 3*(1 + 3*4) = 40
+# leaves.  It is symmetric in i, j and k, so after two eliminations its 12
+# subgoals are 7 distinct goals (the three at j = 0 are one zero goal), and
+# its leaves 13 distinct leaf goals.
 U_BASIS_3 = (
     "forall i, j, k: W(i+j+k)*u(i)^2*u(j)^2*u(k)^2 == "
     "(u(i+j+k)*W(1) - q*u(i+j+k-1)*W(0))*u(i)^2*u(j)^2*u(k)^2"
 )
+
+# The same law in four indices: 1 + 3*40 = 121 leaves.
+U_BASIS_4 = (
+    "forall i, j, k, l: W(i+j+k+l)*u(i)^2*u(j)^2*u(k)^2*u(l)^2 == "
+    "(u(i+j+k+l)*W(1) - q*u(i+j+k+l-1)*W(0))*u(i)^2*u(j)^2*u(k)^2*u(l)^2"
+)
+
+# u(0), the one atom no normal form holds, since u0 = 0
+U0 = SeqTerm(SequenceKind.U, LinForm.make({}, 0))
 
 
 # Its first path, i = 0 then j = 0, reaches a nonzero leaf, W(0); the next

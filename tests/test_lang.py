@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import MULTI_INDEX, canonical_form, eval_normal_form, trees
+from conftest import MULTI_INDEX, U0, canonical_form, eval_normal_form, trees
 from horaprove import corpus_path
 from horaprove.lang import (
     MAX_NESTING,
@@ -304,6 +304,14 @@ class TestNormalization:
         expected = normalize(parse_identity("forall n: q^(-2)*q^(n)*W(n+2) == 0").lhs, {})
         assert got == expected
 
+    def test_a_written_u0_normalizes_to_zero(self):
+        # u0 = 0; u(n - n) is u(0) once its index form is made
+        goal = identity_goal(parse_identity("forall n: W(n)*u(0)^2 + u(n - n) == u(0)*p"))
+        assert goal.is_zero
+        # only u(0) folds: u(1), which is 1, stays an atom
+        nf = normalize(parse_identity("forall n: u(0)*W(n) + u(1)*V(n) == 0").lhs)
+        assert nf == normalize(parse_identity("forall n: u(1)*V(n) == 0").lhs)
+
     def test_substitute_index_to_ground(self):
         nf = normalize(parse_identity("forall n: q^(n)*W(n) == 0").lhs, {})
         ground = nf.substitute_index("n", 3)
@@ -531,6 +539,12 @@ def reference_substitute(nf, var, value) -> dict:
     return out
 
 
+def without_u0(terms: dict) -> dict:
+    """The monomials that hold no u(0); a key that holds it sums only
+    monomials that hold it, so dropping after the sums is dropping before."""
+    return {atoms: scalar for atoms, scalar in terms.items() if U0 not in atoms}
+
+
 INDEX_VARS = ("i", "j", "k")
 index_forms = st.builds(
     lambda coeffs, const: LinForm.make(dict(zip(INDEX_VARS, coeffs)), const).render(),
@@ -562,7 +576,7 @@ class TestSubstitutionCaching:
     def test_substitute_index_matches_a_fresh_rebuild(self, monomials, var, value):
         goal = normalize(parse_identity(f"forall i, j, k: {' - '.join(monomials)} == 0").lhs)
         got = goal.substitute_index(var, value)
-        expected = reference_substitute(goal, var, value)
+        expected = without_u0(reference_substitute(goal, var, value))
         assert got == canonical_form(expected)
         assert dict(got.monomials()) == expected
         # monomials and the atoms in each are in the old tuple-key order
@@ -570,6 +584,31 @@ class TestSubstitutionCaching:
         assert keys == sorted(expected, key=lambda atoms: tuple(map(old_atom_order, atoms)))
         assert all(list(atoms) == sorted(atoms, key=old_atom_order) for atoms in keys)
         assert got.render() == canonical_form(expected).render()
+
+    @given(
+        st.lists(
+            st.tuples(monomial_texts, st.sampled_from((None, -2, -1, 1, 2))),
+            min_size=1,
+            max_size=5,
+        ),
+        st.sampled_from(INDEX_VARS),
+        st.integers(-3, 3),
+    )
+    @example([("W(j)", 1), ("u(i)*V(i)", None), ("2*q^(i)", -1)], "i", 0)
+    @settings(max_examples=80, deadline=None)
+    def test_substitute_index_drops_exactly_the_u0_monomials(self, monomials, var, value):
+        # a slope m picks a factor u(m*var - m*value), which is u(0) at var = value
+        texts = [
+            text if m is None else f"{text}*u({LinForm.make({var: m}, -m * value).render()})"
+            for text, m in monomials
+        ]
+        goal = normalize(parse_identity(f"forall i, j, k: {' + '.join(texts)} == 0").lhs)
+        # the reference keeps u(0), as substitution did before the rule
+        kept = reference_substitute(goal, var, value)
+        got = goal.substitute_index(var, value)
+        assert dict(got.monomials()) == without_u0(kept)
+        if any(m is not None for _text, m in monomials):
+            assert any(U0 in atoms for atoms in kept)
 
     def test_parsed_and_substituted_atoms_agree(self):
         parsed = parse_identity("forall n: W(n+3)*q^(2*n) == 0").lhs.factors
@@ -619,6 +658,10 @@ def reference_normalize(expr, values):
     if isinstance(expr, NameRef):
         return values[expr.name]
     if isinstance(expr, SeqTerm):
+        # u(0) = u0 = 0, and a normal form holds no u(0) atom (lang drops it
+        # wherever it would arise), so the reference maps it to 0 as well
+        if expr is U0:
+            return NormalForm.from_scalar(zero())
         if expr.kind is not GEOQ:
             return canonical_form({(expr,): one()})
         lin = expr.index
@@ -691,6 +734,8 @@ class TestScalarSubtrees:
             "forall n, j: u(n-j)*(b*W(n+j) - q*a*W(n+j-1)) == (p + q^(j))*u(n)",
             # cross terms cancel in a product of normal forms
             "forall n: (W(n)+W(n+1))*(W(n)-W(n+1)) == W(n)^2 - W(n+1)^2",
+            # u(0) is zero wherever it is written
+            "forall n: (u(0) + W(n))^2*u(0) == u(0)*(p - u(0))",
         ],
     )
     def test_edge_goals_normalize_as_the_reference(self, text):

@@ -13,7 +13,9 @@ from conftest import (
     MULTI_INDEX,
     OVER_CAP_AFTER_WITNESS,
     TREE_INDICES,
+    U0,
     U_BASIS_3,
+    U_BASIS_4,
     by_fragment,
     canonical_form,
     eval_normal_form,
@@ -51,13 +53,11 @@ from horaprove.prover import (
 from horaprove.ring import (
     SYMBOLS,
     ExponentOverflowError,
-    LaurentPoly,
     from_int,
     one,
     q_power,
     render_term,
     symbol,
-    zero,
 )
 from horaprove.sequences import SequenceKind, TermWindow, numeric_term, symbolic_term
 
@@ -350,8 +350,9 @@ class TestLeafExpansion:
                         assert node.poly == expected and _leaf_poly(node.goal, pins) == expected
                         leaves += 1
         # leaf paths: paper.fib 86, mutations.fib 52 (each REFUTED tree ends
-        # at its witness), multi_index.fib 98
-        assert leaves == 86 + 52 + 98
+        # at its witness), multi_index.fib 74 (a subgoal whose every
+        # monomial holds u(0) is one zero leaf)
+        assert leaves == 86 + 52 + 74
 
     @given(
         leaf_goals(),
@@ -367,35 +368,24 @@ class TestLeafExpansion:
         # the second expansion reads its two-term products from the cache
         assert _leaf_poly(goal, pins) == expected
 
-    def test_a_monomial_with_u0_is_skipped_before_any_product(self, monkeypatch):
-        def atom(kind, k):
-            return SeqTerm(kind, LinForm.make({}, k))
-
-        W, V, U = SequenceKind.W, SequenceKind.V, SequenceKind.U
-        goal = canonical_form({
-            (atom(W, 3), atom(U, 0), atom(V, 5)): 2 * p,
-            (atom(U, 4), atom(U, 0)): q_power(-1),
-            (atom(U, 0), atom(W, 2), atom(W, 7), atom(V, -3)): from_int(3),
-        })
-        monomials = list(goal.monomials())
-        assert len(monomials) == 3
-        for atoms, _scalar in monomials:  # cached now, so no term's own product is counted
-            for term in atoms:
-                symbolic_term(term.kind, term.index.const)
-        calls = []
-        product = LaurentPoly.__mul__
-
-        def counted(self, other):
-            calls.append(other)
-            return product(self, other)
-
-        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
-        assert _leaf_poly(goal, {}) is zero()
-        assert calls == []
+    def test_no_goal_holds_u0(self):
+        """u0 = 0, so instantiation drops every monomial it makes hold u(0):
+        no goal in any proof tree holds it, and a leaf never meets it."""
+        names = ("paper.fib", "mutations.fib", "horadam_extra.fib")
+        identities = [parse_identity(U_BASIS_3), parse_identity(U_BASIS_4)]
+        for source in [corpus_path(name) for name in names] + [MULTI_INDEX]:
+            identities += parse_file(source.read_text(encoding="utf-8")).identities
+        goals = 0
+        for identity in identities:
+            for node in walk(prove(identity).root):
+                assert all(U0 not in atoms for atoms, _scalar in node.goal.monomials())
+                goals += 1
+        assert goals > len(identities)
 
     def test_drawn_leaf_goals_can_hold_u0(self):
-        u0 = SeqTerm(SequenceKind.U, LinForm.make({}, 0))
-        goal = find(leaf_goals(), lambda goal: any(u0 in atoms for atoms, _ in goal.monomials()))
+        # drawn goals are built past normalization, so they can hold u(0),
+        # which _leaf_poly still expands exactly
+        goal = find(leaf_goals(), lambda goal: any(U0 in atoms for atoms, _ in goal.monomials()))
         assert _leaf_poly(goal, {}) == reference_leaf_poly(goal, {})
 
 
@@ -421,9 +411,13 @@ class TestSharedSubgoals:
     def test_every_path_keeps_its_leaf_in_dfs_order(self):
         cert = prove(parse_identity(U_BASIS_3))
         assert cert.verdict == PROVED
-        assert [leaf.at for leaf in cert.leaves] == [
-            (("i", x), ("j", y), ("k", z)) for x in range(4) for y in range(4) for z in range(4)
-        ]
+        # value 0 of an index makes its u factor u(0), so that path ends there
+        expected = [(("i", 0),)]
+        for x in range(1, 4):
+            expected.append((("i", x), ("j", 0)))
+            for y in range(1, 4):
+                expected += [(("i", x), ("j", y), ("k", z)) for z in range(4)]
+        assert [leaf.at for leaf in cert.leaves] == expected
 
     @pytest.mark.parametrize(
         "law",
@@ -463,23 +457,27 @@ class TestSharedSubgoals:
             counted("substitute_index", NormalForm.substitute_index),
         )
         cert = prove(parse_identity(U_BASIS_3))
-        assert len(cert.leaves) == 64
-        # without sharing: 1 + 4 + 16 eliminations, 4 + 16 + 64 instantiations
-        assert calls == {"annihilator_for": 1 + 4 + 10, "substitute_index": 4 + 16 + 40,
-                         "_leaf_poly": 20}
+        assert len(cert.leaves) == 40
+        # without sharing: 1 + 3 + 9 eliminations, 4 + 12 + 36 instantiations
+        # and 40 leaves; shared, the 9 goals at (i, j) in 1..3 are 6, and the
+        # leaves are i = 0, one zero goal at j = 0, and 11 below (i, j)
+        assert calls == {"annihilator_for": 1 + 3 + 6, "substitute_index": 4 + 12 + 24,
+                         "_leaf_poly": 1 + 1 + 11}
 
     def test_equal_subgoals_share_one_node(self):
         cert = prove(parse_identity(U_BASIS_3))
-        second_level = [grand for _v, child in cert.root.subgoals for _w, grand in child.subgoals]
-        assert len(second_level) == 16 and len({id(node) for node in second_level}) == 10
+        zero_leaf, *below = [child for _v, child in cert.root.subgoals]
+        assert isinstance(zero_leaf, LeafNode) and zero_leaf.goal.is_zero
+        second_level = [grand for child in below for _w, grand in child.subgoals]
+        assert len(second_level) == 12 and len({id(node) for node in second_level}) == 7
 
     def test_one_sign_mutant_is_refuted_at_the_same_witness(self):
         mutant = U_BASIS_3.replace("- q*u(i+j+k-1)", "+ q*u(i+j+k-1)")
         cert = prove(parse_identity(mutant))
         assert cert.verdict == REFUTED
         assert cert.witness.at == (("i", 1), ("j", 1), ("k", 1))
-        # the paths up to the witness: 16 at i = 0, 4 at (1, 0), 2 at (1, 1)
-        assert len(cert.leaves) == 16 + 4 + 2
+        # the paths up to the witness: i = 0, (1, 0), then 2 at (1, 1)
+        assert len(cert.leaves) == 1 + 1 + 2
 
 
 class TestRefutation:
