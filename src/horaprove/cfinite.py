@@ -165,7 +165,11 @@ def goal_classes(patterns: frozenset) -> tuple:
     return class_order(classes), frozenset(classes)
 
 
-def from_root_classes(root_classes: Iterable[tuple]) -> Annihilator:
+ANNIHILATOR_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=ANNIHILATOR_CACHE_SIZE)
+def from_root_classes(root_classes: frozenset) -> Annihilator:
     """Annihilator whose roots are exactly the given conjugate classes.
 
     Class (k, 0) is the root q^k and contributes x - q^k; class (k, e) with
@@ -178,14 +182,6 @@ def from_root_classes(root_classes: Iterable[tuple]) -> Annihilator:
     the ANNIHILATOR_CACHE_SIZE most recently used: the prover meets few
     distinct sets, each on many subgoals.
     """
-    return _from_class_set(frozenset(root_classes))
-
-
-ANNIHILATOR_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=ANNIHILATOR_CACHE_SIZE)
-def _from_class_set(root_classes: frozenset) -> Annihilator:
     coeffs = (one(),)
     for k, e in sorted(root_classes):
         if e == 0:

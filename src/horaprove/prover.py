@@ -110,6 +110,9 @@ def annihilator_for(nf: NormalForm, index: str, max_order: int = DEFAULT_MAX_ORD
     cfinite.goal_classes maps the goal's frozenset of patterns to (order,
     classes), and the order is checked against the cap before
     cfinite.from_root_classes builds, or finds, the classes' annihilator.
+    The zero sequence satisfies every recurrence, so a zero goal, which has
+    no monomial, is read as a constant: its annihilator is x - 1, of the
+    one root class (0, 0).
     """
     patterns = set()
     for atoms in nf._terms:  # the goal's own dict: support() would copy its keys
@@ -124,7 +127,7 @@ def annihilator_for(nf: NormalForm, index: str, max_order: int = DEFAULT_MAX_ORD
                     break
         slopes.sort()
         patterns.add((t, tuple(slopes)))
-    order, classes = goal_classes(frozenset(patterns))
+    order, classes = goal_classes(frozenset(patterns or {(0, ())}))
     if order > max_order:
         raise OrderCapExceededError(
             f"annihilator order {order} for index {index!r} exceeds the cap {max_order}"

@@ -6,6 +6,9 @@ Laurent in q.  q is the only symbol allowed a negative exponent because it
 is the only quantity the theory ever divides by (extending a recurrence to
 negative indices divides by its trailing coefficient, a power of q).
 Coefficients are ints, never floats: every identity check is exact.
+Pinning symbols to rationals (pin_substitute) keeps them ints: the result
+is the specialization times a nonzero constant that the polynomial and
+the pinned values fix, whatever the order of the pins.
 
 Representation: a polynomial is a dict from packed exponent vectors to
 nonzero integer coefficients; the zero polynomial is the empty dict.  An
@@ -244,19 +247,6 @@ class LaurentPoly:
         """Exponent tuple -> coefficient."""
         return {_unpack(key): coeff for key, coeff in self._terms.items()}
 
-    def min_exponent(self, name: str) -> int:
-        """Smallest exponent of `name` across terms (0 for the zero poly)."""
-        i = _SYMBOL_INDEX[name]
-        if not self._terms:
-            return 0
-        return min(_unpack(key)[i] for key in self._terms)
-
-    def max_exponent(self, name: str) -> int:
-        i = _SYMBOL_INDEX[name]
-        if not self._terms:
-            return 0
-        return max(_unpack(key)[i] for key in self._terms)
-
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
@@ -384,42 +374,42 @@ class LaurentPoly:
         return total
 
     def pin_substitute(self, pins: Mapping[str, Rational]) -> "LaurentPoly":
-        """Substitute nonzero rationals for symbols, up to a nonzero scale.
+        """Substitute rationals for symbols, up to a nonzero scale, in one pass.
 
-        The result equals the true specialization multiplied by a nonzero
-        rational constant (a power of each pinned denominator and of the
-        pinned q value), chosen so that coefficients stay integers.  Zero
-        is preserved exactly in both directions, which is all the leaf
-        checks need.  When every pin is an integer with |value| = 1, or no
-        pinned symbol occurs at a negative exponent with |value| != 1, the
-        scaling on q is still by q^k only where q had negative exponents.
+        For each pinned symbol x = num/den, top is x's largest exponent in
+        self; when q is pinned, its exponents are first shifted up by
+        s = max(0, -(q's smallest exponent)), so top is q's largest plus s.
+        Each term's coefficient is multiplied by num^k * den^(top - k), k its
+        exponent of x (plus s for q), and x's exponent is set to 0.  So
+        coefficients stay integers, and the result is the specialization
+        times q_pin^s times the product over the pins of den^top: a nonzero
+        constant that depends only on self and the pins, not on their
+        order.  Zero is preserved exactly in both directions.
         """
-        work = self
-        if "q" in pins:
-            if Fraction(pins["q"]) == 0:
-                raise ZeroQError("q must be pinned to a nonzero value")
-            m = work.min_exponent("q")
-            if m < 0:
-                work = work * q_power(-m)
+        exponents = [_unpack(key) for key in self._terms]
+        scales = []
         for name, value in pins.items():
             i = _SYMBOL_INDEX.get(name)
             if i is None:
                 raise ValueError(f"unknown symbol {name!r}")
             value = Fraction(value)
-            num, den = value.numerator, value.denominator
-            top = work.max_exponent(name)
-            out: dict = {}
-            for key, coeff in work._terms.items():
-                e = _unpack(key)[i]
-                c = coeff * num ** e * den ** (top - e)
+            if i == _Q and not value:
+                raise ZeroQError("q must be pinned to a nonzero value")
+            column = [exps[i] for exps in exponents] or [0]
+            shift = max(0, -min(column)) if i == _Q else 0
+            scales.append((i, value.numerator, value.denominator, shift, max(column)))
+        out: dict = {}
+        for exps, (key, coeff) in zip(exponents, self._terms.items()):
+            for i, num, den, shift, top in scales:
+                e = exps[i]
+                coeff *= num ** (e + shift) * den ** (top - e)
                 key -= e << _SHIFTS[i]  # the symbol's exponent becomes 0
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-            work = LaurentPoly._raw(out)
-        return work
+            s = out.get(key, 0) + coeff
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return LaurentPoly._raw(out)
 
     # -- rendering ----------------------------------------------------
 

@@ -46,6 +46,10 @@ U_BASIS_3 = (
     "(u(i+j+k)*W(1) - q*u(i+j+k-1)*W(0))*u(i)^2*u(j)^2*u(k)^2"
 )
 
+# A refuted law with two pins, one not an integer.  Its one leaf is -1 times
+# 2^2, a's pinned denominator to a's top exponent, in either order of the pins.
+TWO_PINS = "forall n: W(n+2) == p*W(n+1) - q*W(n) + p*a^2 - a^2 + 1 with p := 1, a := 1/2"
+
 # The same law in four indices: 1 + 3*40 = 121 leaves.
 U_BASIS_4 = (
     "forall i, j, k, l: W(i+j+k+l)*u(i)^2*u(j)^2*u(k)^2*u(l)^2 == "

@@ -2,8 +2,9 @@
 
 tests/golden/certificates.sha256 holds one line per identity, the SHA-256
 of its certificate as `verify --cert-out` writes it, with `ms` dropped,
-then a label.  It covers the shipped corpora and the 3-index u-basis law,
-whose elimination tree reaches equal subgoals along different paths.  A
+then a label.  It covers the shipped corpora, the 3-index u-basis law,
+whose elimination tree reaches equal subgoals along different paths, and
+a refuted law with two pins, one not an integer, whose leaf is scaled.  A
 change to the prover that keeps its certificates must keep every digest.
 
 To rewrite the file after a deliberate certificate change:
@@ -15,7 +16,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from conftest import U_BASIS_3
+from conftest import TWO_PINS, U_BASIS_3
 from horaprove import corpus_path, parse_file, parse_identity, prove
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "certificates.sha256"
@@ -36,12 +37,13 @@ def digest_lines() -> list:
         for identity in source.identities:
             lines.append(f"{certificate_digest(identity)}  {name}:{identity.line}")
     lines.append(f"{certificate_digest(parse_identity(U_BASIS_3))}  u-basis-3")
+    lines.append(f"{certificate_digest(parse_identity(TWO_PINS))}  two-pins")
     return lines
 
 
 def test_certificates_match_the_golden_digests():
     expected = GOLDEN.read_text(encoding="utf-8").splitlines()
-    assert len(expected) == 19 + 38 + 1
+    assert len(expected) == 19 + 38 + 2
     assert digest_lines() == expected
 
 

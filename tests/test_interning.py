@@ -8,8 +8,8 @@ An atom's image under substitute_index, the product of two leaf terms and
 the text of a monomial's atoms are cached for the whole process, keyed by
 atoms or terms.  Annihilator synthesis has two caches in cfinite, keyed by
 ints that name no atom: goal_classes by a goal's frozenset of slope
-patterns, and from_root_classes (_from_class_set) by a frozenset of root
-classes.  These tests check that every cache is bounded, that the
+patterns, and from_root_classes by a frozenset of root classes.  These
+tests check that every cache is bounded, that the
 atom-keyed ones hold no atom alive once cleared and the root-class ones
 hold none at all, and that no certificate depends on what was proved
 before it.
@@ -43,7 +43,7 @@ def clear_atom_caches():
 
 def clear_root_class_caches():
     cfinite.goal_classes.cache_clear()
-    cfinite._from_class_set.cache_clear()
+    cfinite.from_root_classes.cache_clear()
 
 
 def cached_items(cache) -> list:
@@ -98,12 +98,12 @@ class TestInterning:
         assert (0, "W", ((), 987654)) not in lang._ATOMS
         # the root-class caches kept what use_it put there, and did not pin the atom
         assert cfinite.goal_classes.cache_info().currsize == 1
-        assert cfinite._from_class_set.cache_info().currsize == 1
+        assert cfinite.from_root_classes.cache_info().currsize == 1
 
     def test_root_class_caches_hold_no_atom(self):
         for identity in all_identities():
             prove(identity)
-        for cache in (cfinite.goal_classes, cfinite._from_class_set):
+        for cache in (cfinite.goal_classes, cfinite.from_root_classes):
             items = cached_items(cache)
             assert items and not any(holds_an_atom(item) for item in items)
         # the same walk finds the atoms an atom-keyed cache holds
@@ -150,7 +150,7 @@ def test_every_module_cache_is_bounded():
         "horaprove.lang._render_atoms",
         "horaprove.prover._term_product",
         "horaprove.cfinite.goal_classes",
-        "horaprove.cfinite._from_class_set",
+        "horaprove.cfinite.from_root_classes",
         "horaprove.sequences.symbolic_term",
     } <= caches.keys()
     sizes = {name: cache.cache_parameters()["maxsize"] for name, cache in caches.items()}

@@ -13,6 +13,7 @@ from conftest import (
     MULTI_INDEX,
     OVER_CAP_AFTER_WITNESS,
     TREE_INDICES,
+    TWO_PINS,
     U0,
     U_BASIS_3,
     U_BASIS_4,
@@ -25,7 +26,7 @@ from conftest import (
     walk,
 )
 from horaprove import corpus_path
-from horaprove.cfinite import Annihilator
+from horaprove.cfinite import X_MINUS_ONE, Annihilator
 from horaprove.lang import (
     LinForm,
     NormalForm,
@@ -117,9 +118,10 @@ class TestAnnihilatorSynthesis:
         with pytest.raises(OrderCapExceededError):
             annihilator_for(nf, "n", max_order=3)
 
-    def test_zero_goal_rejected(self):
-        with pytest.raises(ValueError):
-            annihilator_for(normalize(parse_identity("forall n: 0 == 0").lhs, {}), "n")
+    def test_zero_goal_gets_x_minus_one(self):
+        # the zero sequence satisfies every recurrence; x - 1 is the class (0, 0)'s
+        for law in ("forall n: 0 == 0", "forall n: W(n) == W(n)"):
+            assert annihilator_for(identity_goal(parse_identity(law)), "n") == X_MINUS_ONE
 
 
 class TestProve:
@@ -517,6 +519,13 @@ class TestRefutation:
         assert cert.verdict == REFUTED
         assert [leaf.at for leaf in cert.leaves] == [(("n", 0),)]
         assert len(cert.json_text()) < 16_000
+
+    def test_the_order_of_the_pins_does_not_change_the_certificate(self):
+        swapped = TWO_PINS.replace("p := 1, a := 1/2", "a := 1/2, p := 1")
+        first, second = (prove(parse_identity(law)).to_json_dict() for law in (TWO_PINS, swapped))
+        assert first["identity"] != second["identity"]
+        assert first["proof"] == second["proof"] and first["leaves"] == second["leaves"]
+        assert [leaf["poly"] for leaf in first["leaves"]] == ["-4"]
 
 
 class TestCertificateJson:

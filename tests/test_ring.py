@@ -240,7 +240,7 @@ class TestPackedExponents:
         with pytest.raises(ExponentOverflowError):
             monomial(**{name: hi})
         bottom = monomial(**{name: lo}, **others)
-        assert bottom.min_exponent(name) == lo
+        assert bottom.terms() == {tuple(lo if s == name else 7 for s in SYMBOLS): 1}
         if name == "q":
             with pytest.raises(ExponentOverflowError, match=f"exponent {lo - 1} of q"):
                 bottom * q_power(-1)
@@ -265,7 +265,7 @@ class TestPackedExponents:
     def test_q_sums_to_the_bounds_exactly(self):
         assert q_power(-(2**29)) * q_power(-(2**29)) == q_power(-(2**30))
         assert (q_power(2**30 - 1) * q_power(-(2**30))).terms() == {(0, 0, 0, 0, 0, -1): 1}
-        assert q_power(-(2**30)).min_exponent("q") == -(2**30)
+        assert q_power(-(2**30)).terms() == {(0, 0, 0, 0, 0, -(2**30)): 1}
 
 
 class TestEvaluate:
@@ -317,6 +317,24 @@ class TestPinSubstitute:
         via_pin = pinned.evaluate(asgn)
         assert (direct == 0) == (via_pin == 0)
 
+    @given(polys(), assignments(), st.lists(st.sampled_from(SYMBOLS), unique=True), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_pinning_is_the_specialization_times_a_scale_set_by_the_poly(
+        self, f, asgn, names, data
+    ):
+        # pins in any order; a pinned q is nonzero, any other pin may be 0
+        values = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+        pins = {n: data.draw(values.filter(bool) if n == "q" else values) for n in names}
+        scale = Fraction(1)
+        for name, value in pins.items():
+            i = SYMBOLS.index(name)
+            column = [exps[i] for exps in f.terms()] or [0]
+            shift = max(0, -min(column)) if name == "q" else 0
+            scale *= value**shift * value.denominator ** (max(column) + shift)
+        pinned = f.pin_substitute(pins)
+        assert not any(exps[SYMBOLS.index(n)] for exps in pinned.terms() for n in pins)
+        assert pinned.evaluate(asgn) == scale * f.evaluate({**asgn, **pins})
+
 
 class TestRendering:
     def test_backward_step_render_contract(self):
@@ -362,9 +380,3 @@ class TestRendering:
         assert render_term(from_int(-1), "x^2") == (-1, "x^2")
         assert render_term(3 * p * a, "u(n)") == (1, "3*p*a*u(n)")
         assert render_term(p - q, "x") == (1, "(p - q)*x")
-
-    def test_min_max_exponent(self):
-        f = p * q_power(-2) + a * q_power(3)
-        assert f.min_exponent("q") == -2
-        assert f.max_exponent("q") == 3
-        assert f.min_exponent("p") == 0

@@ -330,7 +330,7 @@ class TestSlopeAnnihilators:
         # the matrix route, C^|m| by repeated products, against the prover's
         # roots: alpha^m and beta^m, times q^m for q^n
         for m in range(-SLOPE_CAP, SLOPE_CAP + 1):
-            lattice = from_root_classes({root_class(m, m if kind is GEOQ else 0)})
+            lattice = from_root_classes(frozenset({root_class(m, m if kind is GEOQ else 0)}))
             assert slope_annihilator(kind, m) == lattice, m
 
     def test_constant_terms_are_units(self):
