@@ -33,6 +33,16 @@ invariant).  A subgoal whose every monomial holds u(0) is therefore zero
 at once, a leaf with nothing below it, and a smaller subgoal can only
 lower an annihilator's order.
 
+Before step 1, the atoms that every monomial holds are cancelled, as the
+paper takes the common W_{n+2} out of (3.5) before it applies Lemma 3.2.
+Let F be the multiset intersection of the monomials' atoms and G the goal
+with F taken out of each monomial, so the goal is F*G as a sequence.  G is
+decided in place of the goal: a PROVED G proves it, and a REFUTED G
+refutes it when F is nonzero at G's witness (the ring has no zero
+divisors, pinned or not).  When F is zero there (a u atom is u(0), or a
+pinned seed makes a term zero), or G is ABORTED, the goal itself is
+decided as if it had no common atom.
+
 The first nonzero leaf, in depth-first order, refutes the identity: lhs -
 rhs is nonzero at that leaf's integer indices.  So the procedure stops
 there, and no later subgoal of any elimination on its path is built.
@@ -42,8 +52,10 @@ instantiated subgoal, and every leaf polynomial, one per path even where
 paths share a proof.  A PROVED certificate holds every leaf.  A REFUTED
 one holds the leaves up to and including its nonzero witness, the last;
 an elimination on the witness's path lists subgoals 0..v, where v is the
-path's value there, while its order names all d.  Checking either needs
-nothing beyond recurrence windows and polynomial arithmetic.
+path's value there, while its order names all d.  When the goal's tree is
+its quotient's, the certificate records F as "factor", and its tree,
+leaves and witness are G's.  Checking any of them needs nothing beyond
+recurrence windows and polynomial arithmetic.
 
 The fuzz oracle evaluates the original syntax tree lhs - rhs (not the
 normal form: an independent route) at seeded random assignments (integer
@@ -62,6 +74,7 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .cfinite import Annihilator, from_root_classes, goal_classes
@@ -80,7 +93,7 @@ from .lang import (
     identity_goal,
     let_values,
 )
-from .ring import SYMBOLS, ExponentOverflowError, LaurentPoly, Rational, Record, zero
+from .ring import SYMBOLS, ExponentOverflowError, LaurentPoly, Rational, Record, one, zero
 from .sequences import GEOQ, SequenceKind, TermWindow, symbolic_term
 
 DEFAULT_MAX_ORDER = 64
@@ -168,7 +181,9 @@ ABORTED = "ABORTED"
 
 
 class Certificate(Record):
-    __slots__ = ("identity", "elimination", "root", "leaves", "verdict", "ms", "reason")
+    # factor is the goal's cancelled common atoms as a one-monomial
+    # NormalForm when root and leaves are its quotient's, else None
+    __slots__ = ("identity", "elimination", "factor", "root", "leaves", "verdict", "ms", "reason")
 
     @property
     def witness(self) -> LeafRecord | None:
@@ -200,6 +215,10 @@ class Certificate(Record):
         members = [
             '"identity": ' + quote(self.identity.source),
             '"elimination": ' + _json_block("[]", list(keys.values()), "\n  "),
+        ]
+        if self.factor is not None:
+            members.append('"factor": ' + quote(self.factor.render()))
+        members += [
             '"proof": ' + ("null" if self.root is None else writer.node(self.root, "\n  ")),
             '"leaves": ' + _json_block("[]", leaves, "\n  "),
             '"verdict": ' + quote(self.verdict),
@@ -300,10 +319,13 @@ def prove(
     The tree is built depth first and stops at the first nonzero leaf, so a
     REFUTED certificate's leaves end with that witness, and an elimination
     or leaf that would follow it, over the cap or not, is never reached.
+    When the goal's monomials share atoms, the tree may be that of the
+    quotient by them (_cancelled); the certificate then records the factor.
     """
     elim = _validated_order(identity, elimination_order)
     pins = identity.pin_map()
     start = time.perf_counter()
+    # Each tree is built with its own table, _build's last argument:
     # (support, remaining) -> the nodes _build made for goals with that support.
     # Equal goals come from paths that differ in two or more eliminated
     # indices, as when a law symmetric in i and j swaps their values; one
@@ -311,20 +333,65 @@ def prove(
     # shipped corpora), so only goals below two eliminations pay a lookup.
     # The table is passed down, not closed over, so no reference cycle
     # keeps it or the proof alive once prove returns.
-    proved: dict = {}
     try:
         goal = identity_goal(identity)
-        root: ProofNode | None = _build(goal, elim, 0, pins, max_order, proved)
+        factor, root = _cancelled(goal, elim, pins, max_order)
+        if root is None:
+            root = _build(goal, elim, 0, pins, max_order, {})
         leaves = list(_leaf_records(root, ()))
         verdict = PROVED if root.zero else REFUTED
         reason = ""
     except (OrderCapExceededError, ExponentOverflowError) as exc:
-        root = None
+        factor = root = None
         leaves = []
         verdict = ABORTED
         reason = str(exc)
     ms = int((time.perf_counter() - start) * 1000)
-    return Certificate(identity, elim, root, leaves, verdict, ms, reason)
+    return Certificate(identity, elim, factor, root, leaves, verdict, ms, reason)
+
+
+def _cancelled(goal: NormalForm, elim: tuple, pins: dict, max_order: int) -> tuple:
+    """(F, G's proof tree) when the goal's monomials share the atoms F and
+    the quotient G = goal / F decides the goal, else (None, None).
+
+    F is the multiset intersection of the monomials' atoms, and G each
+    monomial without them, its scalar unchanged.  The goal is F*G as a
+    sequence, so a PROVED G proves it.  The ring has no zero divisors, so
+    a REFUTED G refutes it exactly when F is nonzero at G's witness; F is
+    zero there when one of its u atoms becomes u(0).  An ABORTED G decides
+    nothing.
+    """
+    terms = goal._terms
+    monomials = iter(terms)
+    shared = set(next(monomials, ()))
+    for atoms in monomials:  # stop at the first monomial that leaves no atom shared
+        if not shared:
+            break
+        shared.intersection_update(atoms)
+    if not shared:
+        return None, None
+    common = []
+    for atom in sorted(shared, key=attrgetter("order_key")):
+        common += [atom] * min(atoms.count(atom) for atoms in terms)
+    quotient = {}
+    for atoms, scalar in terms.items():
+        rest = list(atoms)
+        for atom in common:
+            rest.remove(atom)
+        quotient[tuple(rest)] = scalar
+    factor = NormalForm._raw({tuple(common): one()})
+    try:
+        root = _build(NormalForm._raw(quotient), elim, 0, pins, max_order, {})
+        if not root.zero:
+            value, node = factor, root
+            while node.__class__ is EliminationNode:  # down the witness's path
+                index, (at, node) = node.index, node.subgoals[-1]
+                value = value.substitute_index(index, at)
+            if _leaf_poly(value, pins).is_zero:
+                return None, None
+    except (OrderCapExceededError, ExponentOverflowError):
+        return None, None
+    return factor, root
 
 
 def _build(

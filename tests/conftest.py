@@ -35,12 +35,13 @@ def mutant_identities():
     return parse_file(corpus_path("mutations.fib").read_text(encoding="utf-8")).identities
 
 
-# The u-basis law in three indices, times u(i)^2*u(j)^2*u(k)^2.  Each
-# elimination is of order 4, and its value 0 makes a u factor u(0) = 0, so
-# that subgoal is zero and a leaf at once: the tree has 1 + 3*(1 + 3*4) = 40
-# leaves.  It is symmetric in i, j and k, so after two eliminations its 12
-# subgoals are 7 distinct goals (the three at j = 0 are one zero goal), and
-# its leaves 13 distinct leaf goals.
+# The u-basis law in three indices, times u(i)^2*u(j)^2*u(k)^2, which every
+# monomial holds.  prove cancels it: the quotient, W(s) - u(s)*W(1) +
+# q*u(s - 1)*W(0) with s = i + j + k, is of order 2 in each index, so its
+# tree has 2*2*2 = 8 leaves.  It depends on i + j + k alone, so after two
+# eliminations its 4 subgoals are 3 distinct goals, and its leaves 4
+# distinct leaf goals.  (The law itself, uncancelled, is of order 4 in each
+# index: 40 leaves, as each value 0 makes a u factor u(0) = 0.)
 U_BASIS_3 = (
     "forall i, j, k: W(i+j+k)*u(i)^2*u(j)^2*u(k)^2 == "
     "(u(i+j+k)*W(1) - q*u(i+j+k-1)*W(0))*u(i)^2*u(j)^2*u(k)^2"
@@ -50,11 +51,23 @@ U_BASIS_3 = (
 # 2^2, a's pinned denominator to a's top exponent, in either order of the pins.
 TWO_PINS = "forall n: W(n+2) == p*W(n+1) - q*W(n) + p*a^2 - a^2 + 1 with p := 1, a := 1/2"
 
-# The same law in four indices: 1 + 3*40 = 121 leaves.
+# The same law in four indices: its quotient's tree has 2^4 = 16 leaves (the
+# law itself, uncancelled, 1 + 3*40 = 121).
 U_BASIS_4 = (
     "forall i, j, k, l: W(i+j+k+l)*u(i)^2*u(j)^2*u(k)^2*u(l)^2 == "
     "(u(i+j+k+l)*W(1) - q*u(i+j+k+l-1)*W(0))*u(i)^2*u(j)^2*u(k)^2*u(l)^2"
 )
+
+# Theorem 3.1 in the paper's form (3.5), (3.4) rewritten by (1.1).  Every
+# monomial holds W(n+2), and the quotient by it is Lemma 3.2's goal.
+THEOREM_3_1 = (
+    "let e = p*a*b - q*a^2 - b^2\n"
+    "forall n: W(n+2)*(W(n+1)*W(n+6) - W(n+3)*W(n+4)) == e*q^(n+1)*(p^3 - p*q)*W(n+2)"
+)
+
+# Every monomial holds u(n).  The quotient is refuted at n = 0, where the
+# factor is u(0) = 0, so the law itself is decided: it is refuted at n = 2.
+U_FALLBACK = "forall n: W(n+2)*u(n) + u(n)*u(n-1)*u(n+1) == (p*W(n+1) - q*W(n))*u(n)"
 
 # u(0), the one atom no normal form holds, since u0 = 0
 U0 = SeqTerm(SequenceKind.U, LinForm.make({}, 0))
@@ -277,9 +290,10 @@ def reference_json_dict(cert) -> dict:
             subgoals[id(value)] = {"goal": value.goal.render(), "proof": node(value)}
         return subgoals[id(value)]
 
-    out = {
-        "identity": cert.identity.source,
-        "elimination": list(cert.elimination),
+    out = {"identity": cert.identity.source, "elimination": list(cert.elimination)}
+    if cert.factor is not None:
+        out["factor"] = cert.factor.render()
+    out |= {
         "proof": node(cert.root) if cert.root is not None else None,
         "leaves": [
             {"at": dict(leaf.at), "poly": poly(leaf.poly), "zero": leaf.zero}

@@ -13,7 +13,9 @@ with src/ on PYTHONPATH, it runs
 Then it prints one line per named interpreter: whether its certificates
 (less their "ms" member), both stdouts (less each `(N ms)` and the
 certificate directory) and both exit codes equal the running
-interpreter's.  It exits 1 on any difference and 0 when all match.
+interpreter's, or that it did not run, when it cannot start or print its
+version.  It exits 1 on any difference or interpreter that did not run,
+and 0 when all match.
 pyproject.toml promises Python >= 3.10, and this is how that promise is
 checked.  Standard library only; pytest does not collect it.
 """
@@ -65,10 +67,16 @@ def differences(reference: dict, other: dict) -> list:
                   if reference.get(name) != other.get(name))
 
 
-def version(python: str) -> str:
-    proc = subprocess.run([python, "-c", "import platform; print(platform.python_version())"],
-                          capture_output=True, text=True, timeout=60)
-    return proc.stdout.strip() or f"exit {proc.returncode}"
+def version(python: str) -> tuple:
+    """(True, the version) when the interpreter runs, else (False, why it did not)."""
+    try:
+        proc = subprocess.run([python, "-c", "import platform; print(platform.python_version())"],
+                              capture_output=True, text=True, timeout=60)
+    except OSError as exc:
+        return False, str(exc)
+    if proc.returncode:
+        return False, f"exit {proc.returncode}"
+    return True, proc.stdout.strip()
 
 
 def main(pythons: list) -> int:
@@ -77,17 +85,22 @@ def main(pythons: list) -> int:
         return 2
     reference = outputs(sys.executable)
     certificates = len(reference) - 2
-    print(f"reference: {sys.executable} ({version(sys.executable)}), "
+    print(f"reference: {sys.executable} ({version(sys.executable)[1]}), "
           f"{certificates} certificates, verify exit {reference['verify'][0]}, "
           f"fuzz exit {reference['fuzz'][0]}")
     failed = False
     for python in pythons:
+        ran, found = version(python)
+        if not ran:
+            failed = True
+            print(f"{python}: did not run ({found})")
+            continue
         diff = differences(reference, outputs(python))
         if diff:
             failed = True
-            print(f"{python} ({version(python)}): DIFFERS in {', '.join(diff)}")
+            print(f"{python} ({found}): DIFFERS in {', '.join(diff)}")
         else:
-            print(f"{python} ({version(python)}): equal "
+            print(f"{python} ({found}): equal "
                   f"({certificates} certificates, verify and fuzz stdout)")
     return 1 if failed else 0
 

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from conftest import (
     MULTI_INDEX,
     OVER_CAP_AFTER_WITNESS,
+    THEOREM_3_1,
     TREE_INDICES,
     TWO_PINS,
     U0,
     U_BASIS_3,
     U_BASIS_4,
+    U_FALLBACK,
     by_fragment,
     canonical_form,
     eval_normal_form,
@@ -316,6 +318,36 @@ class TestProve:
         ]
 
 
+def reference_at(goal, at, pins):
+    """The goal instantiated along a leaf's path, expanded by the reference."""
+    for index, value in at:
+        goal = goal.substitute_index(index, value)
+    return reference_leaf_poly(goal, pins)
+
+
+def leaf_is_the_root_goal(cert, leaf, pins) -> bool:
+    """Whether a leaf record is the identity's goal at its indices, up to the factor.
+
+    With no factor, the leaf is the goal there.  With one, the goal is the
+    factor times the quotient, whose tree the certificate holds; the leaf
+    is the quotient there; the factor there times the quotient there is the
+    goal there; and a nonzero leaf's factor there is nonzero.  Pins scale
+    each expansion by a constant of its own (LaurentPoly.pin_substitute),
+    so that product is compared before pinning.
+    """
+    goal = identity_goal(cert.identity)
+    if cert.factor is None:
+        return leaf.poly == reference_at(goal, leaf.at, pins)
+    quotient = cert.root.goal
+    factor_there = reference_at(cert.factor, leaf.at, {})
+    return (
+        cert.factor * quotient == goal
+        and leaf.poly == reference_at(quotient, leaf.at, pins)
+        and factor_there * reference_at(quotient, leaf.at, {}) == reference_at(goal, leaf.at, {})
+        and (leaf.zero or not reference_at(cert.factor, leaf.at, pins).is_zero)
+    )
+
+
 @st.composite
 def leaf_goals(draw):
     """Index-free goals of up to four monomials, each of 0-4 atoms at constant indices."""
@@ -352,9 +384,10 @@ class TestLeafExpansion:
                         assert node.poly == expected and _leaf_poly(node.goal, pins) == expected
                         leaves += 1
         # leaf paths: paper.fib 86, mutations.fib 52 (each REFUTED tree ends
-        # at its witness), multi_index.fib 74 (a subgoal whose every
-        # monomial holds u(0) is one zero leaf)
-        assert leaves == 86 + 52 + 74
+        # at its witness), multi_index.fib 42 (a subgoal whose every
+        # monomial holds u(0) is one zero leaf; the 3-index u-basis law's 8
+        # are the leaves of its quotient by u(i-2)^2*u(j-2)^2*u(k-2)^2)
+        assert leaves == 86 + 52 + 42
 
     @given(
         leaf_goals(),
@@ -413,12 +446,12 @@ class TestSharedSubgoals:
     def test_every_path_keeps_its_leaf_in_dfs_order(self):
         cert = prove(parse_identity(U_BASIS_3))
         assert cert.verdict == PROVED
-        # value 0 of an index makes its u factor u(0), so that path ends there
-        expected = [(("i", 0),)]
-        for x in range(1, 4):
-            expected.append((("i", x), ("j", 0)))
-            for y in range(1, 4):
-                expected += [(("i", x), ("j", y), ("k", z)) for z in range(4)]
+        # the tree is the quotient's, W(s) - u(s)*W(1) + q*u(s - 1)*W(0) with
+        # s = i + j + k, of order 2 in each index; the paths through equal
+        # subgoals, as (0, 1) and (1, 0), each keep their leaves
+        assert cert.factor.render() == "u(i)^2*u(j)^2*u(k)^2"
+        expected = [(("i", x), ("j", y), ("k", z)) for x in range(2) for y in range(2)
+                    for z in range(2)]
         assert [leaf.at for leaf in cert.leaves] == expected
 
     @pytest.mark.parametrize(
@@ -435,11 +468,13 @@ class TestSharedSubgoals:
         identity = parse_identity(law)
         cert = prove(identity)
         root = identity_goal(identity)
+        # both laws have a common factor: u(i)^2*u(j)^2*u(k)^2 and W(k)
+        assert cert.factor is not None
         for leaf in cert.leaves:
-            goal = root
-            for index, value in leaf.at:
-                goal = goal.substitute_index(index, value)
-            assert leaf.poly == _leaf_poly(goal, {})
+            assert reference_at(cert.factor, leaf.at, {}) * leaf.poly == reference_at(
+                root, leaf.at, {}
+            )
+            assert leaf_is_the_root_goal(cert, leaf, {})
 
     def test_equal_subgoals_are_proved_once(self, monkeypatch):
         calls = {"annihilator_for": 0, "substitute_index": 0, "_leaf_poly": 0}
@@ -459,34 +494,111 @@ class TestSharedSubgoals:
             counted("substitute_index", NormalForm.substitute_index),
         )
         cert = prove(parse_identity(U_BASIS_3))
-        assert len(cert.leaves) == 40
-        # without sharing: 1 + 3 + 9 eliminations, 4 + 12 + 36 instantiations
-        # and 40 leaves; shared, the 9 goals at (i, j) in 1..3 are 6, and the
-        # leaves are i = 0, one zero goal at j = 0, and 11 below (i, j)
-        assert calls == {"annihilator_for": 1 + 3 + 6, "substitute_index": 4 + 12 + 24,
-                         "_leaf_poly": 1 + 1 + 11}
+        assert len(cert.leaves) == 8
+        # the quotient's tree, without sharing: 1 + 2 + 4 eliminations,
+        # 2 + 4 + 8 instantiations and 8 leaves; shared, the 4 goals at (i, j)
+        # are 3, as i + j is 0, 1 or 2, and the leaves 4, as i + j + k is 0..3
+        assert calls == {"annihilator_for": 1 + 2 + 3, "substitute_index": 2 + 4 + 6,
+                         "_leaf_poly": 4}
 
     def test_equal_subgoals_share_one_node(self):
         cert = prove(parse_identity(U_BASIS_3))
-        zero_leaf, *below = [child for _v, child in cert.root.subgoals]
-        assert isinstance(zero_leaf, LeafNode) and zero_leaf.goal.is_zero
+        below = [child for _v, child in cert.root.subgoals]
         second_level = [grand for child in below for _w, grand in child.subgoals]
-        assert len(second_level) == 12 and len({id(node) for node in second_level}) == 7
+        # (i, j) = (0, 1) and (1, 0) reach one goal
+        assert len(second_level) == 4 and len({id(node) for node in second_level}) == 3
+        assert second_level[1] is second_level[2]
 
     def test_one_sign_mutant_is_refuted_at_the_same_witness(self):
         mutant = U_BASIS_3.replace("- q*u(i+j+k-1)", "+ q*u(i+j+k-1)")
         cert = prove(parse_identity(mutant))
         assert cert.verdict == REFUTED
+        # the quotient is refuted at (0, 0, 0), where the factor is u(0)^6 = 0,
+        # so the original goal is proved instead, as if it had no factor
+        assert cert.factor is None
         assert cert.witness.at == (("i", 1), ("j", 1), ("k", 1))
         # the paths up to the witness: i = 0, (1, 0), then 2 at (1, 1)
         assert len(cert.leaves) == 1 + 1 + 2
+
+
+class TestCommonFactor:
+    """prove cancels the atoms that every monomial of the goal holds."""
+
+    def test_the_paper_s_form_3_5_cancels_to_lemma_3_2(self, corpus_identities):
+        cert = prove(parse_identity(THEOREM_3_1))
+        assert cert.verdict == PROVED and cert.factor.render() == "W(n + 2)"
+        lemma = by_fragment(corpus_identities, "W(n+1)*W(n+6) - W(n+3)*W(n+4) ==")
+        assert cert.root.goal == identity_goal(lemma)
+        assert len(cert.leaves) == 3  # 4 for the law uncancelled
+
+    @pytest.mark.parametrize(
+        "law, factor, leaves",
+        [
+            (
+                "forall n: W(8*n+2)^3*u(n)^2 == (p*W(8*n+1) - q*W(8*n))^3*u(n)^2",
+                "u(n)^2",
+                4,  # 12 uncancelled
+            ),
+            (
+                "let e = p*a*b - q*a^2 - b^2\n"
+                "forall n: (W(2*n+1)*W(2*n+3) - W(2*n+2)^2)^2*V(3*n+2)^2*u(n)^2 == "
+                "e^2*q^(4*n+2)*V(3*n+2)^2*u(n)^2",
+                "u(n)^2*V(3*n + 2)^2",
+                5,  # 17 uncancelled
+            ),
+        ],
+        ids=["stress-s2", "cassini-squared"],
+    )
+    def test_a_seed_is_proved_by_its_quotient(self, law, factor, leaves):
+        identity = parse_identity(law)
+        cert = prove(identity)
+        assert cert.verdict == PROVED and cert.factor.render() == factor
+        assert cert.factor * cert.root.goal == identity_goal(identity)
+        assert len(cert.leaves) == leaves
+
+    def test_a_factor_zero_at_the_quotient_s_witness_falls_back(self):
+        # the quotient alone is refuted at n = 0, where the factor u(n) is u(0)
+        quotient = "forall n: W(n+2) + u(n-1)*u(n+1) == p*W(n+1) - q*W(n)"
+        assert [leaf.at for leaf in prove(parse_identity(quotient)).leaves] == [(("n", 0),)]
+        cert = prove(parse_identity(U_FALLBACK))
+        assert cert.verdict == REFUTED and cert.factor is None
+        assert cert.witness.at == (("n", 2),)
+        assert "factor" not in cert.to_json_dict()
+
+    def test_a_pinned_seed_can_make_the_factor_zero(self):
+        # the quotient of W(n) is 1, refuted at n = 0, where W(0) = a := 0
+        cert = prove(parse_identity("forall n: W(n) == 0 with a := 0"))
+        assert cert.verdict == REFUTED and cert.factor is None
+        assert [leaf.at for leaf in cert.leaves] == [(("n", 0),), (("n", 1),)]
+
+    def test_a_refuting_quotient_refutes_where_the_factor_is_nonzero(self):
+        cert = prove(parse_identity("forall n: W(n)*V(n+1) == W(n)*V(n)"))
+        assert cert.verdict == REFUTED and cert.factor.render() == "W(n)"
+        assert leaf_is_the_root_goal(cert, cert.witness, {})
+
+    def test_an_aborted_quotient_falls_back(self):
+        # the quotient is of order 2 in each index, the law itself of order 4
+        cert = prove(parse_identity(U_BASIS_3), max_order=1)
+        assert cert.verdict == ABORTED and cert.factor is None
+        assert cert.reason == "annihilator order 4 for index 'i' exceeds the cap 1"
+        # at a cap of 3, only the quotient is within it
+        cert = prove(parse_identity(U_BASIS_3), max_order=3)
+        assert cert.verdict == PROVED and cert.root.order == 2
+        assert annihilator_for(identity_goal(cert.identity), "i").order == 4
+
+    def test_the_factor_member_comes_before_the_proof(self):
+        doc = prove(parse_identity(THEOREM_3_1)).to_json_dict()
+        assert list(doc.keys()) == [
+            "identity", "elimination", "factor", "proof", "leaves", "verdict", "ms",
+        ]
+        assert doc["factor"] == "W(n + 2)"
 
 
 class TestRefutation:
     def test_every_witness_is_the_goal_at_its_indices(self, mutant_identities):
         """Each REFUTED witness, re-derived from the root goal by the reference expansion."""
         names = ("paper.fib", "mutations.fib", "horadam_extra.fib")
-        refuted = 0
+        refuted = factored = 0
         for source in [corpus_path(name) for name in names] + [MULTI_INDEX]:
             for identity in parse_file(source.read_text(encoding="utf-8")).identities:
                 cert = prove(identity)
@@ -494,13 +606,13 @@ class TestRefutation:
                     continue
                 witness = cert.witness
                 assert [index for index, _v in witness.at] == list(cert.elimination)
-                goal = identity_goal(identity)
-                for index, value in witness.at:
-                    goal = goal.substitute_index(index, value)
-                expected = reference_leaf_poly(goal, identity.pin_map())
-                assert not expected.is_zero and witness.poly == expected, identity.source
+                pins = identity.pin_map()
+                assert not reference_at(identity_goal(identity), witness.at, pins).is_zero
+                assert leaf_is_the_root_goal(cert, witness, pins), identity.source
                 refuted += 1
+                factored += cert.factor is not None
         assert refuted == len(mutant_identities) == 38
+        assert factored == 2  # mutations.fib:17 and :18, which hold q^(n) in every monomial
 
     def test_a_nonzero_leaf_before_an_over_cap_sibling_refutes(self):
         # at i = 0 the goal is W(j), refuted at j = 0; at i = 1 its order along j is 10

@@ -252,16 +252,22 @@ class TestClassesBySlopePattern:
 
 class TestLawsTheLatticeMakesTractable:
     def test_four_index_u_basis_law(self):
-        cert = prove(parse_identity(U_BASIS_4))
+        identity = parse_identity(U_BASIS_4)
+        # the law itself is of order 4 in each index
+        goal = identity_goal(identity)
+        assert {annihilator_for(goal, index).order for index in "ijkl"} == {4}
+        cert = prove(identity)
         assert cert.verdict == PROVED
-        # each value 0 is a zero subgoal, a leaf at once: 1 + 3*(1 + 3*(1 + 3*4))
-        assert len(cert.leaves) == 121
+        # prove cancels u(i)^2*u(j)^2*u(k)^2*u(l)^2, and the quotient is of
+        # order 2 in each index: 2^4 leaves
+        assert cert.factor.render() == "u(i)^2*u(j)^2*u(k)^2*u(l)^2"
+        assert len(cert.leaves) == 16
         orders = {
             (node.index, node.order)
             for node in walk(cert.root)
             if isinstance(node, EliminationNode)
         }
-        assert orders == {(index, 4) for index in "ijkl"}
+        assert orders == {(index, 2) for index in "ijkl"}
 
     def test_cubic_window_law_times_u_squared(self):
         idn = parse_file(
@@ -269,6 +275,8 @@ class TestLawsTheLatticeMakesTractable:
             "forall n: (W(n+1)*W(n+2)*W(n+6) - W(n+3)^3)*u(n)^2 == "
             "e*q^(n+1)*(p^3*W(n+2) - q^2*W(n+1))*u(n)^2\n"
         ).identities[0]
+        assert annihilator_for(identity_goal(idn), "n").order == 6
         cert = prove(idn)
         assert cert.verdict == PROVED
-        assert cert.root.order == 6
+        # the quotient by u(n)^2 is the cubic window law, of order 4
+        assert cert.factor.render() == "u(n)^2" and cert.root.order == 4
