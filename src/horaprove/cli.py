@@ -7,8 +7,8 @@ order-cap abort, or an unexpected error in one identity (the run goes on).
 A run that meets more than one outcome exits with the highest code.
 
 Input files are read as UTF-8; a leading byte-order mark is dropped.
-Each certificate is the bytes of Certificate.json_text, which is ASCII,
-and a line feed (LF on every platform).
+Each certificate is the bytes of Certificate.json_text, which is one
+line of ASCII JSON, and a line feed (LF on every platform).
 
 main turns the cyclic garbage collector off for the run and restores its
 prior state on return.  Reference counting frees every proof, certificate

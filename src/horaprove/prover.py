@@ -196,107 +196,65 @@ class Certificate(Record):
         return self.leaves[-1] if self.verdict == REFUTED else None
 
     def json_text(self) -> str:
-        """The certificate's JSON text, without a final line break.
-
-        It is byte for byte json.dumps(doc, indent=2) of the certificate's
-        document built as a tree of dicts (tests/conftest.py,
-        reference_json_dict), written in one pass over the proof tree: each
-        string is escaped by the C encode_basestring_ascii (json.dumps runs
-        CPython's pure-Python encoder whenever indent is set), and a subgoal
-        or leaf poly that several paths share is rendered and escaped once,
-        its text written at each of them.
-        """
+        """The certificate's JSON text: json.dumps of to_json_dict, on one
+        line, ASCII, without a final line break."""
         # json loads with the first certificate written, not with the package
-        from json.encoder import encode_basestring_ascii as quote
-
-        writer = _JsonWriter(quote)
-        keys = {index: quote(index) for index in self.elimination}
-        leaves = [writer.leaf(leaf, keys) for leaf in self.leaves]
-        members = [
-            '"identity": ' + quote(self.identity.source),
-            '"elimination": ' + _json_block("[]", list(keys.values()), "\n  "),
-        ]
-        if self.factor is not None:
-            members.append('"factor": ' + quote(self.factor.render()))
-        members += [
-            '"proof": ' + ("null" if self.root is None else writer.node(self.root, "\n  ")),
-            '"leaves": ' + _json_block("[]", leaves, "\n  "),
-            '"verdict": ' + quote(self.verdict),
-        ]
-        if self.verdict == ABORTED:
-            members.append('"reason": ' + quote(self.reason))
-        members.append(f'"ms": {self.ms}')
-        return _json_block("{}", members, "\n")
-
-    def to_json_dict(self) -> dict:
-        """The certificate as JSON data: json_text, parsed."""
         import json
 
-        return json.loads(self.json_text())
+        return json.dumps(self.to_json_dict())
 
+    def to_json_dict(self) -> dict:
+        """The certificate as JSON data.
 
-def _json_block(brackets: str, items: list, nl: str) -> str:
-    """A JSON array or object ("[]" or "{}") of written items; nl is a line
-    break plus the indent of the line the block opens on."""
-    if not items:
-        return brackets
-    inner = nl + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
-
-
-class _JsonWriter:
-    """Writes the JSON of one certificate's proof tree and leaves.
-
-    Each distinct subgoal and leaf poly is rendered and escaped once, keyed
-    by id.  A shared subgoal always sits at the same depth, since the
-    indices left to eliminate fix it, so its text is reused as is.  An
-    object of fixed members is written from one f-string.
-    """
-
-    __slots__ = ("quote", "polys", "subgoals")
-
-    def __init__(self, quote: Callable[[str], str]):
-        self.quote = quote
-        self.polys: dict = {}  # id(poly) -> its JSON string
-        self.subgoals: dict = {}  # id(node) -> its "goal" and "proof" members
-
-    def poly(self, poly: LaurentPoly) -> str:
-        text = self.polys.get(id(poly))
-        if text is None:
-            text = self.polys[id(poly)] = self.quote(poly.render())
-        return text
-
-    def leaf(self, leaf: LeafRecord, keys: dict) -> str:
-        at = ",\n        ".join([f"{keys[index]}: {value}" for index, value in leaf.at])
-        at = "{\n        " + at + "\n      }" if at else "{}"
-        poly, zero = self.poly(leaf.poly), "true" if leaf.zero else "false"
-        return f'{{\n      "at": {at},\n      "poly": {poly},\n      "zero": {zero}\n    }}'
-
-    def node(self, node: ProofNode, nl: str) -> str:
-        inner = nl + "  "
-        deeper = inner + "  "
-        if node.__class__ is LeafNode:
-            poly, zero = self.poly(node.poly), "true" if node.zero else "false"
-            leaf = f'{{{deeper}"poly": {poly},{deeper}"zero": {zero}{inner}}}'
-            return f'{{{inner}"leaf": {leaf}{nl}}}'
-        member = deeper + "  "
-        subgoals = [
-            f'{{{member}"value": {value},{member}{self._subgoal(child, member)}{deeper}}}'
-            for value, child in node.subgoals
+        A subgoal or leaf poly that several paths share is rendered once;
+        its dict or text then sits at each of them.
+        """
+        seen: dict = {}  # id(poly) -> its text, id(node) -> its goal and proof
+        doc = {"identity": self.identity.source, "elimination": list(self.elimination)}
+        if self.factor is not None:
+            doc["factor"] = self.factor.render()
+        doc["proof"] = None if self.root is None else _node_doc(self.root, seen)
+        doc["leaves"] = [
+            {"at": dict(leaf.at), "poly": _poly_text(leaf.poly, seen), "zero": leaf.zero}
+            for leaf in self.leaves
         ]
-        index, charpoly = self.quote(node.index), self.quote(node.annihilator.render())
-        return (
-            f'{{{inner}"index": {index},{inner}"order": {node.order},{inner}"charpoly": {charpoly},'
-            f'{inner}"subgoals": {_json_block("[]", subgoals, inner)}{nl}}}'
-        )
+        doc["verdict"] = self.verdict
+        if self.verdict == ABORTED:
+            doc["reason"] = self.reason
+        doc["ms"] = self.ms
+        return doc
 
-    def _subgoal(self, node: ProofNode, nl: str) -> str:
-        """The "goal" and "proof" members of a subgoal whose members start at nl."""
-        text = self.subgoals.get(id(node))
-        if text is None:
-            goal = '"goal": ' + self.quote(node.goal.render())
-            text = self.subgoals[id(node)] = goal + "," + nl + '"proof": ' + self.node(node, nl)
-        return text
+
+# Module functions, not closures over seen: closures that call each other
+# form reference cycles, and a run must leave no cyclic garbage (cli.main).
+
+
+def _node_doc(node: ProofNode, seen: dict) -> dict:
+    if node.__class__ is LeafNode:
+        return {"leaf": {"poly": _poly_text(node.poly, seen), "zero": node.zero}}
+    return {
+        "index": node.index,
+        "order": node.order,
+        "charpoly": node.annihilator.render(),
+        "subgoals": [
+            {"value": value, **_subgoal_doc(child, seen)} for value, child in node.subgoals
+        ],
+    }
+
+
+def _subgoal_doc(node: ProofNode, seen: dict) -> dict:
+    """The "goal" and "proof" members of a subgoal."""
+    doc = seen.get(id(node))
+    if doc is None:
+        doc = seen[id(node)] = {"goal": node.goal.render(), "proof": _node_doc(node, seen)}
+    return doc
+
+
+def _poly_text(poly: LaurentPoly, seen: dict) -> str:
+    text = seen.get(id(poly))
+    if text is None:
+        text = seen[id(poly)] = poly.render()
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -263,9 +263,10 @@ def trees(names: tuple, max_leaves: int):
 def reference_json_dict(cert) -> dict:
     """The certificate as JSON data, built as a dict tree.
 
-    The reference for Certificate.json_text: json.dumps(doc, indent=2) of
-    this doc is the text it must write.  A subgoal or leaf poly that
-    several paths share is rendered once and its dict written at each.
+    The reference for Certificate.json_text: json.dumps(doc) of this doc,
+    with default arguments (one line, ASCII), is the text it must write.
+    A subgoal or leaf poly that several paths share is rendered once and
+    its dict written at each.
     """
     polys: dict = {}  # id(poly) -> its text
     subgoals: dict = {}  # id(node) -> {"goal": its text, "proof": its dict}

@@ -36,6 +36,7 @@ VERIFIED = [*SHIPPED, str(CORPUS / "horadam_extra.fib"),
             str(ROOT / "perfbench" / "workloads" / "multi_index.fib")]
 
 _MS_TEXT = re.compile(r"\(\d+ ms\)")
+# json.dumps's default ": " separator, which Certificate.json_text keeps
 _MS_MEMBER = re.compile(rb'"ms": \d+')
 
 

@@ -18,7 +18,7 @@ from horaprove import cli, corpus_path, parse_file, parse_identity, prove
 from horaprove.cli import main
 from horaprove.prover import DEFAULT_MAX_ORDER, Counterexample, FuzzResult
 from horaprove.ring import SYMBOLS
-from conftest import MULTI_INDEX, OVER_CAP_AFTER_WITNESS, reference_json_dict
+from conftest import MULTI_INDEX, OVER_CAP_AFTER_WITNESS, U_BASIS_3, reference_json_dict
 from reachability import Q_PRODUCT_OVERFLOW
 
 PAPER = str(corpus_path("paper.fib"))
@@ -297,6 +297,28 @@ class TestCertificates:
             d1.pop("ms"), d2.pop("ms")
             assert d1 == d2
 
+    def test_each_file_is_one_line_holding_its_certificates_document(self, tmp_path, capsys):
+        u_basis = tmp_path / "u_basis.fib"
+        u_basis.write_text(U_BASIS_3 + "\n", encoding="utf-8")
+        sources = [PAPER, MUTATIONS, TEMPLATE, str(MULTI_INDEX), str(u_basis)]
+        certs = tmp_path / "certs"
+        main(["verify", *sources, "--cert-out", str(certs)])
+        capsys.readouterr()
+        count = 0
+        for source in map(Path, sources):
+            identities = parse_file(source.read_text(encoding="utf-8")).identities
+            for i, identity in enumerate(identities, start=1):
+                cert = prove(identity)
+                doc = cert.to_json_dict()
+                assert json.loads(cert.json_text()) == doc
+                data = (certs / f"{source.stem}-{i:03d}.json").read_bytes()
+                assert data.endswith(b"\n") and data.count(b"\n") == 1
+                written = json.loads(data)
+                written.pop("ms"), doc.pop("ms")
+                assert written == doc
+                count += 1
+        assert count == 19 + 38 + 5 + 1
+
     def test_a_failed_write_is_that_identitys_error_and_the_run_goes_on(self, tmp_path, capsys):
         certs = tmp_path / "certs"
         blocked = certs / "paper-002.json"
@@ -336,12 +358,12 @@ class TestCertificates:
 
 
 class TestCertificateText:
-    """Certificate.json_text writes json.dumps(doc, indent=2) of the reference doc."""
+    """Certificate.json_text writes json.dumps(doc) of the reference doc."""
 
     @staticmethod
     def checked(cert) -> str:
         text = cert.json_text()
-        assert text == json.dumps(reference_json_dict(cert), indent=2)
+        assert text == json.dumps(reference_json_dict(cert))
         return text
 
     def test_every_shipped_certificate(self):
@@ -362,7 +384,7 @@ class TestCertificateText:
 
     def test_a_goal_that_is_zero_at_the_root(self):
         text = self.checked(prove(parse_identity("forall n: W(n)*u(n) == u(n)*W(n)")))
-        assert '"proof": {\n    "leaf": {' in text and '"at": {}' in text
+        assert '"proof": {"leaf": {' in text and '"at": {}' in text
 
     def test_a_pinned_identity(self):
         law = parse_identity("forall n: u(n+1)*u(n-1) - u(n)^2 == -q^(n-1) with p := 1, q := -1")

@@ -1,8 +1,10 @@
 """Every certificate's bytes, pinned by digest.
 
 tests/golden/certificates.sha256 holds one line per identity, the SHA-256
-of its certificate as `verify --cert-out` writes it, with `ms` dropped,
-then a label.  It covers the shipped corpora, the 3-index u-basis law,
+of its certificate's document, with `ms` dropped, written as
+json.dumps(doc, indent=2) and a line feed, then a label.  The digest is
+of that re-indented text, not of the file `verify --cert-out` writes, so
+a change to the file's whitespace alone keeps every digest.  It covers the shipped corpora, the 3-index u-basis law,
 whose elimination tree reaches equal subgoals along different paths, a
 refuted law with two pins, one not an integer, whose leaf is scaled, the
 paper's form (3.5) of Theorem 3.1, whose certificate records a cancelled

@@ -12,6 +12,10 @@ verdicts are compared: a variant's leaves and certificate may differ.
   vanish off one.  prove cancels the atoms.  The u atom's form has no
   constant, so it is u(0) at indices all 0, where most refuted goals have
   their witness, and there the original product must be decided.
+- Renaming every index variable, to names that sort in another order,
+  only relabels the indices.
+- Eliminating the indices in another order decides the same goal.
+- Adding one expression to both sides leaves lhs - rhs as it was.
 """
 
 import pytest
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 
 from conftest import MULTI_INDEX
 from horaprove import corpus_path, parse_file
-from horaprove.lang import Identity, LinForm, Pow, Product, SeqTerm, Sum
+from horaprove.lang import Identity, LinForm, Pow, Product, ScalarRef, SeqTerm, Sum
 from horaprove.prover import REFUTED, prove
 from horaprove.sequences import SequenceKind
 
@@ -38,24 +42,28 @@ def verdicts():
     return out
 
 
-def with_sides(identity: Identity, lhs, rhs, lets) -> Identity:
-    return Identity(identity.index_vars, lhs, rhs, identity.pins, lets,
+def with_sides(identity: Identity, lhs, rhs, lets, index_vars=None) -> Identity:
+    return Identity(index_vars or identity.index_vars, lhs, rhs, identity.pins, lets,
                     identity.source, identity.line, identity.col)
 
 
-def shifted(expr, shift: dict):
-    """The tree with each index variable v replaced by v + shift[v]."""
+def reindexed(expr, change):
+    """The tree with each sequence term's index form f replaced by change(f)."""
     if isinstance(expr, SeqTerm):
-        form = expr.index
-        const = form.const + sum(c * shift[v] for v, c in form.coeffs)
-        return SeqTerm(expr.kind, LinForm(form.coeffs, const))
+        return SeqTerm(expr.kind, change(expr.index))
     if isinstance(expr, Sum):
-        return Sum(tuple((sign, shifted(term, shift)) for sign, term in expr.terms))
+        return Sum(tuple((sign, reindexed(term, change)) for sign, term in expr.terms))
     if isinstance(expr, Product):
-        return Product(tuple(shifted(factor, shift) for factor in expr.factors))
+        return Product(tuple(reindexed(factor, change) for factor in expr.factors))
     if isinstance(expr, Pow):
-        return Pow(shifted(expr.base, shift), expr.exponent)
+        return Pow(reindexed(expr.base, change), expr.exponent)
     return expr  # a literal, a scalar or a let name
+
+
+def reindexed_identity(identity: Identity, change, index_vars=None) -> Identity:
+    lets = tuple((name, reindexed(body, change)) for name, body in identity.lets)
+    lhs, rhs = reindexed(identity.lhs, change), reindexed(identity.rhs, change)
+    return with_sides(identity, lhs, rhs, lets, index_vars)
 
 
 def forms(index_vars: tuple, consts):
@@ -82,10 +90,11 @@ def test_shifting_the_indices_keeps_the_verdict(verdicts, data):
             v: data.draw(st.integers(-4, 4), label=f"{identity.source}: {v}")
             for v in identity.index_vars
         }
-        lets = tuple((name, shifted(body, shift)) for name, body in identity.lets)
-        variant = with_sides(
-            identity, shifted(identity.lhs, shift), shifted(identity.rhs, shift), lets
-        )
+
+        def change(form):
+            return LinForm(form.coeffs, form.const + sum(c * shift[v] for v, c in form.coeffs))
+
+        variant = reindexed_identity(identity, change)
         assert prove(variant).verdict == verdict, (identity.source, shift)
 
 
@@ -109,3 +118,48 @@ def test_multiplying_both_sides_by_atoms_keeps_the_verdict(verdicts, data):
         fallbacks += cert.verdict == REFUTED and cert.factor is None
     # every refuted goal whose witness has indices all 0 is decided uncancelled
     assert fallbacks > 0
+
+
+# index names no corpus identity uses; the variables take them in a drawn
+# order, so the renamed ones sort in another order than their originals
+FRESH = ("n1", "n2", "n3", "n4", "n5")
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.data())
+def test_renaming_the_indices_keeps_the_verdict(verdicts, data):
+    for identity, verdict in verdicts:
+        names = data.draw(st.permutations(FRESH), label=identity.source)
+        rename = dict(zip(identity.index_vars, names))
+
+        def change(form):
+            return LinForm.make({rename[v]: c for v, c in form.coeffs}, form.const)
+
+        variant = reindexed_identity(identity, change, tuple(rename.values()))
+        assert prove(variant).verdict == verdict, (identity.source, rename)
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.data())
+def test_permuting_the_elimination_order_keeps_the_verdict(verdicts, data):
+    for identity, verdict in verdicts:
+        order = data.draw(st.permutations(identity.index_vars), label=identity.source)
+        assert prove(identity, elimination_order=order).verdict == verdict, (identity.source, order)
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.data())
+def test_adding_an_expression_to_both_sides_keeps_the_verdict(verdicts, data):
+    kinds = st.sampled_from(tuple(SequenceKind))
+    scalars = st.sampled_from(tuple(map(ScalarRef, "pqabcd")))
+    for identity, verdict in verdicts:
+        atoms = [
+            SeqTerm(data.draw(kinds), data.draw(forms(identity.index_vars, st.integers(-3, 3))))
+            for _ in range(2)
+        ]
+        # (atom +- s*atom')^2: a square that each side expands, and lhs - rhs cancels
+        sign = data.draw(st.sampled_from((1, -1)))
+        added = Pow(Sum(((1, atoms[0]), (sign, Product((data.draw(scalars), atoms[1]))))), 2)
+        lhs, rhs = (Sum(((1, side), (1, added))) for side in (identity.lhs, identity.rhs))
+        variant = with_sides(identity, lhs, rhs, identity.lets)
+        assert prove(variant).verdict == verdict, (identity.source, added)

@@ -41,7 +41,6 @@ ALLOWLIST = {
     "lang.NormalForm.__str__": "copy",
     "lang.NormalForm.__repr__": "copy",
     "prover.Certificate.witness": "api",
-    "prover.Certificate.to_json_dict": "api",
     # records compare by value: every exported record class inherits these
     "ring.Record._key": "api",
     "ring.Record.__eq__": "api",
