@@ -34,10 +34,11 @@ appear in scalars, only inside atom index forms, which makes eliminating
 one index at a time well-defined.  Normalizing builds a NormalForm only
 where an atom occurs: a subtree without one is a ring element.
 
-No normal form holds u(0): u starts at u0 = 0, so normalizing maps a
-written u(0) to the zero scalar, and substitute_index drops every monomial
-in which it makes an atom u(0).  A goal whose every monomial holds u(0) is
-then zero before any elimination.
+One rule, _image, gives a term's worth at an index form: u(0) is zero (u
+starts at u0 = 0), q^(S + c) is the atom q^(S), none when S is empty,
+times the scalar q^c, and any other term is its atom.  Normalizing,
+substitute_index and merging q atoms all use it, so no normal form holds
+u(0), and a goal whose every monomial holds u(0) is zero at once.
 
 Atoms are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): each distinct (kind, index form) is one
@@ -131,10 +132,6 @@ class LinForm(Record):
     def make(cls, coeffs: Mapping[str, int], const: int) -> "LinForm":
         items = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
         return cls(items, const)
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.coeffs
 
     def substitute(self, var: str, value: int) -> "LinForm":
         coeffs = self.coeffs
@@ -655,15 +652,6 @@ class NormalForm:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def support(self) -> frozenset:
-        """The monomials' atom tuples, without their scalars.
-
-        Built from the term dict's stored hashes, so it hashes no atom
-        tuple and no scalar: a cheap key under which equal normal forms
-        always meet.
-        """
-        return frozenset(self._terms)
-
     def monomials(self) -> Iterator[tuple]:
         """(atoms, scalar) pairs in the canonical deterministic order."""
         return iter(
@@ -674,6 +662,10 @@ class NormalForm:
         if not isinstance(other, NormalForm):
             return NotImplemented
         return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        # over the atom tuples alone, whose hashes the term dict stores
+        return hash(frozenset(self._terms))
 
     def __add__(self, other: "NormalForm") -> "NormalForm":
         out = dict(self._terms)
@@ -771,8 +763,8 @@ def _merge_atoms(atoms: tuple) -> tuple:
             merged.append(atom)
         else:
             qlin = atom.index if qlin is None else qlin.plus(atom.index)
-    if qlin is not None and not qlin.is_constant:
-        merged.append(SeqTerm(GEOQ, qlin))
+    if qlin is not None:
+        merged += _image(GEOQ, qlin)[0]
     return tuple(sorted(merged, key=_atom_order))
 
 
@@ -787,26 +779,18 @@ def _substitute_atom(atom: SeqTerm, var: str, value: int) -> tuple | None:
     new = atom.index.substitute(var, value)
     if new is atom.index:
         return (atom,), 0
-    if atom.kind is GEOQ:
-        return _q_power(new)
-    if _is_u0(atom.kind, new):
+    return _image(atom.kind, new)
+
+
+def _image(kind: SequenceKind, index: LinForm) -> tuple | None:
+    """(atoms, k): the term kind(index) is the atoms times the scalar q^k,
+    k being a q power's constant part; None for u(0), which is zero."""
+    if kind is GEOQ:
+        atoms = (SeqTerm(GEOQ, LinForm(index.coeffs, 0)),) if index.coeffs else ()
+        return atoms, index.const
+    if kind is U and not index.coeffs and not index.const:
         return None
-    return (SeqTerm(atom.kind, new),), 0
-
-
-def _is_u0(kind: SequenceKind, index: LinForm) -> bool:
-    """Whether the atom is u(0), the one zero term: u starts at u0 = 0."""
-    return kind is U and not index.coeffs and not index.const
-
-
-def _q_power(lin: LinForm) -> tuple:
-    """Split q^(lin) into (atoms, k), the atoms times the scalar q^k.
-
-    The atoms are q^(lin without its constant), or none when lin is
-    constant; k is lin's constant.
-    """
-    atoms = () if lin.is_constant else (SeqTerm(GEOQ, LinForm(lin.coeffs, 0)),)
-    return atoms, lin.const
+    return (SeqTerm(kind, index),), 0
 
 
 # Certificates render the same few atoms and atom tuples over and over (a
@@ -855,9 +839,10 @@ def _normalize(expr: Expr, values: Mapping) -> LaurentPoly | NormalForm:
     if isinstance(expr, NameRef):
         return values[expr.name]
     if isinstance(expr, SeqTerm):
-        if _is_u0(expr.kind, expr.index):
+        image = _image(expr.kind, expr.index)
+        if image is None:
             return zero()
-        atoms, k = _q_power(expr.index) if expr.kind is GEOQ else ((expr,), 0)
+        atoms, k = image
         scalar = q_power(k) if k else one()
         return NormalForm._raw({atoms: scalar}) if atoms else scalar
     if isinstance(expr, Sum):

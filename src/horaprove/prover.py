@@ -20,7 +20,8 @@ at a time from the normal form of lhs - rhs:
      those instantiations is a smaller goal; recurse, in that order.  Two
      paths can reach equal goals with the same indices left (a law
      symmetric in its indices does); such a goal is proved once, and every
-     later path reuses its proof tree.
+     later path reuses its proof tree.  A goal is its own key in the table
+     of proved goals: a NormalForm hashes by its monomials' atom tuples.
   3. With no indices left, every atom has a constant index: expand it to an
      exact ring element and check that the leaf polynomial is zero (after
      substituting any pinned scalars).  Leaves across a file repeat the
@@ -128,7 +129,7 @@ def annihilator_for(nf: NormalForm, index: str, max_order: int = DEFAULT_MAX_ORD
     one root class (0, 0).
     """
     patterns = set()
-    for atoms in nf._terms:  # the goal's own dict: support() would copy its keys
+    for atoms in nf._terms:
         t, slopes = 0, []
         for atom in atoms:
             for var, m in atom.index.coeffs:
@@ -284,11 +285,11 @@ def prove(
     pins = identity.pin_map()
     start = time.perf_counter()
     # Each tree is built with its own table, _build's last argument:
-    # (support, remaining) -> the nodes _build made for goals with that support.
-    # Equal goals come from paths that differ in two or more eliminated
-    # indices, as when a law symmetric in i and j swaps their values; one
-    # goal's instances along a single index are seldom equal (never in the
-    # shipped corpora), so only goals below two eliminations pay a lookup.
+    # (goal, remaining) -> the node _build made for that goal.  Equal goals
+    # come from paths that differ in two or more eliminated indices, as when
+    # a law symmetric in i and j swaps their values; one goal's instances
+    # along a single index are seldom equal (never in the shipped corpora),
+    # so only goals below two eliminations pay a lookup.
     # The table is passed down, not closed over, so no reference cycle
     # keeps it or the proof alive once prove returns.
     try:
@@ -355,11 +356,9 @@ def _cancelled(goal: NormalForm, elim: tuple, pins: dict, max_order: int) -> tup
 def _build(
     nf: NormalForm, remaining: tuple, depth: int, pins: dict, max_order: int, proved: dict
 ) -> ProofNode:
-    # at depths 0 and 1, nodes is a fresh list that nothing reads
-    nodes = proved.setdefault((nf.support(), remaining), []) if depth >= 2 else []
-    for node in nodes:
-        if node.goal == nf:
-            return node
+    node = proved.get((nf, remaining)) if depth >= 2 else None
+    if node is not None:
+        return node
     if not remaining or nf.is_zero:
         poly = _leaf_poly(nf, pins)
         node = LeafNode(nf, poly, poly.is_zero)
@@ -374,7 +373,8 @@ def _build(
             if not child.zero:  # a nonzero leaf below refutes the goal
                 break
         node = EliminationNode(index, ann, nf, subgoals, child.zero)
-    nodes.append(node)
+    if depth >= 2:
+        proved[nf, remaining] = node
     return node
 
 

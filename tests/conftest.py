@@ -224,6 +224,13 @@ def reference_leaf_poly(goal, pins):
     return total.pin_substitute(pins) if pins else total
 
 
+def reference_at(goal, at, pins):
+    """The goal instantiated along a leaf's path, expanded by the reference."""
+    for index, value in at:
+        goal = goal.substitute_index(index, value)
+    return reference_leaf_poly(goal, pins)
+
+
 # Random syntax trees with every node kind, for the compiled evaluator and the
 # normalizer.  Index forms have 0, 1 or 2 variables, since the compiler
 # special-cases each count; a GEOQ term of a constant form is a scalar q^(k).

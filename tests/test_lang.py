@@ -527,7 +527,7 @@ def reference_substitute(nf, var, value) -> dict:
             if atom.kind is not SequenceKind.GEOQ:
                 new_atoms.append(SeqTerm(atom.kind, new))
             else:
-                if not new.is_constant:
+                if new.coeffs:
                     new_atoms.append(SeqTerm(SequenceKind.GEOQ, LinForm(new.coeffs, 0)))
                 k += new.const
         key = tuple(sorted(new_atoms, key=old_atom_order))
@@ -665,7 +665,7 @@ def reference_normalize(expr, values):
         if expr.kind is not GEOQ:
             return canonical_form({(expr,): one()})
         lin = expr.index
-        atoms = () if lin.is_constant else (SeqTerm(GEOQ, LinForm(lin.coeffs, 0)),)
+        atoms = (SeqTerm(GEOQ, LinForm(lin.coeffs, 0)),) if lin.coeffs else ()
         return canonical_form({atoms: q_power(lin.const)})
     if isinstance(expr, Sum):
         (sign, first), *rest = expr.terms

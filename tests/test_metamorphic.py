@@ -16,6 +16,11 @@ verdicts are compared: a variant's leaves and certificate may differ.
   only relabels the indices.
 - Eliminating the indices in another order decides the same goal.
 - Adding one expression to both sides leaves lhs - rhs as it was.
+
+Two relations hold one way only: a PROVED identity stays PROVED when an
+index v becomes 2v, or v + w with w a new index, since each variant runs
+over a subset of the original's instances (a REFUTED one may lose its
+every counterexample).
 """
 
 import pytest
@@ -25,7 +30,7 @@ from hypothesis import strategies as st
 from conftest import MULTI_INDEX
 from horaprove import corpus_path, parse_file
 from horaprove.lang import Identity, LinForm, Pow, Product, ScalarRef, SeqTerm, Sum
-from horaprove.prover import REFUTED, prove
+from horaprove.prover import PROVED, REFUTED, prove
 from horaprove.sequences import SequenceKind
 
 CORPORA = ("paper.fib", "mutations.fib", "horadam_extra.fib")
@@ -163,3 +168,39 @@ def test_adding_an_expression_to_both_sides_keeps_the_verdict(verdicts, data):
         lhs, rhs = (Sum(((1, side), (1, added))) for side in (identity.lhs, identity.rhs))
         variant = with_sides(identity, lhs, rhs, identity.lets)
         assert prove(variant).verdict == verdict, (identity.source, added)
+
+
+@pytest.fixture(scope="module")
+def proved(verdicts):
+    """Every identity of the corpora and multi_index.fib that is PROVED."""
+    out = [identity for identity, verdict in verdicts if verdict == PROVED]
+    assert len(out) == 19 + 5
+    return out
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.data())
+def test_doubling_an_index_keeps_a_proof(proved, data):
+    for identity in proved:
+        v = data.draw(st.sampled_from(identity.index_vars), label=identity.source)
+
+        def change(form):
+            return LinForm.make({u: 2 * c if u == v else c for u, c in form.coeffs}, form.const)
+
+        variant = reindexed_identity(identity, change)
+        assert prove(variant).verdict == PROVED, (identity.source, v)
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.data())
+def test_adding_a_new_index_keeps_a_proof(proved, data):
+    for identity in proved:
+        v = data.draw(st.sampled_from(identity.index_vars), label=identity.source)
+        assert "w" not in identity.index_vars
+
+        def change(form):
+            coeffs = dict(form.coeffs)
+            return LinForm.make({**coeffs, "w": coeffs.get(v, 0)}, form.const)
+
+        variant = reindexed_identity(identity, change, (*identity.index_vars, "w"))
+        assert prove(variant).verdict == PROVED, (identity.source, v)

@@ -23,6 +23,7 @@ from conftest import (
     canonical_form,
     eval_normal_form,
     rational_assignments,
+    reference_at,
     reference_leaf_poly,
     trees,
     walk,
@@ -316,13 +317,6 @@ class TestProve:
         assert [leaf.at for leaf in cert.leaves] == [
             (("m", x), ("n", y)) for x in range(2) for y in range(2)
         ]
-
-
-def reference_at(goal, at, pins):
-    """The goal instantiated along a leaf's path, expanded by the reference."""
-    for index, value in at:
-        goal = goal.substitute_index(index, value)
-    return reference_leaf_poly(goal, pins)
 
 
 def leaf_is_the_root_goal(cert, leaf, pins) -> bool:

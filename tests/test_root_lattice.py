@@ -194,8 +194,39 @@ lattice_goals = st.lists(lattice_monomials, min_size=1, max_size=3).map(
 )
 
 
+class TestGoalsAsKeys:
+    """A goal is its own key in prove's table of proved subgoals: a
+    NormalForm hashes by its monomials' atom tuples, consistently with ==.
+    TestSharedSubgoals in test_prover is the end-to-end guard."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattice_goals)
+    def test_equal_forms_hash_equal_and_find_each_other(self, goal):
+        # the same form built again, each monomial's atoms and the monomials
+        # in reversed order, so its term dict is a new one in another order
+        terms = reversed(list(goal._terms.items()))
+        twin = canonical_form({tuple(reversed(atoms)): scalar for atoms, scalar in terms})
+        assert twin == goal and twin._terms is not goal._terms
+        assert hash(twin) == hash(goal)
+        table = {(goal, ("i", "j")): "node"}
+        assert table[twin, ("i", "j")] == "node" and twin in {goal}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lattice_goals,
+        st.data(),
+        st.sampled_from((from_int(2), from_int(-1), symbol("p"), q_power(-1))),
+    )
+    def test_same_support_other_scalars_is_another_key(self, goal, data, factor):
+        atoms = data.draw(st.sampled_from([atoms for atoms, _ in goal.monomials()]))
+        other = NormalForm._raw({**goal._terms, atoms: goal._terms[atoms] * factor})
+        assert frozenset(other._terms) == frozenset(goal._terms) and other != goal
+        table = {goal: "goal", other: "other"}
+        assert len(table) == 2 and table[goal] == "goal" and table[other] == "other"
+
+
 def reference_classes(goal, index: str) -> frozenset:
-    classes = [reference_monomial_classes(atoms, index) for atoms in goal.support()]
+    classes = [reference_monomial_classes(atoms, index) for atoms in goal._terms]
     return frozenset().union(*classes)
 
 
